@@ -13,13 +13,17 @@ Subcommands:
 Exit status: 0 success; 1 validation/usage error; 2 numerical failure.
 Identical invocations produce byte-identical output: fixed key order, fixed
 row order, floats via shortest round-trip repr, booleans as lowercase
-true/false, and no timestamps.
+true/false, and no timestamps.  JSON text is exactly what
+``json.dumps(payload, indent=2)`` gives for the payload with every numpy
+array replaced by its ``tolist()``.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +36,9 @@ from .hamiltonian import CouplingPair, build
 FORMATS = ("json", "csv")
 LINES = ("mu=lambda", "mu=-lambda")
 CONTINUUM_DEFAULT_SIZE = 160
+# Largest number of points one --grid axis may hold; a product scan solves the
+# square of it.
+MAX_GRID_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -75,8 +82,12 @@ def parse_grid(spec):
         raise ValidationError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ValidationError(f"grid upper bound {hi} is below lower bound {lo}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(lo + k * step for k in range(count))
+    steps = np.floor((hi - lo) / step + 1e-9)
+    if not steps < MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid {spec!r} has {steps + 1:.3g} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    return tuple(lo + k * step for k in range(int(steps) + 1))
 
 
 def _build_parser():
@@ -182,7 +193,7 @@ def _cmd_spectrum(cfg):
     spec = spectra.spectrum_of(h, reality_tol=cfg.tol)
     payload = {"n": cfg.n, "lambda": cfg.lam, "mu": cfg.mu}
     payload.update(spec.to_dict())
-    rows = [(k + 1, v["re"], v["im"]) for k, v in enumerate(payload["values"])]
+    rows = ((k + 1, v["re"], v["im"]) for k, v in enumerate(payload["values"]))
     return payload, ("k", "re", "im"), rows
 
 
@@ -212,14 +223,24 @@ def _cmd_scan(cfg):
 def _cmd_pseudometrics(cfg):
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
     basis = dieudonne.kernel_basis(h)
-    payload = {"n": cfg.n, "lambda": cfg.lam, "mu": cfg.mu}
-    payload.update(basis.to_dict())
-    rows = []
-    for e, element in enumerate(payload["elements"]):
-        res = element["residual"]
-        for i, row in enumerate(element["matrix"]):
-            for j, value in enumerate(row):
-                rows.append((e, i, j, value, res))
+    residuals = basis.residuals.tolist()
+    # The keys of PseudometricBasis.to_dict, with the matrices left as arrays.
+    payload = {
+        "n": cfg.n,
+        "lambda": cfg.lam,
+        "mu": cfg.mu,
+        "dimension": basis.dimension,
+        "independence": basis.independence,
+        "elements": [
+            {"matrix": x, "residual": r} for x, r in zip(basis.basis, residuals)
+        ],
+    }
+    rows = (
+        (e, i, j, value, res)
+        for e, (x, res) in enumerate(zip(basis.basis, residuals))
+        for i, row in enumerate(x.tolist())
+        for j, value in enumerate(row)
+    )
     return payload, ("element", "row", "col", "value", "residual"), rows
 
 
@@ -248,18 +269,18 @@ def _cmd_metric(cfg):
         "lambda": cfg.lam,
         "mu": cfg.mu,
         "pseudometric": variant,
-        "nu": [float(v) for v in asm.nu],
-        "kappa_sq": [float(v) for v in asm.kappa_sq],
-        "theta": [[float(v) for v in row] for row in theta],
+        "nu": asm.nu,
+        "kappa_sq": asm.kappa_sq,
+        "theta": theta,
         "smallest_eigenvalue": smallest,
         "positive": bool(smallest > 0.0),
         "residual_theta": dieudonne.residual(h, theta),
     }
-    rows = [
-        (i, j, float(theta[i, j]))
-        for i in range(cfg.n)
-        for j in range(cfg.n)
-    ]
+    rows = (
+        (i, j, value)
+        for i, row in enumerate(theta.tolist())
+        for j, value in enumerate(row)
+    )
     return payload, ("row", "col", "value"), rows
 
 
@@ -279,14 +300,14 @@ def _cmd_charge(cfg):
         "residual_involution_spectral": float(
             np.abs(asm.c @ asm.c - np.eye(cfg.n)).max()
         ),
-        "c_spectral": [[float(v) for v in row] for row in asm.c],
-        "c_closed": [[float(v) for v in row] for row in triple.c],
+        "c_spectral": asm.c,
+        "c_closed": triple.c,
     }
-    rows = [
-        (i, j, float(asm.c[i, j]), float(triple.c[i, j]))
-        for i in range(cfg.n)
-        for j in range(cfg.n)
-    ]
+    rows = (
+        (i, j, spectral, closed)
+        for i, (row_s, row_c) in enumerate(zip(asm.c.tolist(), triple.c.tolist()))
+        for j, (spectral, closed) in enumerate(zip(row_s, row_c))
+    )
     return payload, ("row", "col", "spectral", "closed"), rows
 
 
@@ -295,9 +316,10 @@ def _cmd_verify(cfg):
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
     report = quasihermitian.symmetry_report(h, triple)
+    fields = report.to_dict()
     payload = {"n": cfg.n, "lambda": cfg.lam}
-    payload.update(report.to_dict())
-    rows = [(key, value) for key, value in report.to_dict().items()]
+    payload.update(fields)
+    rows = fields.items()
     return payload, ("quantity", "value"), rows
 
 
@@ -308,7 +330,7 @@ def _cmd_continuum(cfg):
         )
     sizes = (cfg.n // 8, cfg.n // 4, cfg.n // 2, cfg.n)
     study = continuum.convergence_study(sizes, cfg.lam, cfg.levels)
-    return study.to_dict(), ("n", "k", "scaled_energy", "richardson_order"), list(study.rows())
+    return study.to_dict(), ("n", "k", "scaled_energy", "richardson_order"), study.rows()
 
 
 _COMMANDS = {
@@ -332,10 +354,107 @@ def _csv_cell(value):
     return str(value)
 
 
+_INDENT = "  "
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _float_tokens(a):
+    """JSON tokens of a float array's entries in C order.
+
+    ``float.__repr__`` runs once per distinct bit pattern (so -0.0 and 0.0
+    stay apart); symmetric matrices need it for about half their entries.
+    """
+    bits, inverse = np.unique(
+        np.asarray(a, dtype=np.float64).reshape(-1).view(np.int64), return_inverse=True
+    )
+    values = bits.view(np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return [texts[k] for k in inverse.ravel().tolist()]
+
+
+def _nest(tokens, shape, level):
+    """Lay out a flat C-order token list as json's indented nested lists."""
+    if shape[0] == 0:
+        return "[]"
+    if len(shape) > 1:
+        step = math.prod(shape[1:])
+        tokens = [
+            _nest(tokens[k * step:(k + 1) * step], shape[1:], level + 1)
+            for k in range(shape[0])
+        ]
+    inner = "\n" + _INDENT * (level + 1)
+    return "[" + inner + ("," + inner).join(tokens) + "\n" + _INDENT * level + "]"
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _key_token(key):
+    """A dict key's text and separator; non-str keys are stringified as json does."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key) + ": "
+
+
+def _encode(obj, level, out):
+    """Append the text json.dumps(obj, indent=2) gives at nesting level to out.
+
+    Scalars follow json's own rules: float.__repr__ with json's non-finite
+    tokens, int.__repr__, true/false/null, json.dumps for strings.  Float
+    arrays are laid out from _float_tokens, other arrays via tolist().
+    """
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_NONFINITE.get(text, text))
+    elif obj is None or obj is True or obj is False:
+        out.append(_LITERALS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim > 0:
+            out.append(_nest(_float_tokens(obj), obj.shape, level))
+        else:
+            _encode(obj.tolist(), level, out)
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        if isinstance(obj, dict):
+            sep = "{" + inner
+            for key, value in obj.items():
+                out.append(sep + _key_token(key))
+                _encode(value, level + 1, out)
+                sep = "," + inner
+            out.append("\n" + _INDENT * level + "}")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _encode(value, level + 1, out)
+                sep = "," + inner
+            out.append("\n" + _INDENT * level + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def render(payload, header, rows, fmt):
-    """Serialize one subcommand result to its final output text."""
+    """Serialize one subcommand result to its final output text.
+
+    ``rows`` is an iterable of CSV records, consumed only for CSV output.
+    """
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        out = []
+        _encode(payload, 0, out)
+        out.append("\n")
+        return "".join(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

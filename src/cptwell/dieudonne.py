@@ -142,46 +142,60 @@ def _reject_degenerate(h):
     _gap_gate(h, spectrum_of(h).min_gap)
 
 
-def _symmetric_subspace(n):
-    """Orthonormal (Frobenius) basis of symmetric matrices, row-major pairs."""
-    mats = []
-    half = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i, n):
-            x = np.zeros((n, n))
-            if i == j:
-                x[i, i] = 1.0
-            else:
-                x[i, j] = half
-                x[j, i] = half
-            mats.append(x)
-    return mats
+def _symmetric_pairs(n):
+    """Orthonormal (Frobenius) basis of the symmetric n x n matrices.
+
+    Element k is w[k] (E_ij + E_ji) for the row-major pair i = iu[k] <= j = ju[k],
+    with weight 1/sqrt(2) off the diagonal; on it (i = j) it is E_ii itself.
+    """
+    iu, ju = np.triu_indices(n)
+    return iu, ju, np.where(iu == ju, 1.0, 1.0 / np.sqrt(2.0))
+
+
+def _intertwining_operator(hd):
+    """Matrix of X -> H^T X - X H from the symmetric basis to row-major n*n vectors.
+
+    Column k holds H^T B - B H for the basis element B of `_symmetric_pairs`,
+    assembled by scattering rows of H: H^T E_ij has row i of H as its column j,
+    and E_ij H has row j of H as its row i.  The H^T terms are added to zeros,
+    as a matrix product accumulates them, so the result is bit-identical to
+    forming the products, signed zeros included.
+    """
+    n = hd.shape[0]
+    iu, ju, w = _symmetric_pairs(n)
+    c = np.arange(iu.size)
+    off = iu != ju
+    a = np.zeros((n, n, iu.size))
+    a[:, ju, c] += w * hd[iu].T
+    a[:, iu[off], c[off]] += w[off] * hd[ju[off]].T
+    a[iu, :, c] -= w[:, None] * hd[ju]
+    a[ju[off], :, c[off]] -= w[off, None] * hd[iu[off]]
+    return a.reshape(n * n, iu.size)
+
+
+def _symmetric_elements(coefs, n):
+    """The symmetric matrices with coordinates ``coefs`` (rows) in that basis."""
+    iu, ju, w = _symmetric_pairs(n)
+    x = np.zeros((coefs.shape[0], n, n))
+    x[:, iu, ju] += coefs * w
+    x[:, ju, iu] = x[:, iu, ju]
+    return list(x)
 
 
 def _dense_route(h):
     """Null space of X -> H^T X - X H over the symmetric subspace, by SVD."""
     n = h.n
-    hd = dense(h)
-    cols = _symmetric_subspace(n)
-    a = np.empty((n * n, len(cols)))
-    for c, x in enumerate(cols):
-        a[:, c] = (hd.T @ x - x @ hd).reshape(-1)
+    a = _intertwining_operator(dense(h))
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = sv[0] * max(a.shape) * float(np.finfo(float).eps)
     rank = int(np.count_nonzero(sv > cutoff))
-    dim = len(cols) - rank
+    dim = a.shape[1] - rank
     if dim != n:
         raise NumericalError(
             f"intertwining kernel dimension {dim} != n={n} "
             f"(singular values near the cutoff: {sv[max(rank - 2, 0):rank + 2]})"
         )
-    out = []
-    for row in vt[rank:]:
-        x = np.zeros((n, n))
-        for coef, e in zip(row, cols):
-            x += coef * e
-        out.append(x)
-    return out
+    return _symmetric_elements(vt[rank:], n)
 
 
 def spectral_dyads(h):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, ValidationError
 from .hamiltonian import SymmetrizedForm, build, dense, symmetrize
 
 REALITY_TOL_FACTOR = 1e-9
@@ -87,10 +87,16 @@ class DomainScan:
 
 
 def reality_tolerance(h, override=None):
-    """Scale-aware threshold on |Im| below which a value counts as real."""
-    if override is not None:
-        return float(override)
-    return REALITY_TOL_FACTOR * max(1.0, h.gershgorin_radius())
+    """Scale-aware threshold on |Im| below which a value counts as real.
+
+    An override must be a finite number >= 0.
+    """
+    if override is None:
+        return REALITY_TOL_FACTOR * max(1.0, h.gershgorin_radius())
+    tol = float(override)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"reality tolerance must be finite and >= 0, got {override!r}")
+    return tol
 
 
 def _min_gap(values):
@@ -299,6 +305,8 @@ def eigen_general(h, reality_tol=None):
 
 def spectrum_of(h, reality_tol=None):
     """Route to the right branch: real where symmetrizable, general otherwise."""
+    if reality_tol is not None:
+        reality_tolerance(h, reality_tol)  # rejects a bad override on either branch
     try:
         s = symmetrize(h)
     except NumericalError:

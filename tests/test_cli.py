@@ -5,14 +5,19 @@ keys in a fixed insertion order, CSV with repr-exact floats, and the exit
 code convention 0 = success, 1 = invalid request, 2 = computation failed.
 """
 
+import csv
 import io
 import json
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from cptwell.cli import main, parse_grid
+from cptwell import cli
+from cptwell.cli import MAX_GRID_POINTS, main, parse_grid
+from cptwell.dieudonne import DENSE_ROUTE_MAX
 from cptwell.errors import ValidationError
 
 
@@ -39,6 +44,25 @@ class TestParseGrid:
         for spec in ("bogus", "0:1", "0:1:0", "1:0:0.5", "a:b:c", "0:1:-0.5"):
             with pytest.raises(ValidationError):
                 parse_grid(spec)
+
+    def test_point_count_is_bounded(self):
+        assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        for spec in (f"0:{MAX_GRID_POINTS}:1", "0:1e9:1e-9", "-1e308:1e308:1e-300"):
+            with pytest.raises(ValidationError):
+                parse_grid(spec)
+
+    def test_a_huge_grid_is_refused_before_it_is_built(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc, out, err = run("scan", "-N", "3", "--grid", "0:1e9:1e-9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and out == ""
+        assert err.startswith("cptwell: invalid request:")
+        assert time.perf_counter() - start < 5.0
+        assert peak < 1 << 20
 
 
 class TestSpectrumCommand:
@@ -74,6 +98,20 @@ class TestSpectrumCommand:
         a = run("spectrum", "-N", "6", "--lambda", "0.7", "--format", "csv")
         b = run("spectrum", "-N", "6", "--lambda", "0.7", "--format", "csv")
         assert a == b
+
+    def test_a_negative_or_non_finite_tolerance_is_an_invalid_request(self):
+        # n = 4 stays real up to lambda = sqrt(5)/2; at 1.05 it takes the
+        # general branch, where --tol -1 used to fail the conjugate pairing and
+        # --tol nan to report all_real false.
+        for tol in ("-1", "nan", "inf"):
+            for command in (
+                ("spectrum", "-N", "4", "--lambda", "1.05"),
+                ("spectrum", "-N", "4", "--lambda", "0.5"),
+                ("scan", "-N", "4", "--grid", "0.5:1.05:0.55"),
+            ):
+                rc, out, err = run(*command, "--tol", tol)
+                assert rc == 1 and out == "", (command, tol)
+                assert err.startswith("cptwell: invalid request:")
 
     def test_output_flag_writes_the_file_and_keeps_stdout_quiet(self, tmp_path):
         target = tmp_path / "spectrum.json"
@@ -249,3 +287,164 @@ class TestTopLevelBehaviour:
     def test_bad_format_choice_is_a_usage_error(self):
         rc, _, _ = run("spectrum", "-N", "3", "--lambda", "0", "--format", "xml")
         assert rc == 1
+
+
+def list_form(obj):
+    """The payload with every numpy array replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: list_form(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [list_form(v) for v in obj]
+    return obj
+
+
+def reference_json(payload):
+    return json.dumps(list_form(payload), indent=2) + "\n"
+
+
+def reference_rows(command, p):
+    """Reference CSV records, read off the list-form payload."""
+    if command == "spectrum":
+        return [(k + 1, v["re"], v["im"]) for k, v in enumerate(p["values"])]
+    if command == "scan":
+        return [tuple(c.values()) for c in p["cells"]]
+    if command == "pseudometrics":
+        return [
+            (e, i, j, value, element["residual"])
+            for e, element in enumerate(p["elements"])
+            for i, row in enumerate(element["matrix"])
+            for j, value in enumerate(row)
+        ]
+    if command == "metric":
+        return [(i, j, v) for i, row in enumerate(p["theta"]) for j, v in enumerate(row)]
+    if command == "charge":
+        return [
+            (i, j, s, c)
+            for i, (rs, rc) in enumerate(zip(p["c_spectral"], p["c_closed"]))
+            for j, (s, c) in enumerate(zip(rs, rc))
+        ]
+    if command == "verify":
+        return [(k, v) for k, v in p.items() if k not in ("n", "lambda")]
+    assert command == "continuum"
+    levels = len(p["scaled_levels"][0])
+    return [
+        (n, k + 1, p["scaled_levels"][i][k], p["orders"][k][i - 2] if i >= 2 else None)
+        for i, n in enumerate(p["sizes"])
+        for k in range(levels)
+    ]
+
+
+def csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def reference_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([csv_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def config(*argv):
+    parser = cli._build_parser()
+    return cli._config_from(parser.parse_args(cli._absorb_grid_value(list(argv))))
+
+
+class TestArrayEncoder:
+    """Rendered JSON equals json.dumps(indent=2) of the list-form payload."""
+
+    SMALL, LARGE = str(DENSE_ROUTE_MAX // 4), str(DENSE_ROUTE_MAX + 1)
+    REQUESTS = (
+        ("spectrum", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
+        ("spectrum", "-N", LARGE, "--lambda", "1.3", "--mu", "0.2"),
+        ("scan", "-N", "3", "--grid", "-1.2:1.2:0.4"),
+        ("scan", "-N", "4", "--grid", "0:1.2:0.3", "--line", "mu=-lambda"),
+        ("pseudometrics", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
+        ("pseudometrics", "-N", SMALL, "--lambda", "0"),
+        ("pseudometrics", "-N", LARGE, "--lambda", "0.41", "--mu", "-0.27"),
+        ("metric", "-N", SMALL, "--lambda", "0.5"),
+        ("metric", "-N", LARGE, "--lambda", "-0.35", "--mu", "0.35"),
+        ("charge", "-N", SMALL, "--lambda", "0.6"),
+        ("charge", "-N", LARGE, "--lambda", "0.6"),
+        ("verify", "-N", SMALL, "--lambda", "0.7"),
+        ("verify", "-N", LARGE, "--lambda", "0.7"),
+        ("continuum", "-N", "32", "--lambda", "0.3", "--levels", "2"),
+    )
+
+    def test_every_subcommand_matches_the_reference_in_both_formats(self):
+        for argv in self.REQUESTS:
+            cfg = config(*argv)
+            payload, header, _ = cli._COMMANDS[cfg.command](cfg)
+            json_text = cli.dispatch(config(*argv, "--format", "json"))
+            assert json_text == reference_json(payload), argv
+            rows = reference_rows(cfg.command, list_form(payload))
+            csv_text = cli.dispatch(config(*argv, "--format", "csv"))
+            assert csv_text == reference_csv(header, rows), argv
+
+    def test_special_leaves_match_json(self):
+        nan, inf = float("nan"), float("inf")
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, nan, inf, -inf]
+        payload = {
+            "vector": np.array(special),
+            "matrix": np.array([special, special[::-1]]),
+            "transposed": np.arange(6.0).reshape(2, 3).T,
+            "single": np.float32([[0.1]]),
+            "cube": np.arange(24.0).reshape(2, 3, 4) - 11.5,
+            "empty": np.empty(0),
+            "empty_rows": np.empty((0, 3)),
+            "rows_of_nothing": np.empty((2, 0)),
+            "one_by_one": np.ones((1, 1)),
+            "ints": np.arange(3),
+            "flags": np.array([True, False]),
+            "zero_dim": np.array(2.5),
+            "scalars": [*special, np.float64(0.1), 7, -3, True, False, None],
+            "orders": [[None, None, 1.92], []],
+            "text": "tab\t \"quote\" \u00e9 \U0001f600",
+            "pairs": (1, (2.0, "x")),
+            "nested": {"empty": {}, "list": [[], {}]},
+            7: "int key",
+            2.5: "float key",
+            None: "null key",
+            False: "bool key",
+        }
+        assert cli.render(payload, (), (), "json") == reference_json(payload)
+        assert cli.render({}, (), (), "json") == "{}\n"
+        assert cli.render([], (), (), "json") == "[]\n"
+
+    def test_unserializable_leaves_raise_type_error_like_json(self):
+        for leaf in (object(), np.int64(3), {1, 2}, np.array([1 + 2j])):
+            with pytest.raises(TypeError):
+                json.dumps(list_form({"x": leaf}), indent=2)
+            with pytest.raises(TypeError):
+                cli.render({"x": leaf}, (), (), "json")
+        with pytest.raises(TypeError):
+            cli.render({(1, 2): 0.5}, (), (), "json")
+
+    def test_failed_scan_cell_prints_nan(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        argv = ("scan", "-N", "5", "--grid", "0.3:1.3:1", "--line", "mu=lambda")
+        cfg = config(*argv)
+        payload, header, _ = cli._COMMANDS[cfg.command](cfg)
+        rc, out, _ = run(*argv)
+        assert rc == 0 and out == reference_json(payload)
+        assert '"min_gap": NaN' in out
+        rc, out, _ = run(*argv, "--format", "csv")
+        assert out == reference_csv(header, reference_rows("scan", list_form(payload)))
+        assert out.rstrip("\n").endswith(",nan")
+
+    def test_json_requests_never_build_csv_rows(self):
+        for command in ("pseudometrics", "metric", "charge"):
+            cfg = config(command, "-N", "4", "--lambda", "0.3")
+            _, _, rows = cli._COMMANDS[cfg.command](cfg)
+            assert iter(rows) is rows, command

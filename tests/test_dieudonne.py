@@ -26,6 +26,7 @@ from cptwell.dieudonne import (
     span_residual,
     spectral_dyads,
 )
+from cptwell.dieudonne import _intertwining_operator, _symmetric_elements
 from cptwell.errors import (
     DegenerateSpectrum,
     NotSymmetrizable,
@@ -203,6 +204,63 @@ class TestKernelBasis:
         assert d["independence"] > 1e-8
         first = np.asarray(d["elements"][0]["matrix"])
         assert span_residual(pm, first) <= 1e-12
+
+
+def loop_symmetric_basis(n):
+    """Reference: the orthonormal symmetric basis, one dense matrix per pair."""
+    mats = []
+    half = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i, n):
+            x = np.zeros((n, n))
+            if i == j:
+                x[i, i] = 1.0
+            else:
+                x[i, j] = half
+                x[j, i] = half
+            mats.append(x)
+    return mats
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestDenseRouteAssembly:
+    """The index-arithmetic operator and rebuild against the loop construction.
+
+    Equality is bitwise (signed zeros included), so the SVD and every printed
+    digit of the dense route are unchanged.
+    """
+
+    SIZES = (2, 3, 8, 24, DENSE_ROUTE_MAX)
+    COUPLINGS = ((0.41, -0.27), (1.3, 0.2), (0.0, 0.0), (-1.0, 0.5), (-0.0, 0.3))
+
+    def test_operator_matches_the_matrix_products(self):
+        for n in self.SIZES:
+            for lam, mu in self.COUPLINGS:
+                hd = dense(well(n, lam, mu))
+                cols = loop_symmetric_basis(n)
+                ref = np.empty((n * n, len(cols)))
+                for c, x in enumerate(cols):
+                    ref[:, c] = (hd.T @ x - x @ hd).reshape(-1)
+                assert np.array_equal(bits(_intertwining_operator(hd)), bits(ref)), (n, lam, mu)
+
+    def test_elements_match_the_summed_basis_matrices(self):
+        rng = np.random.default_rng(7)
+        for n in self.SIZES:
+            cols = loop_symmetric_basis(n)
+            coefs = rng.standard_normal((3, len(cols)))
+            coefs[0, :4] = -0.0
+            coefs[1, -3:] = 0.0
+            ref = []
+            for row in coefs:
+                x = np.zeros((n, n))
+                for coef, e in zip(row, cols):
+                    x += coef * e
+                ref.append(x)
+            got = _symmetric_elements(coefs, n)
+            assert np.array_equal(bits(got), bits(ref)), n
 
 
 class TestSpectralDyads:

@@ -238,7 +238,10 @@ class TestEnvironmentFlag:
             "v = spectrum_of(build(3, (0.0, 0.0))).values.real;"
             "assert abs(v[1] - 2.0) < 1e-12"
         )
-        env = dict(os.environ, CPTWELL_DISABLE_NUMBA="1")
+        # The child imports the same cptwell as this process, installed or not.
+        package_root = os.path.dirname(os.path.dirname(kernels.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, CPTWELL_DISABLE_NUMBA="1", PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )

@@ -423,3 +423,19 @@ class TestRealityTolerance:
 
     def test_override_wins(self):
         assert reality_tolerance(well(3, 0.0), 1e-3) == 1e-3
+
+    def test_a_negative_or_non_finite_override_is_rejected(self):
+        # n = 4 at lambda = 1.05 is real (its first EP is at sqrt(5)/2) but
+        # takes the general branch; lambda = 0.5 takes the real branch.
+        for bad in (-1.0, -1e-300, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError):
+                reality_tolerance(well(3, 0.0), bad)
+            for lam in (1.05, 0.5):
+                with pytest.raises(ValidationError):
+                    spectrum_of(well(4, lam), reality_tol=bad)
+            with pytest.raises(ValidationError):
+                scan_line(4, [0.5, 1.05], +1, reality_tol=bad)
+
+    def test_a_zero_override_is_accepted(self):
+        assert reality_tolerance(well(3, 0.0), 0.0) == 0.0
+        assert spectrum_of(well(4, 1.05), reality_tol=0.0).values.shape == (4,)
