@@ -8,11 +8,18 @@ spanned by the rank-one dyads u_k u_k^T built from left eigenvectors.
 
 Two routes compute a basis of that space:
 
-* dense route (default for n <= 32): singular value decomposition of the
-  intertwining operator restricted to the n(n+1)/2-dimensional symmetric
-  subspace; works for any couplings, real or complex spectrum alike.
-* dyad route (default above n = 32): spectral dyads from the symmetrized
-  form, orthonormalized; requires |lambda| < 1 and |mu| < 1.
+* dyad route: spectral dyads from the symmetrized form, orthonormalized;
+  requires every bond product to be positive (|lambda| < 1 and |mu| < 1 for
+  n >= 3).  O(n^3) work.
+* dense route: singular value decomposition of the intertwining operator
+  restricted to the n(n+1)/2-dimensional symmetric subspace; works for any
+  couplings, real or complex spectrum alike, for O(n^6) work.
+
+By default the dyad route serves every size.  For n <= 32 the dense route
+takes over when the dyad route refuses: H is not symmetrizable, or the dyad
+basis fails one of its certificates (pivot ratio, residual, independence).
+The dense answer, or its refusal, is then exactly what the dense route gives
+on its own.  Above n = 32 the dyad route's refusal stands.
 
 Closed-form templates exist on the two structured coupling lines: the
 exchange matrix J (antidiagonal of ones) for mu = +lambda, and the
@@ -118,14 +125,13 @@ def residual(h, x):
     return float(np.abs(hd.T @ x - x @ hd).max(initial=0.0))
 
 
-def _normalize_element(x):
-    """Scale so the largest-magnitude entry is exactly +1."""
-    flat = x.reshape(-1)
-    k = int(np.abs(flat).argmax())
-    peak = flat[k]
-    if peak == 0.0:
+def _normalize_elements(xs):
+    """Scale each of the stacked elements so its largest-magnitude entry is exactly +1."""
+    flat = xs.reshape(xs.shape[0], -1)
+    peak = flat[np.arange(flat.shape[0]), np.abs(flat).argmax(axis=1)]
+    if (peak == 0.0).any():
         raise NumericalError("zero candidate pseudometric cannot be normalized")
-    return x / peak
+    return xs / peak[:, None, None]
 
 
 def _gap_gate(h, min_gap):
@@ -179,7 +185,7 @@ def _symmetric_elements(coefs, n):
     x = np.zeros((coefs.shape[0], n, n))
     x[:, iu, ju] += coefs * w
     x[:, ju, iu] = x[:, iu, ju]
-    return list(x)
+    return x
 
 
 def _dense_route(h):
@@ -225,46 +231,55 @@ def _dyad_route(h):
         raise NumericalError(
             f"spectral dyads are numerically dependent (pivot ratio {rd.min() / rd.max():.3e})"
         )
-    out = []
-    for k in range(n):
-        x = q[:, k].reshape(n, n)
-        out.append(0.5 * (x + x.T))
-    return out
+    x = q.T.reshape(n, n, n)
+    return 0.5 * (x + x.transpose(0, 2, 1))
 
 
 def kernel_basis(h, route=None):
     """All pseudometrics of h: a normalized basis of {X = X^T : H^T X = X H}.
 
-    ``route`` picks the construction explicitly ("dense" or "dyad"); by
-    default the dense SVD route serves n <= 32 and the dyad route the rest.
-    Degenerate input is rejected, so the dimension always equals n.
+    ``route`` picks the construction explicitly ("dense" or "dyad").  By
+    default the dyad route is tried first; for n <= DENSE_ROUTE_MAX any
+    NumericalError it raises (h not symmetrizable, or a failed pivot,
+    residual or independence certificate) hands the request to the dense
+    route; above that size it propagates.  Degenerate input is rejected, so
+    the dimension always equals n.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("kernel_basis expects a DiscreteHamiltonian")
     if route not in (None, "dense", "dyad"):
         raise ValidationError(f"unknown route {route!r}; expected 'dense' or 'dyad'")
-    if route is None:
-        route = "dense" if h.n <= DENSE_ROUTE_MAX else "dyad"
+    if route is None and h.n <= DENSE_ROUTE_MAX:
+        try:
+            return _certified_basis(h, _dyad_route(h))
+        except NumericalError:
+            route = "dense"
     if route == "dense":
         _reject_degenerate(h)
         raw = _dense_route(h)
     else:
         raw = _dyad_route(h)
-    basis = [_normalize_element(x) for x in raw]
-    residuals = np.array([residual(h, x) for x in basis])
+    return _certified_basis(h, raw)
+
+
+def _certified_basis(h, raw):
+    """Normalize the stacked (n, n, n) elements and check residuals and independence."""
+    basis = _normalize_elements(raw)
+    hd = dense(h)
+    residuals = np.abs(hd.T @ basis - basis @ hd).max(axis=(1, 2), initial=0.0)
     bound = RESIDUAL_FACTOR * _entry_norm_h(h)
     if residuals.max(initial=0.0) > bound:
         raise NumericalError(
             f"pseudometric residual {residuals.max():.3e} exceeds {bound:.3e}"
         )
-    stacked = np.stack([x.reshape(-1) for x in basis], axis=1)
+    stacked = basis.reshape(h.n, -1).T
     independence = float(np.linalg.svd(stacked, compute_uv=False)[-1])
     if independence <= INDEPENDENCE_FLOOR:
         raise NumericalError(
             f"normalized basis is near-dependent (smallest singular value "
             f"{independence:.3e} <= {INDEPENDENCE_FLOOR})"
         )
-    return PseudometricBasis(h.n, basis, residuals, independence)
+    return PseudometricBasis(h.n, list(basis), residuals, independence)
 
 
 def span_residual(pm, x):

@@ -327,7 +327,7 @@ def scan_domain(n, lambda_grid, mu_grid, reality_tol=None):
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
     if lambda_grid.size == 0 or mu_grid.size == 0:
-        raise ValueError("scan grids must be non-empty")
+        raise ValidationError("scan grids must be non-empty")
     pairs = [(lam, mu) for lam in lambda_grid for mu in mu_grid]
     return _scan_pairs(n, pairs, reality_tol)
 
@@ -336,7 +336,7 @@ def scan_line(n, grid, sign, reality_tol=None):
     """Classify along the line mu = sign*lambda for lambda in ``grid``."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
-        raise ValueError("scan grid must be non-empty")
+        raise ValidationError("scan grid must be non-empty")
     pairs = [(lam, sign * lam) for lam in grid]
     return _scan_pairs(n, pairs, reality_tol)
 

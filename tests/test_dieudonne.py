@@ -30,6 +30,7 @@ from cptwell.dieudonne import _intertwining_operator, _symmetric_elements
 from cptwell.errors import (
     DegenerateSpectrum,
     NotSymmetrizable,
+    NumericalError,
     ValidationError,
 )
 from cptwell.hamiltonian import CouplingPair, build, dense
@@ -37,6 +38,7 @@ from cptwell.quasihermitian import biorthogonalize
 
 LAMBDAS = (-0.8, -0.4, 0.1, 0.5, 0.9)
 MUS = (-0.7, -0.2, 0.3, 0.8)
+ROUTES = ("dense", "dyad")
 
 
 def well(n, lam, mu=None):
@@ -112,43 +114,50 @@ class TestClosedForms:
 
 
 class TestKernelBasis:
+    # In the open square both explicit routes apply; each must keep these properties.
     def test_dimension_equals_the_matrix_size_off_the_degenerate_set(self):
-        for n in (2, 3, 5, 8):
-            for lam in LAMBDAS:
-                for mu in MUS:
-                    pm = kernel_basis(well(n, lam, mu))
-                    assert pm.dimension == n, (n, lam, mu)
+        for route in ROUTES:
+            for n in (2, 3, 5, 8):
+                for lam in LAMBDAS:
+                    for mu in MUS:
+                        pm = kernel_basis(well(n, lam, mu), route=route)
+                        assert pm.dimension == n, (route, n, lam, mu)
 
     def test_elements_are_symmetric_normalized_and_small_residual(self):
         h = well(7, 0.45, -0.15)
-        pm = kernel_basis(h)
         scale = entry_norm(h)
-        for x, r in zip(pm.basis, pm.residuals):
-            assert np.array_equal(x, x.T)
-            peak = np.unravel_index(np.argmax(np.abs(x)), x.shape)
-            assert x[peak] == 1.0
-            assert r <= RESIDUAL_FACTOR * scale
-        assert pm.independence > INDEPENDENCE_FLOOR
+        for route in ROUTES:
+            pm = kernel_basis(h, route=route)
+            for x, r in zip(pm.basis, pm.residuals):
+                assert np.array_equal(x, x.T)
+                peak = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+                assert x[peak] == 1.0
+                assert r <= RESIDUAL_FACTOR * scale
+            assert pm.independence > INDEPENDENCE_FLOOR
 
     def test_uncoupled_two_site_span_contains_identity_and_flip(self):
-        pm = kernel_basis(well(2, 0.0))
-        assert pm.dimension == 2
-        assert span_residual(pm, np.eye(2)) <= 1e-10
-        assert span_residual(pm, np.fliplr(np.eye(2))) <= 1e-10
+        for route in ROUTES:
+            pm = kernel_basis(well(2, 0.0), route=route)
+            assert pm.dimension == 2
+            assert span_residual(pm, np.eye(2)) <= 1e-10
+            assert span_residual(pm, np.fliplr(np.eye(2))) <= 1e-10
 
     def test_matched_line_span_contains_the_exchange_template(self):
-        pm = kernel_basis(well(3, 0.5))
-        assert span_residual(pm, np.fliplr(np.eye(3))) <= 1e-10
+        for route in ROUTES:
+            pm = kernel_basis(well(3, 0.5), route=route)
+            assert span_residual(pm, np.fliplr(np.eye(3))) <= 1e-10
 
     def test_opposite_line_span_contains_the_weighted_template(self):
-        pm = kernel_basis(well(4, 0.5, -0.5))
-        assert span_residual(pm, closed_form(4, 0.5, "weighted").matrix) <= 1e-10
+        for route in ROUTES:
+            pm = kernel_basis(well(4, 0.5, -0.5), route=route)
+            assert span_residual(pm, closed_form(4, 0.5, "weighted").matrix) <= 1e-10
 
     def test_an_asymmetric_probe_is_far_from_the_span(self):
-        pm = kernel_basis(well(3, 0.2))
         probe = np.zeros((3, 3))
         probe[0, 1] = 1.0
-        assert span_residual(pm, probe) > 0.1
+        for route in ROUTES:
+            pm = kernel_basis(well(3, 0.2), route=route)
+            assert span_residual(pm, probe) > 0.1
 
     def test_complex_spectrum_still_gives_a_full_solution_space(self):
         h = well(5, 1.3)
@@ -181,6 +190,8 @@ class TestKernelBasis:
     def test_dyad_route_requires_a_symmetrizable_matrix(self):
         with pytest.raises(NotSymmetrizable):
             kernel_basis(well(DENSE_ROUTE_MAX + 8, 1.2))
+        with pytest.raises(NotSymmetrizable):
+            kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.3, -1.0))
 
     def test_unknown_route_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -189,21 +200,23 @@ class TestKernelBasis:
     def test_solutions_transpose_the_spectral_projectors(self):
         for n, lam, mu in ((3, 0.5, 0.5), (4, 0.3, -0.4), (5, -0.7, 0.2)):
             h = well(n, lam, mu)
-            pm = kernel_basis(h)
             system = biorthogonalize(h)
-            for x in pm.basis:
-                for k in range(n):
-                    pk = system.projector(k)
-                    assert np.max(np.abs(x @ pk - pk.T @ x)) <= 1e-8
+            for route in ROUTES:
+                pm = kernel_basis(h, route=route)
+                for x in pm.basis:
+                    for k in range(n):
+                        pk = system.projector(k)
+                        assert np.max(np.abs(x @ pk - pk.T @ x)) <= 1e-8, (route, n, lam, mu)
 
     def test_serialization_round_trips(self):
-        pm = kernel_basis(well(3, 0.25))
-        d = json.loads(json.dumps(pm.to_dict()))
-        assert d["n"] == 3 and d["dimension"] == 3
-        assert len(d["elements"]) == 3
-        assert d["independence"] > 1e-8
-        first = np.asarray(d["elements"][0]["matrix"])
-        assert span_residual(pm, first) <= 1e-12
+        for route in ROUTES:
+            pm = kernel_basis(well(3, 0.25), route=route)
+            d = json.loads(json.dumps(pm.to_dict()))
+            assert d["n"] == 3 and d["dimension"] == 3
+            assert len(d["elements"]) == 3
+            assert d["independence"] > 1e-8
+            first = np.asarray(d["elements"][0]["matrix"])
+            assert span_residual(pm, first) <= 1e-12
 
 
 def loop_symmetric_basis(n):
@@ -224,6 +237,60 @@ def loop_symmetric_basis(n):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def same_bits(a, b):
+    return (
+        np.array_equal(bits(a.basis), bits(b.basis))
+        and np.array_equal(bits(a.residuals), bits(b.residuals))
+        and bits(a.independence) == bits(b.independence)
+    )
+
+
+class TestDefaultRoute:
+    """Up to DENSE_ROUTE_MAX the default takes the dyad route and hands any
+    refusal of it to the dense route, whose answer is then returned unchanged."""
+
+    def test_symmetrizable_input_gets_the_dyad_basis(self):
+        # n = 2 carries both couplings on one bond, so (1.3, 0.2) is symmetrizable there.
+        for n, lam, mu in ((2, 0.41, -0.27), (2, 1.3, 0.2), (7, 0.45, -0.15), (DENSE_ROUTE_MAX, 0.9, -0.9)):
+            h = well(n, lam, mu)
+            assert same_bits(kernel_basis(h), kernel_basis(h, route="dyad")), (n, lam, mu)
+
+    def test_non_symmetrizable_input_gets_the_dense_basis(self):
+        for n, lam, mu in ((3, 1.3, 1.3), (8, 1.3, 0.2), (DENSE_ROUTE_MAX, 0.3, -1.2)):
+            h = well(n, lam, mu)
+            with pytest.raises(NotSymmetrizable):
+                kernel_basis(h, route="dyad")
+            assert same_bits(kernel_basis(h), kernel_basis(h, route="dense")), (n, lam, mu)
+
+    def test_a_failed_dyad_certificate_falls_back_to_the_dense_basis(self):
+        h = well(3, 1.0 - 1e-8)
+        with pytest.raises(NumericalError, match="residual"):
+            kernel_basis(h, route="dyad")
+        assert same_bits(kernel_basis(h), kernel_basis(h, route="dense"))
+
+    def test_a_dense_refusal_after_the_fallback_is_the_dense_refusal(self):
+        h = well(6, 1.0)
+        with pytest.raises(DegenerateSpectrum) as dense_refusal:
+            kernel_basis(h, route="dense")
+        with pytest.raises(DegenerateSpectrum) as default_refusal:
+            kernel_basis(h)
+        assert str(default_refusal.value) == str(dense_refusal.value)
+
+    def test_routes_span_the_same_space_at_the_window_edge(self):
+        edge = (0.9, 0.99, 0.999, 0.9999)
+        for n in (3, 8, 17):
+            for i, a_lam in enumerate(edge):
+                for j, a_mu in enumerate(edge):
+                    lam, mu = (-1) ** i * a_lam, (-1) ** (i + j) * a_mu
+                    h = well(n, lam, mu)
+                    a = kernel_basis(h)
+                    b = kernel_basis(h, route="dense")
+                    for x in a.basis:
+                        assert span_residual(b, x) <= 1e-9, (n, lam, mu)
+                    for x in b.basis:
+                        assert span_residual(a, x) <= 1e-9, (n, lam, mu)
 
 
 class TestDenseRouteAssembly:
@@ -263,6 +330,37 @@ class TestDenseRouteAssembly:
             assert np.array_equal(bits(got), bits(ref)), n
 
 
+def loop_dyad_basis(h):
+    """Reference: the dyad route one element at a time, through public residual()."""
+    n = h.n
+    v = np.stack([x.reshape(-1) for x in spectral_dyads(h)], axis=1)
+    q, _ = np.linalg.qr(v)
+    basis = []
+    for k in range(n):
+        x = q[:, k].reshape(n, n)
+        x = 0.5 * (x + x.T)
+        flat = x.reshape(-1)
+        basis.append(x / flat[int(np.abs(flat).argmax())])
+    residuals = np.array([residual(h, x) for x in basis])
+    stacked = np.stack([x.reshape(-1) for x in basis], axis=1)
+    return basis, residuals, float(np.linalg.svd(stacked, compute_uv=False)[-1])
+
+
+class TestDyadRouteAssembly:
+    """The array-at-once dyad route, normalization and residuals against the
+    per-element loop; equality is bitwise."""
+
+    def test_dyad_route_matches_the_loop_construction(self):
+        for n in (2, 3, 9, DENSE_ROUTE_MAX + 1):
+            for lam, mu in ((0.41, -0.27), (-0.0, 0.3), (0.9999, -0.9)):
+                h = well(n, lam, mu)
+                pm = kernel_basis(h, route="dyad")
+                basis, residuals, independence = loop_dyad_basis(h)
+                assert np.array_equal(bits(pm.basis), bits(basis)), (n, lam, mu)
+                assert np.array_equal(bits(pm.residuals), bits(residuals)), (n, lam, mu)
+                assert bits(pm.independence) == bits(independence), (n, lam, mu)
+
+
 class TestSpectralDyads:
     def test_each_dyad_solves_the_equation(self):
         h = well(6, 0.3)
@@ -279,8 +377,9 @@ class TestSpectralDyads:
             assert sv[1] <= 1e-12 * sv[0]
 
     def test_dyads_span_the_kernel_basis(self):
+        # Against the SVD basis: the default basis is built from these dyads.
         h = well(6, 0.55, -0.25)
-        pm = kernel_basis(h)
+        pm = kernel_basis(h, route="dense")
         for dyad in spectral_dyads(h):
             assert span_residual(pm, dyad) <= 1e-8
 

@@ -348,6 +348,15 @@ class TestScans:
         with pytest.raises(ValidationError):
             scan_domain(1, np.array([0.0]), np.array([0.0]))
 
+    def test_an_empty_product_grid_is_an_invalid_request(self):
+        for lams, mus in (([], [0.0]), ([0.0], []), ([], [])):
+            with pytest.raises(ValidationError, match="non-empty"):
+                scan_domain(3, np.array(lams), np.array(mus))
+
+    def test_an_empty_line_grid_is_an_invalid_request(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            scan_line(3, np.array([]), +1)
+
 
 class TestCellsUlpsFromAnExceptionalPoint:
     """Pair counts a few ulps from an EP, against exact rational discriminants.
