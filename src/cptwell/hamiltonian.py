@@ -60,11 +60,7 @@ class DiscreteHamiltonian:
 
     def gershgorin_radius(self):
         """Upper bound on the spectral radius from row sums."""
-        n = self.n
-        r = np.abs(self.diag).astype(float)
-        r[:-1] += np.abs(self.super)
-        r[1:] += np.abs(self.sub)
-        return float(r.max())
+        return float(gershgorin_radii(self.diag, self.super, self.sub))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +90,53 @@ def _freeze(a):
     return a
 
 
+def dimension(n):
+    """The size n as a Python int; it must be an integer >= 2."""
+    try:
+        size = int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"dimension must be an integer, got {n!r}") from None
+    if size != n:
+        raise ValidationError(f"dimension must be an integer, got {n!r}")
+    if size < 2:
+        raise ValidationError(f"dimension must be >= 2, got {size}")
+    return size
+
+
+def bands(n, lam, mu):
+    """Bands (diag, super, sub) of H(lam, mu), one cell per coupling pair.
+
+    ``lam`` and ``mu`` are finite couplings (the caller checks them), scalars
+    or arrays of one shape; the bands get that shape plus a trailing axis of
+    length n, n - 1 and n - 1.
+    """
+    n = dimension(n)
+    shape = getattr(lam, "shape", ())
+    diag = np.full(shape + (n,), 2.0)
+    sup = np.full(shape + (n - 1,), -1.0)
+    sub = np.full(shape + (n - 1,), -1.0)
+    sup[..., 0] = -1.0 - lam
+    sub[..., n - 2] = -1.0 + mu
+    if n > 2:
+        sub[..., 0] = -1.0 + lam
+        sup[..., n - 2] = -1.0 - mu
+    return diag, sup, sub
+
+
+def gershgorin_radii(diag, sup, sub):
+    """Row-sum bound on the spectral radius of every stacked band triple."""
+    r = np.abs(diag)
+    r[..., :-1] += np.abs(sup)
+    r[..., 1:] += np.abs(sub)
+    return r.max(axis=-1)
+
+
 def build(n, couplings):
     """Construct H(lambda, mu) of dimension n >= 2."""
     if not isinstance(couplings, CouplingPair):
         couplings = CouplingPair(*couplings)
-    n = int(n)
-    if n < 2:
-        raise ValidationError(f"dimension must be >= 2, got {n}")
-    lam, mu = couplings.lam, couplings.mu
-    diag = np.full(n, 2.0)
-    sup = np.full(n - 1, -1.0)
-    sub = np.full(n - 1, -1.0)
-    sup[0] = -1.0 - lam
-    sub[n - 2] = -1.0 + mu
-    if n > 2:
-        sub[0] = -1.0 + lam
-        sup[n - 2] = -1.0 - mu
-    return DiscreteHamiltonian(n, couplings, _freeze(diag), _freeze(sup), _freeze(sub))
+    diag, sup, sub = bands(n, couplings.lam, couplings.mu)
+    return DiscreteHamiltonian(diag.shape[0], couplings, _freeze(diag), _freeze(sup), _freeze(sub))
 
 
 def symmetrize(h):
@@ -136,11 +162,18 @@ def symmetrize(h):
 
 def dense(h):
     """Materialize H as a dense array (for the intertwining-equation solver)."""
-    m = np.diag(h.diag.copy())
-    idx = np.arange(h.n - 1)
-    m[idx, idx + 1] = h.super
-    m[idx + 1, idx] = h.sub
-    return m
+    return dense_bands(h.diag, h.super, h.sub)
+
+
+def dense_bands(diag, sup, sub):
+    """Dense tridiagonal matrices from bands stacked along the leading axes."""
+    n = diag.shape[-1]
+    m = np.zeros(diag.shape[:-1] + (n * n,))
+    # In row-major order the diagonals are every (n + 1)-th entry, from 0, 1 and n.
+    m[..., :: n + 1] = diag
+    m[..., 1 :: n + 1] = sup
+    m[..., n :: n + 1] = sub
+    return m.reshape(diag.shape + (n,))
 
 
 def tridiagonal_dict(h):

@@ -1,19 +1,25 @@
 """Eigenvalues, eigenvectors, and reality-domain scans.
 
-Two solver branches cover the whole coupling plane:
+Eigenvalues come from one solver core (`_solve`) that works on stacked bands,
+m cells of n sites each: `spectrum_of` and `eigen_general` run it on one cell,
+the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
+branches cover the whole coupling plane:
 
-* real branch (`eigen_real`): when the matrix symmetrizes, the eigenvalues
-  (and, on request, the eigenvectors) come from LAPACK's symmetric solvers
-  (``np.linalg.eigvalsh`` / ``np.linalg.eigh``) on the symmetric form;
-  everything is real by construction.
-* general branch (`eigen_general`): elsewhere, the eigenvalues come from
-  LAPACK's Hessenberg QR (``np.linalg.eigvals``) on the dense matrix; values
-  that coalesce near the real axis (an exceptional point within a few ulps)
-  are re-solved from a double-double Taylor expansion of det(H - E), and
-  complex values are paired exactly with their conjugates.
+* real branch: cells whose bond products are all positive symmetrize, and
+  their eigenvalues come from one stacked ``np.linalg.eigvalsh`` on the
+  symmetric tridiagonals; everything is real by construction.  `eigen_real`
+  solves one symmetric form and, on request, gives eigenvectors too
+  (``np.linalg.eigh``).
+* general branch: elsewhere, the eigenvalues come from one stacked
+  ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices; values that
+  coalesce near the real axis (an exceptional point within a few ulps) are
+  re-solved from a double-double Taylor expansion of det(H - E), and complex
+  values are paired exactly with their conjugates.  Both repairs run only on
+  the cells where a vectorized test shows that they would change something.
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
-a `NumericalError`.
+a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
+failing cells are lost.
 
 Classification is shared: a spectrum counts as all-real when every |Im| lies at
 or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
@@ -26,13 +32,23 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .hamiltonian import SymmetrizedForm, build, dense, symmetrize
+from .hamiltonian import (  # noqa: F401 (build stays importable from this module)
+    SymmetrizedForm,
+    bands,
+    build,
+    dense_bands,
+    dimension,
+    gershgorin_radii,
+)
 
 REALITY_TOL_FACTOR = 1e-9
 DEGENERACY_THRESHOLD = 1e-10
 # Width, relative to max(1, Gershgorin radius), of the groups of near-real
 # eigenvalues that eigen_general re-solves in extended precision.
 EP_CLUSTER_GAP = 1e-5
+# Matrix entries (cells x n x n) that one stacked solve may hold; scans run
+# their cells in blocks of this size, so memory does not grow with the grid.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +109,30 @@ def reality_tolerance(h, override=None):
     """
     if override is None:
         return REALITY_TOL_FACTOR * max(1.0, h.gershgorin_radius())
+    return _checked_override(override)
+
+
+def _checked_override(override):
     tol = float(override)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"reality tolerance must be finite and >= 0, got {override!r}")
     return tol
 
 
-def _min_gap(values):
-    n = values.shape[0]
-    if n < 2:
-        return float("inf")
-    dist = np.abs(values[:, None] - values[None, :])
-    dist[np.diag_indices(n)] = np.inf
-    return float(dist.min())
+def _adjacent_gaps(values):
+    """Smallest gap of each row of ascending real values.
+
+    Rounding is monotone, so no pair is closer than the closest neighbours.
+    """
+    return (values[..., 1:] - values[..., :-1]).min(axis=-1, initial=np.inf)
 
 
-def _sorted_values(values):
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
-def _classify(values, tol):
-    values = _sorted_values(values)
-    all_real = bool(np.abs(values.imag).max(initial=0.0) <= tol)
-    return Spectrum(values, all_real, _min_gap(values))
+def _pairwise_gaps(values):
+    """Smallest pairwise distance within each row of complex values."""
+    n = values.shape[-1]
+    dist = np.abs(values[..., :, None] - values[..., None, :])
+    dist[..., np.arange(n), np.arange(n)] = np.inf
+    return dist.min(axis=(-2, -1))
 
 
 def eigen_real(s, want_vectors=False):
@@ -131,15 +147,15 @@ def eigen_real(s, want_vectors=False):
     """
     if not isinstance(s, SymmetrizedForm):
         raise TypeError("eigen_real expects a SymmetrizedForm")
-    t = np.diag(s.s_diag) + np.diag(s.s_off, 1) + np.diag(s.s_off, -1)
+    t = dense_bands(s.s_diag, s.s_off, s.s_off)
     if not want_vectors:
-        values = _lapack(np.linalg.eigvalsh, t).astype(complex)
-        return Spectrum(values, True, _min_gap(values))
+        evals = _lapack(np.linalg.eigvalsh, t)
+        return Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
     evals, w = _lapack(np.linalg.eigh, t)
-    values = evals.astype(complex)
+    spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
     mag = np.abs(w)
     lead = w[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(w.shape[1])]
-    return Spectrum(values, True, _min_gap(values)), w * np.where(lead < 0.0, -1.0, 1.0)
+    return spec, w * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _lapack(solver, a):
@@ -230,7 +246,7 @@ def _dd_add(xh, xl, yh, yl):
     return _two_sum(s, e + (xl + yl))
 
 
-def _taylor_charpoly(h, c, m):
+def _taylor_charpoly(diag, sup, sub, c, m):
     """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m.
 
     The three-term recurrence runs on truncated polynomials in t, in
@@ -242,12 +258,12 @@ def _taylor_charpoly(h, c, m):
     zero = np.zeros(m + 1)
     p2h, p2l = zero.copy(), zero.copy()
     p2h[0] = 1.0
-    ah, al = _two_sum(h.diag[0], -c)
+    ah, al = _two_sum(diag[0], -c)
     p1h, p1l = zero.copy(), zero.copy()
     p1h[0], p1l[0], p1h[1] = ah, al, -1.0
-    for k in range(1, h.n):
-        ah, al = _two_sum(h.diag[k], -c)
-        bh, bl = _two_prod(h.super[k - 1], h.sub[k - 1])
+    for k in range(1, diag.shape[0]):
+        ah, al = _two_sum(diag[k], -c)
+        bh, bl = _two_prod(sup[k - 1], sub[k - 1])
         th, tl = _dd_mul(ah, al, p1h, p1l)
         # minus t * p1: an exact shift up one degree, truncated at degree m
         th, tl = _dd_add(th, tl, -np.r_[0.0, p1h[:-1]], -np.r_[0.0, p1l[:-1]])
@@ -259,20 +275,19 @@ def _taylor_charpoly(h, c, m):
     return p1h + p1l
 
 
-def _resolve_real_clusters(h, values):
+def _resolve_real_clusters(values, diag, sup, sub, gap):
     """Re-solve near-multiple roots close to the real axis in extended precision.
 
     LAPACK fixes a k-fold root only to about eps**(1/k) of the matrix norm, so
     within a few ulps of an exceptional point a coalescing group can come out
     on the wrong side of the reality tolerance, e.g. with one member of the
     mirror pair E, 4 - E complex and the other real.  Values within
-    ``EP_CLUSTER_GAP`` of the real axis are grouped by real part; a group of
+    ``gap`` of the real axis are grouped by real part; a group of
     m >= 2 that lies at least 100 gaps from every other value is replaced by
     the m roots of the double-double Taylor polynomial of det(H - E) about its
     centre, rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before
     rooting.
     """
-    gap = EP_CLUSTER_GAP * max(1.0, h.gershgorin_radius())
     values = values.copy()
     near = np.nonzero(np.abs(values.imag) <= gap)[0]
     near = near[np.argsort(values[near].real)]
@@ -284,38 +299,161 @@ def _resolve_real_clusters(h, values):
         others = np.delete(values, idx)
         if others.size and np.abs(others - c).min() < 100.0 * gap:
             continue
-        co = _taylor_charpoly(h, c, m)
+        co = _taylor_charpoly(diag, sup, sub, c, m)
         r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
         values[idx] = c + r * np.roots((co * r ** np.arange(m + 1))[::-1]) if r > 0.0 else c
     return values
+
+
+def _may_cluster(values, gap):
+    """Rows on which `_resolve_real_clusters` could act.
+
+    Those with two values within ``gap`` of the real axis and within ``gap`` of
+    each other in real part, or with a non-finite value.
+    """
+    near = np.abs(values.imag) <= gap[:, None]
+    re = np.sort(np.where(near, values.real, np.nan), axis=1)  # NaNs sort last
+    close = (np.diff(re, axis=1) <= gap[:, None]).any(axis=1)
+    return close | ~np.isfinite(values).all(axis=1)
+
+
+def _paired_exactly(values, tol):
+    """Rows on which `_enforce_conjugate_pairs` would change nothing.
+
+    Those whose complex values (|Im| > tol) have non-zero real parts and
+    equal their own conjugates as a multiset, bit for bit, and whose parts are
+    all at most half the largest float.  Every value's partner then lies at
+    distance 0, and the averages reproduce it without overflow.
+    """
+    cplx = np.abs(values.imag) > tol[:, None]
+    a = np.sort(np.where(cplx, values, 0.0), axis=1)
+    b = np.sort(np.where(cplx, values.conj(), 0.0), axis=1)
+    part = np.maximum(np.abs(values.real), np.abs(values.imag))
+    return (
+        (a == b).all(axis=1)
+        & (part <= 0.5 * np.finfo(float).max).all(axis=1)
+        & ~(cplx & (values.real == 0.0)).any(axis=1)
+    )
+
+
+def _stacked(solver, a, rows, failed):
+    """``solver`` on a stack of matrices in one LAPACK batch, as complex values.
+
+    The batch raises LinAlgError when any one matrix fails; it is then solved
+    again matrix by matrix, and each failure is recorded in ``failed`` under
+    its row from ``rows``.  Returns the values (NaN where a matrix failed) and
+    the mask of failed matrices.
+    """
+    bad = np.zeros(len(rows), dtype=bool)
+    try:
+        return solver(a).astype(complex), bad
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(a.shape[:-1], np.nan, dtype=complex)
+    for k, row in enumerate(rows):
+        try:
+            out[k] = _lapack(solver, a[k])
+        except ConvergenceError as exc:
+            failed[int(row)] = exc
+            bad[k] = True
+    return out, bad
+
+
+def _solve(diag, sup, sub, reality_tol=None, general=False):
+    """Eigenvalues and reality classification of m stacked tridiagonals.
+
+    Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
+    (m, n - 1).  Cells whose bond products are all positive take the real
+    branch unless ``general`` is set; the rest take the general branch.
+    Returns (values, all_real, complex_pairs, min_gap, failed): the values
+    (m, n) sorted by real part, then imaginary part; per cell the
+    classification and the smallest pairwise gap; and a dict row ->
+    NumericalError of the failed cells, whose values and gap are NaN, with
+    all_real false and complex_pairs -1.
+    """
+    m, n = diag.shape
+    override = None if reality_tol is None else _checked_override(reality_tol)
+    values = np.empty((m, n), dtype=complex)
+    all_real = np.ones(m, dtype=bool)
+    complex_pairs = np.zeros(m, dtype=np.int64)
+    min_gap = np.empty(m)
+    failed = {}
+    bonds = sup * sub
+    real = np.zeros(m, dtype=bool) if general else (bonds > 0.0).all(axis=1)
+
+    rows = np.flatnonzero(real)
+    if rows.size:
+        off = -np.sqrt(bonds[rows])
+        v, _ = _stacked(np.linalg.eigvalsh, dense_bands(diag[rows], off, off), rows, failed)
+        values[rows] = v
+        min_gap[rows] = _adjacent_gaps(v.real)
+
+    rows = np.flatnonzero(~real)
+    if rows.size:
+        d, su, sb = diag[rows], sup[rows], sub[rows]
+        scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
+        tol = REALITY_TOL_FACTOR * scale if override is None else np.full(rows.size, override)
+        gap = EP_CLUSTER_GAP * scale
+        v, bad = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed)
+        for k in np.flatnonzero(~bad & _may_cluster(v, gap)):
+            v[k] = _resolve_real_clusters(v[k], d[k], su[k], sb[k], gap[k])
+        for k in np.flatnonzero(~bad & ~_paired_exactly(v, tol)):
+            try:
+                v[k] = _enforce_conjugate_pairs(v[k], tol[k])
+            except NumericalError as exc:
+                failed[int(rows[k])] = exc
+                v[k] = np.nan
+        v = np.take_along_axis(v, np.lexsort((v.imag, v.real), axis=-1), axis=-1)
+        imag = np.abs(v.imag)
+        all_real[rows] = imag.max(axis=1, initial=0.0) <= tol
+        complex_pairs[rows] = (imag > tol[:, None]).sum(axis=1) // 2
+        values[rows] = v
+        min_gap[rows] = _pairwise_gaps(v)
+
+    for row in failed:
+        all_real[row] = False
+        complex_pairs[row] = -1
+    return values, all_real, complex_pairs, min_gap, failed
+
+
+def _spectrum(h, reality_tol, general):
+    """One cell through `_solve`; a failure is raised."""
+    values, all_real, _, min_gap, failed = _solve(
+        h.diag[None], h.super[None], h.sub[None], reality_tol, general
+    )
+    if failed:
+        raise failed[0]
+    return Spectrum(values[0], bool(all_real[0]), float(min_gap[0]))
 
 
 def eigen_general(h, reality_tol=None):
     """All n complex eigenvalues of H for arbitrary couplings.
 
     LAPACK's values, with groups that coalesce at an exceptional point
-    re-solved in double-double arithmetic (`_resolve_real_clusters`).
+    re-solved in double-double arithmetic (`_resolve_real_clusters`), whether
+    or not H symmetrizes.
     """
-    roots = _lapack(np.linalg.eigvals, dense(h)).astype(complex)
-    roots = _resolve_real_clusters(h, roots)
-    tol = reality_tolerance(h, reality_tol)
-    values = _enforce_conjugate_pairs(roots, tol)
-    return _classify(values, tol)
+    return _spectrum(h, reality_tol, general=True)
 
 
 def spectrum_of(h, reality_tol=None):
     """Route to the right branch: real where symmetrizable, general otherwise."""
-    if reality_tol is not None:
-        reality_tolerance(h, reality_tol)  # rejects a bad override on either branch
+    return _spectrum(h, reality_tol, general=False)
+
+
+def _grid(values, what):
+    """A scan axis as a new non-empty 1-D array of finite floats."""
     try:
-        s = symmetrize(h)
-    except NumericalError:
-        return eigen_general(h, reality_tol=reality_tol)
-    return eigen_real(s)
-
-
-def _count_complex_pairs(spec, tol):
-    return int(np.count_nonzero(np.abs(spec.values.imag) > tol) // 2)
+        axis = np.array(values, dtype=float, ndmin=1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+    if axis.ndim != 1:
+        raise ValidationError(f"{what} must be one-dimensional, got shape {axis.shape}")
+    if axis.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    if not np.isfinite(axis).all():
+        raise ValidationError(f"{what} must be finite, got {axis[~np.isfinite(axis)][0]}")
+    return axis
 
 
 def scan_domain(n, lambda_grid, mu_grid, reality_tol=None):
@@ -324,43 +462,35 @@ def scan_domain(n, lambda_grid, mu_grid, reality_tol=None):
     Solver failures in single cells are recorded in ``diagnostics`` (with
     complex_pairs = -1 and min_gap = nan) and do not abort the scan.
     """
-    lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    mu_grid = np.atleast_1d(np.asarray(mu_grid, dtype=float))
-    if lambda_grid.size == 0 or mu_grid.size == 0:
-        raise ValidationError("scan grids must be non-empty")
-    pairs = [(lam, mu) for lam in lambda_grid for mu in mu_grid]
-    return _scan_pairs(n, pairs, reality_tol)
+    lambda_grid = _grid(lambda_grid, "scan grid lambda")
+    mu_grid = _grid(mu_grid, "scan grid mu")
+    lam = np.repeat(lambda_grid, mu_grid.size)
+    mu = np.tile(mu_grid, lambda_grid.size)
+    return _scan(n, lam, mu, reality_tol)
 
 
 def scan_line(n, grid, sign, reality_tol=None):
-    """Classify along the line mu = sign*lambda for lambda in ``grid``."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValidationError("scan grid must be non-empty")
-    pairs = [(lam, sign * lam) for lam in grid]
-    return _scan_pairs(n, pairs, reality_tol)
+    """Classify along the line mu = sign*lambda for lambda in ``grid``; sign is +1 or -1."""
+    if not (np.ndim(sign) == 0 and sign in (1, -1)):
+        raise ValidationError(f"scan line sign must be +1 or -1, got {sign!r}")
+    grid = _grid(grid, "scan grid")
+    return _scan(n, grid, sign * grid, reality_tol)
 
 
-def _scan_pairs(n, pairs, reality_tol):
-    m = len(pairs)
-    lam = np.empty(m)
-    mu = np.empty(m)
-    all_real = np.zeros(m, dtype=bool)
-    complex_pairs = np.zeros(m, dtype=np.int64)
-    min_gap = np.full(m, np.nan)
+def _scan(n, lam, mu, reality_tol):
+    n = dimension(n)
+    m = lam.shape[0]
+    all_real = np.empty(m, dtype=bool)
+    complex_pairs = np.empty(m, dtype=np.int64)
+    min_gap = np.empty(m)
     diagnostics = []
-    for i, (la, m_) in enumerate(pairs):
-        lam[i] = la
-        mu[i] = m_
-        h = build(n, (la, m_))
-        tol = reality_tolerance(h, reality_tol)
-        try:
-            spec = spectrum_of(h, reality_tol=tol)
-        except NumericalError as exc:
-            diagnostics.append((i, la, m_, str(exc)))
-            complex_pairs[i] = -1
-            continue
-        all_real[i] = spec.all_real
-        complex_pairs[i] = _count_complex_pairs(spec, tol)
-        min_gap[i] = spec.min_gap
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        _, all_real[block], complex_pairs[block], min_gap[block], failed = _solve(
+            *bands(n, lam[block], mu[block]), reality_tol
+        )
+        for row, exc in sorted(failed.items()):
+            i = start + row
+            diagnostics.append((i, lam[i], mu[i], str(exc)))
     return DomainScan(lam, mu, all_real, complex_pairs, min_gap, diagnostics)

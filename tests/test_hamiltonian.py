@@ -18,9 +18,12 @@ from cptwell.hamiltonian import (
     CouplingPair,
     DiscreteHamiltonian,
     SymmetrizedForm,
+    bands,
     build,
     dense,
+    dense_bands,
     dense_dict,
+    gershgorin_radii,
     symmetrize,
     tridiagonal_dict,
 )
@@ -74,6 +77,16 @@ class TestBuild:
         with pytest.raises(ValidationError):
             well(0, 0.5)
 
+    def test_a_non_integral_dimension_is_rejected(self):
+        for n in (4.5, 2.000001, float("nan"), float("inf"), "4", None):
+            with pytest.raises(ValidationError, match="integer"):
+                build(n, (0.1, 0.1))
+
+    def test_integer_dimensions_of_any_integer_type_are_accepted(self):
+        for n in (4, np.int64(4), np.int32(4), np.uint8(4), 4.0):
+            h = build(n, (0.1, 0.1))
+            assert type(h.n) is int and h.n == 4 and h.diag.shape == (4,)
+
     def test_non_finite_couplings_are_rejected(self):
         with pytest.raises(ValidationError):
             CouplingPair(float("nan"), 0.0)
@@ -119,6 +132,22 @@ class TestBuild:
         h = well(4, 0.2)
         with pytest.raises(ValueError):
             h.diag[0] = 99.0
+
+
+class TestStackedBands:
+    def test_each_row_is_the_band_of_its_own_build(self):
+        lams = np.array([0.0, 0.3, -0.8, 1.3, -1.0])
+        mus = np.array([0.5, -0.3, -0.8, 0.2, 1.0])
+        for n in (2, 3, 7):
+            diag, sup, sub = bands(n, lams, mus)
+            stack = dense_bands(diag, sup, sub)
+            radii = gershgorin_radii(diag, sup, sub)
+            for k, (lam, mu) in enumerate(zip(lams, mus)):
+                h = well(n, lam, mu)
+                assert np.array_equal(diag[k], h.diag)
+                assert np.array_equal(sup[k], h.super) and np.array_equal(sub[k], h.sub)
+                assert np.array_equal(stack[k], dense(h))
+                assert radii[k] == h.gershgorin_radius()
 
 
 class TestSymmetrize:

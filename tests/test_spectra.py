@@ -16,9 +16,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cptwell.errors import ConvergenceError, ValidationError
-from cptwell.hamiltonian import CouplingPair, build, dense, symmetrize
+from cptwell import spectra
+from cptwell.errors import ConvergenceError, NumericalError, ValidationError
+from cptwell.hamiltonian import CouplingPair, bands, build, dense, dense_bands, symmetrize
 from cptwell.spectra import (
+    BLOCK_ENTRIES,
     REALITY_TOL_FACTOR,
     DomainScan,
     Spectrum,
@@ -347,6 +349,11 @@ class TestScans:
     def test_invalid_dimension_is_rejected(self):
         with pytest.raises(ValidationError):
             scan_domain(1, np.array([0.0]), np.array([0.0]))
+        for n in (4.5, 2.5, "4"):
+            with pytest.raises(ValidationError, match="integer"):
+                scan_domain(n, np.array([0.0]), np.array([0.0]))
+            with pytest.raises(ValidationError, match="integer"):
+                scan_line(n, np.array([0.0]), +1)
 
     def test_an_empty_product_grid_is_an_invalid_request(self):
         for lams, mus in (([], [0.0]), ([0.0], []), ([], [])):
@@ -356,6 +363,31 @@ class TestScans:
     def test_an_empty_line_grid_is_an_invalid_request(self):
         with pytest.raises(ValidationError, match="non-empty"):
             scan_line(3, np.array([]), +1)
+
+    def test_a_grid_that_is_not_a_list_of_numbers_is_an_invalid_request(self):
+        for lams, mus in (([[0.1, 0.2]], [0.1]), ([0.1], [[0.1], [0.2]]), (["x"], [0.1])):
+            with pytest.raises(ValidationError):
+                scan_domain(4, lams, mus)
+        for grid in ([[0.1, 0.2]], ["x"], [0.1, None]):
+            with pytest.raises(ValidationError):
+                scan_line(4, grid, +1)
+
+    def test_a_non_finite_grid_value_is_an_invalid_request(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                scan_domain(4, [0.1, bad], [0.2])
+            with pytest.raises(ValidationError, match="finite"):
+                scan_domain(4, [0.1], [bad, 0.2])
+            with pytest.raises(ValidationError, match="finite"):
+                scan_line(4, [0.1, bad], -1)
+
+    def test_the_line_sign_is_plus_or_minus_one(self):
+        grid = [0.1, 0.5]
+        for bad in (0, 2, -2, 0.5, float("nan"), "+", None, np.array([1, 1])):
+            with pytest.raises(ValidationError, match="sign"):
+                scan_line(4, grid, bad)
+        for sign, expect in ((1, [0.1, 0.5]), (np.int64(-1), [-0.1, -0.5]), (-1.0, [-0.1, -0.5])):
+            assert scan_line(4, grid, sign).mu.tolist() == expect
 
 
 class TestCellsUlpsFromAnExceptionalPoint:
@@ -400,6 +432,147 @@ class TestCellsUlpsFromAnExceptionalPoint:
                 assert self.pairs(h) == (1 if total < 0 else 0), (k, sign)
 
 
+def cell_loop(n, lam, mu, reality_tol=None):
+    """The scan of the cells (lam[i], mu[i]) as a loop of one-cell solves.
+
+    Returns (all_real, complex_pairs, min_gap, diagnostics) in the layout of
+    `DomainScan`.
+    """
+    all_real, pairs, gaps, diagnostics = [], [], [], []
+    for i, (la, m) in enumerate(zip(lam, mu)):
+        h = build(n, (la, m))
+        tol = reality_tolerance(h, reality_tol)
+        try:
+            spec = spectrum_of(h, reality_tol=tol)
+        except NumericalError as exc:
+            diagnostics.append((i, la, m, str(exc)))
+            all_real.append(False)
+            pairs.append(-1)
+            gaps.append(np.nan)
+            continue
+        all_real.append(spec.all_real)
+        pairs.append(int(np.count_nonzero(np.abs(spec.values.imag) > tol) // 2))
+        gaps.append(spec.min_gap)
+    return np.array(all_real), np.array(pairs), np.array(gaps), diagnostics
+
+
+def assert_scan_matches_cell_loop(scan, n, reality_tol=None):
+    all_real, pairs, gaps, diagnostics = cell_loop(n, scan.lam, scan.mu, reality_tol)
+    assert np.array_equal(scan.all_real, all_real)
+    assert np.array_equal(scan.complex_pairs, pairs)
+    assert scan.min_gap.tobytes() == gaps.tobytes()
+    assert scan.diagnostics == diagnostics
+
+
+class TestBatchedScanAgainstCellLoop:
+    """Scans solve blocks of cells together; each cell must come out as alone."""
+
+    def test_random_product_grids_match_bit_for_bit(self):
+        rng = np.random.default_rng(1018)
+        for n in (2, 3, 4, 5, 8, 10, 24):
+            for tol in (None, 1e-3):
+                lams = rng.uniform(-1.3, 1.3, int(rng.integers(1, 7)))
+                mus = rng.uniform(-1.3, 1.3, int(rng.integers(1, 7)))
+                scan = scan_domain(n, lams, mus, reality_tol=tol)
+                assert np.array_equal(scan.lam, np.repeat(lams, mus.size))
+                assert np.array_equal(scan.mu, np.tile(mus, lams.size))
+                assert_scan_matches_cell_loop(scan, n, tol)
+
+    def test_cells_ulps_from_an_exceptional_point_match_inside_one_batch(self, monkeypatch):
+        # The cells of TestCellsUlpsFromAnExceptionalPoint, each line in one
+        # block together with ordinary cells on both branches, so the
+        # cluster re-solve has to fire for single rows of a batch.
+        resolves = []
+        resolve = spectra._resolve_real_clusters
+
+        def counted(values, *bands_and_gap):
+            resolves.append(values.shape)
+            return resolve(values, *bands_and_gap)
+
+        monkeypatch.setattr(spectra, "_resolve_real_clusters", counted)
+        lam0 = np.sqrt(5.0) / 2.0
+        ordinary = [0.3, -0.7, 1.3, -1.05]
+        lines = (
+            (4, [s * (lam0 + k * np.spacing(lam0)) for k in range(-8, 9) for s in (1, -1)]),
+            (3, [s * (1.0 + k * np.spacing(1.0)) for k in range(9) for s in (1, -1)]),
+        )
+        for n, grid in lines:
+            for sign in (1, -1):
+                del resolves[:]
+                scan = scan_line(n, ordinary + grid, sign)
+                assert resolves, (n, sign)
+                assert_scan_matches_cell_loop(scan, n)
+
+    def test_a_grid_longer_than_one_block_matches_bit_for_bit(self, monkeypatch):
+        n = 24
+        cells = 2 * (BLOCK_ENTRIES // (n * n)) + 7
+        blocks = []
+        solve = spectra._solve
+
+        def recorded(diag, *args):
+            blocks.append(diag.shape)
+            return solve(diag, *args)
+
+        monkeypatch.setattr(spectra, "_solve", recorded)
+        scan = scan_line(n, np.linspace(-1.3, 1.3, cells), -1)
+        monkeypatch.undo()
+        assert len(blocks) == 3
+        assert all(m * k * k <= BLOCK_ENTRIES for m, k in blocks)
+        assert sum(m for m, _ in blocks) == cells
+        assert_scan_matches_cell_loop(scan, n)
+
+    def test_skipped_repairs_would_change_nothing(self):
+        # The general branch runs the cluster re-solve and the conjugate
+        # pairing only where a vectorized test says they could act; on every
+        # other row, running them must return the values unchanged.
+        resolve = spectra._resolve_real_clusters
+        rng = np.random.default_rng(7)
+        lam0 = np.sqrt(5.0) / 2.0
+        for n, lams, mus in (
+            (4, lam0 + np.arange(-8, 9) * np.spacing(lam0), None),
+            (3, 1.0 + np.arange(9) * np.spacing(1.0), None),
+            (6, rng.uniform(-1.3, 1.3, 40), rng.uniform(-1.3, 1.3, 40)),
+            (17, rng.uniform(-1.3, 1.3, 40), rng.uniform(-1.3, 1.3, 40)),
+        ):
+            mus = lams if mus is None else mus
+            diag, sup, sub = bands(n, lams, mus)
+            values = np.linalg.eigvals(dense_bands(diag, sup, sub)).astype(complex)
+            radii = [build(n, (a, b)).gershgorin_radius() for a, b in zip(lams, mus)]
+            scale = np.maximum(1.0, radii)
+            gap = spectra.EP_CLUSTER_GAP * scale
+            tol = REALITY_TOL_FACTOR * scale
+            cluster = spectra._may_cluster(values, gap)
+            assert cluster.any() or n > 4
+            for k in np.flatnonzero(cluster):
+                values[k] = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
+            paired = spectra._paired_exactly(values, tol)
+            assert paired.any()
+            for k in range(len(lams)):
+                if not cluster[k]:
+                    again = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
+                    assert again.tobytes() == values[k].tobytes(), (n, k)
+                if paired[k]:
+                    again = spectra._enforce_conjugate_pairs(values[k], tol[k])
+                    assert again.tobytes() == values[k].tobytes(), (n, k)
+
+    def test_the_pairing_guard_passes_only_exact_conjugate_pairs(self):
+        tol = np.array([1e-9])
+        for row, exact in (
+            ([2 + 1j, 3, 2 - 1j], True),
+            ([2 + 1j, 2 + 1j, 2 - 1j, 2 - 1j], True),
+            ([2 + 1e-10j, 2 + 1e-10j, 3], True),  # below the tolerance: real
+            ([2 + 1j, 2 - (1 + 1e-15) * 1j, 3], False),
+            ([2 + 1j, np.nextafter(2.0, 3.0) - 1j, 3], False),
+            ([1j, -1j, 3], False),  # the average of -0.0 and 0.0 is 0.0
+            ([2 + 1j, 2 - 1j, np.inf], False),
+        ):
+            values = np.array([row], dtype=complex)
+            assert spectra._paired_exactly(values, tol)[0] == exact, row
+            if exact:
+                again = spectra._enforce_conjugate_pairs(values[0], tol[0])
+                assert again.tobytes() == values[0].tobytes()
+
+
 class TestSolverFailures:
     @staticmethod
     def fail(a):
@@ -423,6 +596,38 @@ class TestSolverFailures:
         assert np.isnan(scan.min_gap[1])
         assert len(scan.diagnostics) == 1 and scan.diagnostics[0][0] == 1
         assert "did not converge" in scan.diagnostics[0][3]
+
+    def test_a_matrix_that_fails_in_a_batch_costs_only_its_own_cell(self, monkeypatch):
+        # LAPACK fails on one matrix of a stacked call; the block is solved
+        # again cell by cell, so only that cell is lost, on either branch.
+        lams, mus = [0.3, 0.6, 1.1, 1.3], [-0.5, 0.2, 1.25]
+        clean = scan_domain(5, lams, mus)
+        for name, (lam, mu) in (("eigvals", (1.3, 1.25)), ("eigvalsh", (0.6, 0.2))):
+            h = well(5, lam, mu)
+            if name == "eigvals":
+                target = dense(h)
+            else:
+                s = symmetrize(h)
+                target = np.diag(s.s_diag) + np.diag(s.s_off, 1) + np.diag(s.s_off, -1)
+            solver = getattr(np.linalg, name)
+
+            def flaky(a, solver=solver, target=target):
+                if any(np.array_equal(m, target) for m in np.reshape(a, (-1, 5, 5))):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return solver(a)
+
+            monkeypatch.setattr(np.linalg, name, flaky)
+            scan = scan_domain(5, lams, mus)
+            monkeypatch.undo()
+            i = lams.index(lam) * len(mus) + mus.index(mu)
+            assert [d[:3] for d in scan.diagnostics] == [(i, lam, mu)], name
+            assert "did not converge" in scan.diagnostics[0][3]
+            assert scan.complex_pairs[i] == -1 and not scan.all_real[i]
+            assert np.isnan(scan.min_gap[i])
+            rest = np.arange(clean.lam.size) != i
+            assert np.array_equal(scan.complex_pairs[rest], clean.complex_pairs[rest])
+            assert np.array_equal(scan.all_real[rest], clean.all_real[rest])
+            assert scan.min_gap[rest].tobytes() == clean.min_gap[rest].tobytes()
 
 
 class TestRealityTolerance:
