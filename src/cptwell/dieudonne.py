@@ -2,12 +2,26 @@
 
 A real symmetric X satisfying the intertwining (Dieudonne) relation
 H^T X = X H is a pseudometric for H: it makes H self-adjoint with respect to
-the bilinear form <x, X y>, without any positivity promise.  For a tridiagonal
-well with simple spectrum the solution space has real dimension exactly n,
-spanned by the rank-one dyads u_k u_k^T built from left eigenvectors.
+the bilinear form <x, X y>, without any positivity promise.  A tridiagonal H
+with non-zero bonds is nonderogatory, so (Taussky and Zassenhaus, Pacific J.
+Math. 9 (1959) 893) every solution is symmetric and the solution space has
+real dimension exactly n.  Inside the reality window it is spanned by the
+rank-one dyads u_k u_k^T built from left eigenvectors.
 
-Two routes compute a basis of that space:
+Three routes compute a basis of that space:
 
+* recurrence route: entry (i, j) of H^T X = X H gives row i+1 of X from rows
+  i and i-1, divided by the bond H[i+1, i], so X is fixed by its first row.
+  The first rows e_1..e_n give a basis, built for all n elements at once in
+  O(n) vectorized steps, O(n^3) work in all, with no eigenvectors.  The
+  recurrence runs downward (dividing by the sub-diagonal) or, on the flipped
+  problem F H F, upward from the last row (dividing by the super-diagonal):
+  whichever direction's smallest divisor has the larger magnitude.  Each
+  element is made exactly symmetric by mirroring its upper triangle, which
+  the recurrence computes from rows above it only.  Any couplings, real or
+  complex spectrum alike, as long as no entry grows past
+  RECURRENCE_GROWTH_MAX: rounding grows with the entries, and they grow near
+  a zero bond and far outside the window.
 * dyad route: spectral dyads from the symmetrized form, orthonormalized;
   requires every bond product to be positive (|lambda| < 1 and |mu| < 1 for
   n >= 3).  O(n^3) work.
@@ -15,11 +29,17 @@ Two routes compute a basis of that space:
   restricted to the n(n+1)/2-dimensional symmetric subspace; works for any
   couplings, real or complex spectrum alike, for O(n^6) work.
 
-By default the dyad route serves every size.  For n <= 32 the dense route
-takes over when the dyad route refuses: H is not symmetrizable, or the dyad
-basis fails one of its certificates (pivot ratio, residual, independence).
-The dense answer, or its refusal, is then exactly what the dense route gives
-on its own.  Above n = 32 the dyad route's refusal stands.
+By default the recurrence is tried first, then the dyads, then (for n <= 32
+only) the dense route, and the first basis that passes the residual and
+independence certificates is returned.  A route that raises NumericalError
+(growth past RECURRENCE_GROWTH_MAX, h not symmetrizable, a failed
+certificate) hands the request to the next one, and the last refusal
+stands.  The recurrence and dense routes sit behind the same degeneracy
+gate: a minimum eigenvalue gap at the DegenerateSpectrum threshold (at
+lambda = mu = 1, say, where the upward recurrence would still answer) sends
+the default request on to the dyads and the dense route, which then refuse
+it exactly as they do on their own.  The result records which route
+answered.
 
 Closed-form templates exist on the two structured coupling lines: the
 exchange matrix J (antidiagonal of ones) for mu = +lambda, and the
@@ -41,8 +61,15 @@ from .spectra import DEGENERACY_THRESHOLD, eigen_real, spectrum_of
 DENSE_ROUTE_MAX = 32
 INDEPENDENCE_FLOOR = 1e-8
 RESIDUAL_FACTOR = 1e-10
+# Largest entry the recurrence may grow to from its unit first rows.  Rounding
+# errors grow with the entries, so this keeps them near 1e6 * eps = 2e-10
+# relative; far outside the window the rows grow geometrically and the span
+# would drift (3e-8 at n = 32, lambda = -1.5, mu = 2) while still passing the
+# residual and independence certificates.
+RECURRENCE_GROWTH_MAX = 1e6
 
 VARIANTS = ("exchange", "weighted")
+ROUTES = ("recurrence", "dyad", "dense")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +80,15 @@ class PseudometricBasis:
     max-abs entry with the largest-magnitude entry positive.  ``residuals``
     are the per-element intertwining defects ``max|H^T X - X H|`` and
     ``independence`` is the smallest singular value of the stacked basis, a
-    linear-independence certificate.
+    linear-independence certificate.  ``route`` names the construction that
+    produced the basis: "recurrence", "dyad" or "dense".
     """
 
     n: int
     basis: list
     residuals: np.ndarray
     independence: float
+    route: str
 
     @property
     def dimension(self):
@@ -204,6 +233,55 @@ def _dense_route(h):
     return _symmetric_elements(vt[rank:], n)
 
 
+def _recurrence_elements(sup, sub):
+    """The n solutions of H^T X = X H with first rows e_1..e_n, stacked (n, n, n).
+
+    Row i+1 of every element follows from entry (i, j) of the equation,
+
+        X[i+1, j] = (X[i, j-1] sup[j-1] + X[i, j+1] sub[j] - sup[i-1] X[i-1, j]) / sub[i]
+
+    (the diagonal of H is constant, so it cancels).  Entries j >= i+1 of row
+    i+1 use entries j >= i of the rows above only, so the upper triangle is
+    mirrored onto the lower one to make each element exactly symmetric.
+    """
+    n = sub.size + 1
+    # Laid out (row, element, column) so that each step writes one contiguous block.
+    x = np.zeros((n, n, n))
+    x[0] = np.eye(n)
+    for i in range(n - 1):
+        row = x[i + 1]
+        row[:, 1:] = x[i, :, :-1] * sup
+        row[:, :-1] += x[i, :, 1:] * sub
+        if i:
+            row -= sup[i - 1] * x[i - 1]
+        row /= sub[i]
+    x = x.transpose(1, 0, 2)
+    return np.triu(x) + np.triu(x, 1).transpose(0, 2, 1)
+
+
+def _recurrence_route(h):
+    """First-row recurrence, run in the direction whose smallest divisor is larger.
+
+    Upward is the downward recurrence on the flipped problem F H F, whose
+    super- and sub-diagonals are H's sub- and super-diagonals reversed; its
+    solutions X' give F X' F for H.  Refused (NumericalError) when an entry
+    grows past RECURRENCE_GROWTH_MAX, overflows, or divides by a zero bond.
+    """
+    with np.errstate(all="ignore"):
+        if np.abs(h.sub).min() >= np.abs(h.super).min():
+            x = _recurrence_elements(h.super, h.sub)
+        else:
+            x = _recurrence_elements(h.sub[::-1], h.super[::-1])[:, ::-1, ::-1]
+    growth = float(np.abs(x).max())
+    # Written so that NaN (a zero bond in both directions) fails it too.
+    if not growth <= RECURRENCE_GROWTH_MAX:
+        raise NumericalError(
+            f"first-row recurrence grew to {growth:.3e} (limit {RECURRENCE_GROWTH_MAX:.0e}) "
+            f"at n={h.n}, lambda={h.couplings.lam}, mu={h.couplings.mu}"
+        )
+    return x
+
+
 def spectral_dyads(h):
     """Rank-one solutions u_k u_k^T from unit left eigenvectors, E_k ascending.
 
@@ -238,31 +316,38 @@ def _dyad_route(h):
 def kernel_basis(h, route=None):
     """All pseudometrics of h: a normalized basis of {X = X^T : H^T X = X H}.
 
-    ``route`` picks the construction explicitly ("dense" or "dyad").  By
-    default the dyad route is tried first; for n <= DENSE_ROUTE_MAX any
-    NumericalError it raises (h not symmetrizable, or a failed pivot,
-    residual or independence certificate) hands the request to the dense
-    route; above that size it propagates.  Degenerate input is rejected, so
-    the dimension always equals n.
+    ``route`` picks the construction explicitly ("recurrence", "dyad" or
+    "dense").  By default the recurrence route is tried first, behind the
+    degeneracy gate; any NumericalError there (a degenerate spectrum, growth
+    past RECURRENCE_GROWTH_MAX, a failed residual or independence
+    certificate) hands the request to the dyad route.  For n <= DENSE_ROUTE_MAX a refusal of the
+    dyad route in turn hands it to the dense route; above that size it
+    propagates.  Degenerate input is rejected, so the dimension always
+    equals n.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("kernel_basis expects a DiscreteHamiltonian")
-    if route not in (None, "dense", "dyad"):
-        raise ValidationError(f"unknown route {route!r}; expected 'dense' or 'dyad'")
-    if route is None and h.n <= DENSE_ROUTE_MAX:
+    if route not in (None,) + ROUTES:
+        raise ValidationError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if route is None:
         try:
-            return _certified_basis(h, _dyad_route(h))
+            _reject_degenerate(h)
+            return _certified_basis(h, _recurrence_route(h), "recurrence")
         except NumericalError:
-            route = "dense"
-    if route == "dense":
-        _reject_degenerate(h)
-        raw = _dense_route(h)
-    else:
-        raw = _dyad_route(h)
-    return _certified_basis(h, raw)
+            route = "dyad"
+        if h.n <= DENSE_ROUTE_MAX:
+            try:
+                return _certified_basis(h, _dyad_route(h), route)
+            except NumericalError:
+                route = "dense"
+    if route == "dyad":
+        return _certified_basis(h, _dyad_route(h), route)
+    _reject_degenerate(h)
+    raw = _recurrence_route(h) if route == "recurrence" else _dense_route(h)
+    return _certified_basis(h, raw, route)
 
 
-def _certified_basis(h, raw):
+def _certified_basis(h, raw, route):
     """Normalize the stacked (n, n, n) elements and check residuals and independence."""
     basis = _normalize_elements(raw)
     hd = dense(h)
@@ -279,7 +364,7 @@ def _certified_basis(h, raw):
             f"normalized basis is near-dependent (smallest singular value "
             f"{independence:.3e} <= {INDEPENDENCE_FLOOR})"
         )
-    return PseudometricBasis(h.n, list(basis), residuals, independence)
+    return PseudometricBasis(h.n, list(basis), residuals, independence, route)
 
 
 def span_residual(pm, x):

@@ -8,6 +8,9 @@ code convention 0 = success, 1 = invalid request, 2 = computation failed.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -287,6 +290,24 @@ class TestTopLevelBehaviour:
     def test_bad_format_choice_is_a_usage_error(self):
         rc, _, _ = run("spectrum", "-N", "3", "--lambda", "0", "--format", "xml")
         assert rc == 1
+
+    def test_overflowing_couplings_leave_stderr_empty(self):
+        # A fresh interpreter, so numpy warnings already shown in this process
+        # cannot hide a new one.
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        for argv in (
+            ["spectrum", "-N", "2", "--lambda", "1e308"],
+            ["scan", "-N", "3", "--grid", "1e300:1e300:1"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cptwell.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, argv
+            assert proc.stderr == "", argv
+            assert proc.stdout, argv
 
 
 def list_form(obj):

@@ -6,13 +6,19 @@ Oracles:
 * hand-checked antidiagonal templates on the two structured coupling lines,
 * dimension counts against the non-degenerate theory (n independent
   symmetric solutions, one per spectral dyad),
-* cross-validation of the two construction routes against each other.
+* cross-validation of the three construction routes against each other,
+* the first-row recurrence run exactly on fractions.Fraction, and the flip
+  F H(lambda, mu) F = H(-mu, -lambda), which maps solutions to solutions.
 """
 
 import json
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptwell.dieudonne import (
     DENSE_ROUTE_MAX,
@@ -26,7 +32,12 @@ from cptwell.dieudonne import (
     span_residual,
     spectral_dyads,
 )
-from cptwell.dieudonne import _intertwining_operator, _symmetric_elements
+from cptwell.dieudonne import (
+    _certified_basis,
+    _intertwining_operator,
+    _recurrence_route,
+    _symmetric_elements,
+)
 from cptwell.errors import (
     DegenerateSpectrum,
     NotSymmetrizable,
@@ -38,7 +49,7 @@ from cptwell.quasihermitian import biorthogonalize
 
 LAMBDAS = (-0.8, -0.4, 0.1, 0.5, 0.9)
 MUS = (-0.7, -0.2, 0.3, 0.8)
-ROUTES = ("dense", "dyad")
+ROUTES = ("dense", "dyad", "recurrence")
 
 
 def well(n, lam, mu=None):
@@ -183,15 +194,15 @@ class TestKernelBasis:
 
     def test_large_sizes_fall_back_to_the_dyad_route(self):
         n = DENSE_ROUTE_MAX + 1
-        pm = kernel_basis(well(n, 0.4))
+        pm = kernel_basis(well(n, 0.4), route="dyad")
         assert pm.dimension == n
         assert pm.independence > INDEPENDENCE_FLOOR
 
     def test_dyad_route_requires_a_symmetrizable_matrix(self):
         with pytest.raises(NotSymmetrizable):
-            kernel_basis(well(DENSE_ROUTE_MAX + 8, 1.2))
+            kernel_basis(well(DENSE_ROUTE_MAX + 8, 1.2), route="dyad")
         with pytest.raises(NotSymmetrizable):
-            kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.3, -1.0))
+            kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.3, -1.0), route="dyad")
 
     def test_unknown_route_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -248,27 +259,57 @@ def same_bits(a, b):
 
 
 class TestDefaultRoute:
-    """Up to DENSE_ROUTE_MAX the default takes the dyad route and hands any
-    refusal of it to the dense route, whose answer is then returned unchanged."""
+    """The default tries the recurrence (behind the degeneracy gate), then the
+    dyads, then, up to DENSE_ROUTE_MAX, the dense route; the first route that
+    answers is returned unchanged and named in ``route``."""
 
-    def test_symmetrizable_input_gets_the_dyad_basis(self):
-        # n = 2 carries both couplings on one bond, so (1.3, 0.2) is symmetrizable there.
-        for n, lam, mu in ((2, 0.41, -0.27), (2, 1.3, 0.2), (7, 0.45, -0.15), (DENSE_ROUTE_MAX, 0.9, -0.9)):
+    def test_the_recurrence_answers_in_and_out_of_the_window(self):
+        cells = (
+            (2, 0.41, -0.27), (2, 1.3, 0.2), (7, 0.45, -0.15), (DENSE_ROUTE_MAX, 0.9, -0.9),
+            (3, 1.3, 1.3), (8, 1.3, 0.2), (DENSE_ROUTE_MAX, 0.3, -1.2), (64, 0.41, -0.27),
+        )
+        for n, lam, mu in cells:
             h = well(n, lam, mu)
-            assert same_bits(kernel_basis(h), kernel_basis(h, route="dyad")), (n, lam, mu)
+            pm = kernel_basis(h)
+            assert pm.route == "recurrence", (n, lam, mu)
+            assert same_bits(pm, kernel_basis(h, route="recurrence")), (n, lam, mu)
 
-    def test_non_symmetrizable_input_gets_the_dense_basis(self):
-        for n, lam, mu in ((3, 1.3, 1.3), (8, 1.3, 0.2), (DENSE_ROUTE_MAX, 0.3, -1.2)):
+    def test_a_recurrence_refusal_falls_back_to_the_dyad_basis(self):
+        # Near the mu = -lambda corner the recurrence divides by a small bond and grows.
+        for n, lam in ((3, 1.0 - 1e-8), (DENSE_ROUTE_MAX + 1, 1.0 - 1e-10)):
+            h = well(n, lam, -lam)
+            with pytest.raises(NumericalError, match="grew"):
+                kernel_basis(h, route="recurrence")
+            pm = kernel_basis(h)
+            assert pm.route == "dyad", n
+            assert same_bits(pm, kernel_basis(h, route="dyad")), n
+
+    def test_a_recurrence_refusal_out_of_the_window_falls_back_to_the_dense_basis(self):
+        # Far outside the window the rows grow geometrically.  Without the growth
+        # bound the recurrence would pass both certificates at (24, 2.5, 0.3) and
+        # (32, -1.5, 2) with spans 5e-8 and 3e-8 from the exact ones, where the
+        # dense route's are within 1e-14.
+        for n, lam, mu in ((24, 2.5, 0.3), (DENSE_ROUTE_MAX, 2.5, 0.3), (DENSE_ROUTE_MAX, -1.5, 2.0)):
             h = well(n, lam, mu)
+            with pytest.raises(NumericalError, match="grew"):
+                kernel_basis(h, route="recurrence")
             with pytest.raises(NotSymmetrizable):
                 kernel_basis(h, route="dyad")
-            assert same_bits(kernel_basis(h), kernel_basis(h, route="dense")), (n, lam, mu)
+            pm = kernel_basis(h)
+            assert pm.route == "dense", (n, lam, mu)
+            assert same_bits(pm, kernel_basis(h, route="dense")), (n, lam, mu)
+        with pytest.raises(NotSymmetrizable):
+            kernel_basis(well(DENSE_ROUTE_MAX + 1, 2.5, 0.3))
 
     def test_a_failed_dyad_certificate_falls_back_to_the_dense_basis(self):
-        h = well(3, 1.0 - 1e-8)
+        h = well(3, 1.0 - 1e-12, -(1.0 - 1e-12))
+        with pytest.raises(NumericalError, match="grew"):
+            kernel_basis(h, route="recurrence")
         with pytest.raises(NumericalError, match="residual"):
             kernel_basis(h, route="dyad")
-        assert same_bits(kernel_basis(h), kernel_basis(h, route="dense"))
+        pm = kernel_basis(h)
+        assert pm.route == "dense"
+        assert same_bits(pm, kernel_basis(h, route="dense"))
 
     def test_a_dense_refusal_after_the_fallback_is_the_dense_refusal(self):
         h = well(6, 1.0)
@@ -277,6 +318,11 @@ class TestDefaultRoute:
         with pytest.raises(DegenerateSpectrum) as default_refusal:
             kernel_basis(h)
         assert str(default_refusal.value) == str(dense_refusal.value)
+        with pytest.raises(DegenerateSpectrum) as recurrence_refusal:
+            kernel_basis(h, route="recurrence")
+        assert str(recurrence_refusal.value) == str(dense_refusal.value)
+        # Without the gate the upward recurrence would answer here.
+        assert _certified_basis(h, _recurrence_route(h), "recurrence").dimension == 6
 
     def test_routes_span_the_same_space_at_the_window_edge(self):
         edge = (0.9, 0.99, 0.999, 0.9999)
@@ -291,6 +337,156 @@ class TestDefaultRoute:
                         assert span_residual(b, x) <= 1e-9, (n, lam, mu)
                     for x in b.basis:
                         assert span_residual(a, x) <= 1e-9, (n, lam, mu)
+
+
+def span_gap(a, b):
+    """Largest span residual of either basis against the other."""
+    return max(
+        max(span_residual(b, x) for x in a.basis),
+        max(span_residual(a, x) for x in b.basis),
+    )
+
+
+def exact_bands(n, lam, mu):
+    """(super, sub) of H(lam, mu) as Fractions, from the model's definition."""
+    sup = [Fraction(-1)] * (n - 1)
+    sub = [Fraction(-1)] * (n - 1)
+    sup[0] = -1 - lam
+    sub[n - 2] = -1 + mu
+    if n > 2:
+        sub[0] = -1 + lam
+        sup[n - 2] = -1 - mu
+    return sup, sub
+
+
+def fraction_recurrence(n, lam, mu):
+    """Reference: the first-row recurrence in exact arithmetic, entry by entry.
+
+    Oriented by the library's rule: downward from first rows e_k, or, when the
+    super-diagonal's smallest bond is the larger, upward from last rows
+    e_{n-1-k}, solving entry (i, j) of H^T X = X H for X[i-1, j].  Nothing is
+    symmetrized.  Returns the elements and whether the run went downward.
+    """
+    sup, sub = exact_bands(n, lam, mu)
+    down = min(map(abs, sub)) >= min(map(abs, sup))
+    elements = []
+    for k in range(n):
+        x = [[Fraction(0)] * n for _ in range(n)]
+        if down:
+            x[0][k] = Fraction(1)
+            for i in range(n - 1):
+                for j in range(n):
+                    v = -sup[i - 1] * x[i - 1][j] if i else Fraction(0)
+                    if j:
+                        v += x[i][j - 1] * sup[j - 1]
+                    if j < n - 1:
+                        v += x[i][j + 1] * sub[j]
+                    x[i + 1][j] = v / sub[i]
+        else:
+            x[n - 1][n - 1 - k] = Fraction(1)
+            for i in range(n - 1, 0, -1):
+                for j in range(n):
+                    v = -sub[i] * x[i + 1][j] if i < n - 1 else Fraction(0)
+                    if j:
+                        v += x[i][j - 1] * sup[j - 1]
+                    if j < n - 1:
+                        v += x[i][j + 1] * sub[j]
+                    x[i - 1][j] = v / sup[i - 1]
+        elements.append(x)
+    return elements, down
+
+
+def exact_defect(n, lam, mu, x):
+    """max|H^T X - X H| in exact arithmetic (the diagonal of H cancels)."""
+    sup, sub = exact_bands(n, lam, mu)
+    h = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - 1):
+        h[i][i + 1], h[i + 1][i] = sup[i], sub[i]
+    return max(
+        abs(sum(h[m][i] * x[m][j] - x[i][m] * h[m][j] for m in range(n)))
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+class TestRecurrenceRoute:
+    RATIONAL_COUPLINGS = (
+        (Fraction(1, 2), Fraction(-1, 3)),
+        (Fraction(3, 2), Fraction(1, 3)),
+        (Fraction(-1, 2), Fraction(1, 3)),
+    )
+
+    def test_matches_the_exact_recurrence_on_rationals(self):
+        directions = set()
+        for n in range(2, 7):
+            for lam, mu in self.RATIONAL_COUPLINGS:
+                exact, down = fraction_recurrence(n, lam, mu)
+                directions.add(down)
+                pm = kernel_basis(well(n, float(lam), float(mu)), route="recurrence")
+                for x, got in zip(exact, pm.basis):
+                    assert exact_defect(n, lam, mu, x) == 0, (n, lam, mu)
+                    assert all(x[i][j] == x[j][i] for i in range(n) for j in range(n))
+                    flat = [v for row in x for v in row]
+                    peak = max(flat, key=abs)
+                    ref = np.array([[float(v / peak) for v in row] for row in x])
+                    assert np.abs(got - ref).max() <= 1e-13, (n, lam, mu)
+        assert directions == {True, False}
+
+    def test_the_flip_maps_the_problem_and_its_solutions(self):
+        for n in (2, 5, 9, 33):
+            for lam, mu in ((0.41, -0.27), (1.3, 0.2), (-0.0, 0.6), (3.0, -0.5)):
+                h, g = well(n, lam, mu), well(n, -mu, -lam)
+                assert np.array_equal(bits(dense(h)[::-1, ::-1]), bits(dense(g))), (n, lam, mu)
+                pm = kernel_basis(g)
+                for x in kernel_basis(h).basis:
+                    assert span_residual(pm, x[::-1, ::-1]) <= 1e-9, (n, lam, mu)
+
+    def test_growth_overflow_and_zero_bonds_are_refused_without_warnings(self):
+        # Growth past the bound, past the float range (inf), and a zero bond in
+        # both directions (NaN; the degeneracy gate refuses it first, at every size).
+        for h in (well(24, 2.5, 0.3), well(64, 1e200, 0.5), well(5, 1.0, -1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="grew to"):
+                    _recurrence_route(h)
+
+    def test_the_edge_cell_the_dyads_refused_now_answers(self):
+        pm = kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.41, 1.0 - 1e-12))
+        assert pm.route == "recurrence" and pm.dimension == DENSE_ROUTE_MAX + 1
+
+    def test_out_of_window_cells_above_the_dense_limit_answer(self):
+        for lam, mu in ((1.3, 1.3), (3.0, -0.5)):
+            pm = kernel_basis(well(64, lam, mu))
+            assert pm.route == "recurrence" and pm.dimension == 64, (lam, mu)
+        # At (2, 2) the recurrence passes the certificates, but the two edge
+        # states are 7e-15 apart, so the degeneracy gate refuses it and the
+        # default keeps the dyad route's refusal.
+        h = well(64, 2.0, 2.0)
+        assert _certified_basis(h, _recurrence_route(h), "recurrence").dimension == 64
+        with pytest.raises(DegenerateSpectrum):
+            kernel_basis(h, route="recurrence")
+        with pytest.raises(NotSymmetrizable):
+            kernel_basis(h)
+
+    def test_a_mu_minus_lambda_corner_is_pinned_to_the_recurrence(self):
+        # Both directions divide by a bond of 1e-12 here.  Every route passes its
+        # certificates, yet each span is about 1e-4 from the exact one.
+        pm = kernel_basis(well(7, -(1.0 - 1e-12), 1.0 - 1e-12))
+        assert pm.route == "recurrence"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        lam=st.floats(-0.95, 0.95),
+        mu=st.floats(-0.95, 0.95),
+    )
+    def test_in_the_window_the_default_is_the_recurrence_on_the_dyad_space(self, n, lam, mu):
+        h = well(n, lam, mu)
+        pm = kernel_basis(h)
+        assert pm.route == "recurrence"
+        assert pm.residuals.max() <= RESIDUAL_FACTOR * entry_norm(h)
+        assert pm.independence > INDEPENDENCE_FLOOR
+        assert span_gap(pm, kernel_basis(h, route="dyad")) <= 1e-9
 
 
 class TestDenseRouteAssembly:
