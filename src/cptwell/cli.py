@@ -23,7 +23,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -39,6 +38,10 @@ CONTINUUM_DEFAULT_SIZE = 160
 # Largest number of points one --grid axis may hold; a product scan solves the
 # square of it.
 MAX_GRID_POINTS = 10_000
+# Largest matrix-entry count one request may allocate: n**3 for pseudometrics
+# (n basis elements of n x n), n**2 for every other subcommand.  2**24 allows
+# pseudometrics up to n = 256 and the rest up to n = 4096.
+MAX_ENTRIES = 2**24
 
 
 class _UsageError(Exception):
@@ -90,7 +93,13 @@ def parse_grid(spec):
     return tuple(lo + k * step for k in range(int(steps) + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on first use and reused for every call.
+
+    Reuse is safe: parse_args returns a fresh Namespace each time, and
+    _Parser.error raises instead of leaving state behind.
+    """
     parser = _Parser(
         prog="cptwell",
         description="Discrete square well with boundary couplings: spectra, "
@@ -163,6 +172,12 @@ def _config_from(ns):
     n = int(ns.n)
     if n < 2:
         raise ValidationError(f"size must be at least 2, got {n}")
+    power = 3 if command == "pseudometrics" else 2
+    if n**power > MAX_ENTRIES:
+        raise ValidationError(
+            f"size {n} needs {n**power:,} matrix entries for {command}; "
+            f"at most {MAX_ENTRIES:,} are allowed"
+        )
     lam = getattr(ns, "lam", None)
     mu = getattr(ns, "mu", None)
     if lam is not None:
@@ -359,34 +374,58 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _float_tokens(a):
-    """JSON tokens of a float array's entries in C order.
+@functools.lru_cache(maxsize=64)
+def _layout(shape, level):
+    """Bracket and separator text of an array of this shape at nesting level.
 
-    ``float.__repr__`` runs once per distinct bit pattern (so -0.0 and 0.0
-    stay apart); symmetric matrices need it for about half their entries.
+    json follows each entry with one of ndim + 1 separators, chosen by how
+    many innermost axes the entry closes: none (a comma), some (close them,
+    a comma, reopen them) or all (the last entry).  Returns the opening
+    brackets, the separator of entries that close no axis, and the flat
+    indices and separators of the entries that close at least one.
     """
-    bits, inverse = np.unique(
-        np.asarray(a, dtype=np.float64).reshape(-1).view(np.int64), return_inverse=True
-    )
-    values = bits.view(np.float64)
-    texts = list(map(float.__repr__, values.tolist()))
+    ndim = len(shape)
+    inner = ["\n" + _INDENT * (level + k) for k in range(ndim + 1)]
+    opening = ["".join("[" + inner[k + 1] for k in range(j, ndim)) for j in range(ndim + 1)]
+    seps = np.empty(ndim + 1, dtype=object)
+    for c in range(ndim + 1):
+        close = "".join(inner[ndim - 1 - k] + "]" for k in range(c))
+        seps[c] = close if c == ndim else close + "," + inner[ndim - c] + opening[ndim - c]
+    closes = np.zeros(shape, dtype=np.int8)
+    for c in range(1, ndim + 1):
+        closes[(Ellipsis,) + (-1,) * c] += 1
+    closes = closes.reshape(-1)
+    ends = np.flatnonzero(closes)
+    end_seps = seps[closes[ends]]
+    # Cached and shared by every caller.
+    ends.flags.writeable = end_seps.flags.writeable = False
+    return opening[0], seps[0], ends, end_seps
+
+
+def _float_array(a, level):
+    """The text json.dumps(a.tolist(), indent=2) gives at nesting level.
+
+    For a float array with at least one entry.  One np.unique runs over the
+    non-zero bit patterns (+0.0 has a fixed token; -0.0 has its sign bit set
+    and keeps its own) and float.__repr__ once per distinct value.  Tokens
+    are pre-joined with the common separator, so one gather, a fix-up of the
+    entries that close an axis, and one join lay out the whole array.
+    """
+    bits = np.asarray(a, dtype=np.float64).reshape(-1).view(np.int64)
+    nonzero = bits != 0
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    values = distinct.view(np.float64)
+    texts = ["0.0", *map(float.__repr__, values.tolist())]
     if not np.isfinite(values).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
-    return [texts[k] for k in inverse.ravel().tolist()]
+    codes = np.zeros(bits.shape, dtype=np.intp)
+    codes[nonzero] = inverse + 1
 
-
-def _nest(tokens, shape, level):
-    """Lay out a flat C-order token list as json's indented nested lists."""
-    if shape[0] == 0:
-        return "[]"
-    if len(shape) > 1:
-        step = math.prod(shape[1:])
-        tokens = [
-            _nest(tokens[k * step:(k + 1) * step], shape[1:], level + 1)
-            for k in range(shape[0])
-        ]
-    inner = "\n" + _INDENT * (level + 1)
-    return "[" + inner + ("," + inner).join(tokens) + "\n" + _INDENT * level + "]"
+    opening, sep, ends, end_seps = _layout(a.shape, level)
+    tokens = np.array(texts, dtype=object)
+    pieces = (tokens + sep)[codes]
+    pieces[ends] = tokens[codes[ends]] + end_seps
+    return opening + "".join(pieces.tolist())
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -406,7 +445,7 @@ def _encode(obj, level, out):
 
     Scalars follow json's own rules: float.__repr__ with json's non-finite
     tokens, int.__repr__, true/false/null, json.dumps for strings.  Float
-    arrays are laid out from _float_tokens, other arrays via tolist().
+    arrays with entries are laid out by _float_array, other arrays via tolist().
     """
     if isinstance(obj, float):
         text = float.__repr__(obj)
@@ -418,8 +457,8 @@ def _encode(obj, level, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim > 0:
-            out.append(_nest(_float_tokens(obj), obj.shape, level))
+        if obj.dtype.kind == "f" and obj.size:
+            out.append(_float_array(obj, level))
         else:
             _encode(obj.tolist(), level, out)
     elif isinstance(obj, (list, tuple, dict)):

@@ -8,8 +8,15 @@ difference; the closed form is (n+1)^2 (2 - 2 cos(k pi/(n+1))) / pi^2.
 
 For nonzero boundary coupling the coupling is held fixed while n grows (no
 n-scaling is imposed), and the study reports the Cauchy differences of the
-scaled levels together with Richardson order estimates, without asserting
-which continuum boundary interaction is approached.
+scaled levels together with Richardson order estimates.  On the line
+mu = lambda the lowest level E = 2 - 2 cos(theta) solves
+tan((n+1) theta) ~ c theta with c = 4 lambda^2/(1 + lambda^2), so the scaled
+ground level is
+
+    L(h) = 1 + 8 lambda^2/(1 + lambda^2) h + (3 c^2 - pi^2/12) h^2 + O(h^3):
+
+the fixed coupling converges to the Dirichlet value at first order, and
+difference ratios on a size-doubling ladder approach 2, not 4.
 
 The order estimate for a consecutive size triple compares successive
 differences D_i = L(h_{i+1}) - L(h_i):

@@ -5,6 +5,7 @@ keys in a fixed insertion order, CSV with repr-exact floats, and the exit
 code convention 0 = success, 1 = invalid request, 2 = computation failed.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -17,9 +18,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cptwell import cli
-from cptwell.cli import MAX_GRID_POINTS, main, parse_grid
+from cptwell.cli import MAX_ENTRIES, MAX_GRID_POINTS, main, parse_grid
 from cptwell.dieudonne import DENSE_ROUTE_MAX
 from cptwell.errors import ValidationError
 
@@ -287,6 +291,40 @@ class TestTopLevelBehaviour:
         assert rc == 1
         assert err.startswith("cptwell: invalid request:")
 
+    @pytest.mark.parametrize("argv", [
+        ("pseudometrics", "-N", "3000", "--lambda", "0.3"),
+        ("spectrum", "-N", "100000", "--lambda", "0.3"),
+    ])
+    def test_an_oversized_request_is_refused_before_it_allocates(self, argv):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc, out, err = run(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and out == ""
+        assert err.startswith("cptwell: invalid request:") and "Traceback" not in err
+        assert time.perf_counter() - start < 5.0
+        assert peak < 1 << 20
+
+    def test_the_entry_budget_is_cubic_for_pseudometrics_and_square_otherwise(self):
+        cube, square = round(MAX_ENTRIES ** (1 / 3)), round(MAX_ENTRIES ** 0.5)
+        assert cube**3 <= MAX_ENTRIES < (cube + 1) ** 3
+        assert square**2 <= MAX_ENTRIES < (square + 1) ** 2
+        assert config("pseudometrics", "-N", str(cube), "--lambda", "0.3").n == cube
+        with pytest.raises(ValidationError):
+            config("pseudometrics", "-N", str(cube + 1), "--lambda", "0.3")
+        for command in ("spectrum", "metric", "charge", "verify"):
+            assert config(command, "-N", str(square), "--lambda", "0.3").n == square
+            with pytest.raises(ValidationError):
+                config(command, "-N", str(square + 1), "--lambda", "0.3")
+        assert config("scan", "-N", str(square), "--grid", "0:1:1").n == square
+        with pytest.raises(ValidationError):
+            config("scan", "-N", str(square + 1), "--grid", "0:1:1")
+        with pytest.raises(ValidationError):
+            config("continuum", "-N", str(square + 8))
+
     def test_bad_format_choice_is_a_usage_error(self):
         rc, _, _ = run("spectrum", "-N", "3", "--lambda", "0", "--format", "xml")
         assert rc == 1
@@ -469,3 +507,67 @@ class TestArrayEncoder:
             cfg = config(command, "-N", "4", "--lambda", "0.3")
             _, _, rows = cli._COMMANDS[cfg.command](cfg)
             assert iter(rows) is rows, command
+
+    @staticmethod
+    @st.composite
+    def float_arrays(draw):
+        """Float arrays of 0-3 axes (some of length 0 or 1), possibly as views."""
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+        width = np.finfo(dtype).bits
+        special = [
+            float(dtype(v))
+            for v in (0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, -1e16, 1e-7, 1.5e-7,
+                      1e22, np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).tiny / 3)
+        ]
+        elements = st.one_of(st.sampled_from(special), st.floats(width=width))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        a = draw(hnp.arrays(dtype, shape, elements=elements))
+        a = a.transpose(draw(st.permutations(range(a.ndim))))
+        steps = draw(st.lists(st.sampled_from([1, 2, -1, -2]), min_size=a.ndim,
+                              max_size=a.ndim))
+        return a[(*(slice(None, None, step) for step in steps), Ellipsis)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_any_float_array_renders_as_json_dumps_of_its_list(self, a):
+        expected = json.dumps({"a": [a.tolist()]}, indent=2) + "\n"
+        assert cli.render({"a": [a]}, (), (), "json") == expected
+
+
+class TestParserReuse:
+    """One parser serves every main() call and answers as a fresh one would."""
+
+    SEQUENCE = (
+        ("spectrum", "-N", "4", "--lambda", "0.5", "--mu", "0.2"),
+        ("spectrum", "-N", "4", "--lambda", "0.5"),
+        ("spectrum", "-N", "5", "--lambda", "0.3", "--tol", "1e-6"),
+        ("spectrum", "-N", "5", "--lambda", "0.3"),
+        ("spectrum", "-N", "3", "--lambda", "0", "--frazzle"),
+        ("verify", "-N", "6", "--lambda", "0.7"),
+    )
+
+    def test_outputs_match_a_fresh_parser_call_by_call(self, monkeypatch):
+        results = [run(*argv) for argv in self.SEQUENCE]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            fresh = [run(*argv) for argv in self.SEQUENCE]
+        assert results == fresh
+        assert json.loads(results[1][1])["mu"] == 0.5
+        assert [rc for rc, _, _ in results] == [0, 0, 0, 0, 1, 0]
+        assert "--frazzle" in results[4][2]
+
+    def test_a_second_call_constructs_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert run(*self.SEQUENCE[0])[0] == 0
+        assert len(built) == 1 + len(cli._COMMANDS)
+        built.clear()
+        assert run(*self.SEQUENCE[1])[0] == 0
+        assert built == []

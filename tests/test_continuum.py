@@ -7,7 +7,9 @@ Oracles:
   ladders at zero coupling,
 * measured first-order behaviour at fixed nonzero coupling, where the
   boundary perturbation scales like the lattice spacing: difference ratios
-  on a size-doubling ladder approach 2, not 4.
+  on a size-doubling ladder approach 2, not 4,
+* the secular equation's first-order coefficient at fixed coupling:
+  L(h) = 1 + 8 lambda^2/(1 + lambda^2) h + O(h^2) for the ground level.
 """
 
 import json
@@ -100,6 +102,18 @@ class TestConvergenceStudyAtFixedCoupling:
         ratios = np.abs(d[:-1] / d[1:])
         assert np.max(np.abs(ratios - 2.0)) <= 0.2
         assert abs(st.estimated_order[0] - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, -0.3, 0.5])
+    def test_ground_level_follows_the_first_order_coefficient(self, lam):
+        # L(h) = 1 + 8 lam^2/(1 + lam^2) h + O(h^2), from the secular equation;
+        # the h^2 coefficient, 3 c^2 - pi^2/12 with c = 4 lam^2/(1 + lam^2),
+        # stays below 2 in magnitude for |lam| <= 1/2.
+        ladder = (20, 40, 80, 160)
+        st = convergence_study(ladder, lam)
+        h = 1.0 / (np.asarray(ladder) + 1.0)
+        levels = np.asarray(st.scaled_levels)[:, 0]
+        slope = 8.0 * lam**2 / (1.0 + lam**2)
+        assert np.all(np.abs((levels - 1.0) / h - slope) <= 2.0 * h)
 
     def test_fixed_coupling_levels_still_approach_the_dirichlet_limit(self):
         st = convergence_study((40, 80, 160, 320), 0.5)
