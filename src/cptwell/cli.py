@@ -15,7 +15,8 @@ Identical invocations produce byte-identical output: fixed key order, fixed
 row order, floats via shortest round-trip repr, booleans as lowercase
 true/false, and no timestamps.  JSON text is exactly what
 ``json.dumps(payload, indent=2)`` gives for the payload with every numpy
-array replaced by its ``tolist()``.
+array replaced by its ``tolist()``; the float arrays of one payload are
+rendered together, from one token table (see ``render``).
 """
 
 import argparse
@@ -402,30 +403,58 @@ def _layout(shape, level):
     return opening[0], seps[0], ends, end_seps
 
 
-def _float_array(a, level):
-    """The text json.dumps(a.tolist(), indent=2) gives at nesting level.
+def _float_arrays(arrays):
+    """The texts json.dumps(a.tolist(), indent=2) gives, for (a, level) in arrays.
 
-    For a float array with at least one entry.  One np.unique runs over the
-    non-zero bit patterns (+0.0 has a fixed token; -0.0 has its sign bit set
-    and keeps its own) and float.__repr__ once per distinct value.  Tokens
-    are pre-joined with the common separator, so one gather, a fix-up of the
-    entries that close an axis, and one join lay out the whole array.
+    For float arrays with at least one entry, all from one payload, which
+    share one token table: one np.unique runs over the non-zero bit patterns
+    of every array (+0.0 has a fixed token; -0.0 has its sign bit set and
+    keeps its own), and float.__repr__ runs once per distinct value of the
+    payload.  The tokens are joined once to each separator that follows most
+    entries of some array (one per ndim and level); when there are several,
+    each is joined only to the tokens of its own arrays.  Each array is then
+    laid out by one gather from its slice of the shared codes, a fix-up of
+    the entries that close an axis, and one join, so only one array's pieces
+    exist at a time.  The texts come back as a list, not from a generator, so
+    the payload-wide codes are freed before render joins the output.
     """
-    bits = np.asarray(a, dtype=np.float64).reshape(-1).view(np.int64)
+    flat = [np.asarray(a, dtype=np.float64).reshape(-1) for a, _ in arrays]
+    bits = np.concatenate(flat).view(np.int64)
     nonzero = bits != 0
     distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
     values = distinct.view(np.float64)
     texts = ["0.0", *map(float.__repr__, values.tolist())]
     if not np.isfinite(values).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
+    tokens = np.array(texts, dtype=object)
     codes = np.zeros(bits.shape, dtype=np.intp)
     codes[nonzero] = inverse + 1
 
-    opening, sep, ends, end_seps = _layout(a.shape, level)
-    tokens = np.array(texts, dtype=object)
-    pieces = (tokens + sep)[codes]
-    pieces[ends] = tokens[codes[ends]] + end_seps
-    return opening + "".join(pieces.tolist())
+    layouts = [_layout(a.shape, level) for a, level in arrays]
+    bounds = np.cumsum([0, *(a.size for a, _ in arrays)]).tolist()
+    owns = [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    groups = {}
+    for (_, sep, _, _), own in zip(layouts, owns):
+        groups.setdefault(sep, []).append(own)
+    tables = {}
+    for sep, group in groups.items():
+        if len(groups) == 1:
+            tables[sep] = tokens + sep
+        else:
+            # Join each separator only to the tokens its own arrays use, so
+            # that no token is joined to a separator its arrays never need.
+            used = np.zeros(tokens.size, dtype=bool)
+            for own in group:
+                used[own] = True
+            tables[sep] = table = np.empty_like(tokens)
+            table[used] = tokens[used] + sep
+
+    rendered = []
+    for (opening, sep, ends, end_seps), own in zip(layouts, owns):
+        pieces = tables[sep][own]
+        pieces[ends] = tokens[own[ends]] + end_seps
+        rendered.append(opening + "".join(pieces.tolist()))
+    return rendered
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -440,12 +469,14 @@ def _key_token(key):
     return json.dumps(key) + ": "
 
 
-def _encode(obj, level, out):
+def _encode(obj, level, out, arrays):
     """Append the text json.dumps(obj, indent=2) gives at nesting level to out.
 
     Scalars follow json's own rules: float.__repr__ with json's non-finite
-    tokens, int.__repr__, true/false/null, json.dumps for strings.  Float
-    arrays with entries are laid out by _float_array, other arrays via tolist().
+    tokens, int.__repr__, true/false/null, json.dumps for strings.  A float
+    array with entries leaves a None in out and (array, level) in arrays, for
+    render to lay out with the payload's other float arrays; other arrays are
+    encoded via tolist().
     """
     if isinstance(obj, float):
         text = float.__repr__(obj)
@@ -458,9 +489,10 @@ def _encode(obj, level, out):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.size:
-            out.append(_float_array(obj, level))
+            out.append(None)
+            arrays.append((obj, level))
         else:
-            _encode(obj.tolist(), level, out)
+            _encode(obj.tolist(), level, out, arrays)
     elif isinstance(obj, (list, tuple, dict)):
         if not obj:
             out.append("{}" if isinstance(obj, dict) else "[]")
@@ -470,14 +502,14 @@ def _encode(obj, level, out):
             sep = "{" + inner
             for key, value in obj.items():
                 out.append(sep + _key_token(key))
-                _encode(value, level + 1, out)
+                _encode(value, level + 1, out, arrays)
                 sep = "," + inner
             out.append("\n" + _INDENT * level + "}")
         else:
             sep = "[" + inner
             for value in obj:
                 out.append(sep)
-                _encode(value, level + 1, out)
+                _encode(value, level + 1, out, arrays)
                 sep = "," + inner
             out.append("\n" + _INDENT * level + "]")
     else:
@@ -487,11 +519,18 @@ def _encode(obj, level, out):
 def render(payload, header, rows, fmt):
     """Serialize one subcommand result to its final output text.
 
-    ``rows`` is an iterable of CSV records, consumed only for CSV output.
+    JSON takes two passes: _encode walks the payload and leaves a placeholder
+    for each float array with entries, then _float_arrays renders all of
+    them from one token table, so a value shared by several arrays is
+    formatted once.  ``rows`` is an iterable of CSV records, consumed only
+    for CSV output.
     """
     if fmt == "json":
-        out = []
-        _encode(payload, 0, out)
+        out, arrays = [], []
+        _encode(payload, 0, out, arrays)
+        if arrays:
+            texts = iter(_float_arrays(arrays))
+            out = [next(texts) if piece is None else piece for piece in out]
         out.append("\n")
         return "".join(out)
     buf = io.StringIO()

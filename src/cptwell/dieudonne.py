@@ -154,13 +154,23 @@ def residual(h, x):
     return float(np.abs(hd.T @ x - x @ hd).max(initial=0.0))
 
 
-def _normalize_elements(xs):
-    """Scale each of the stacked elements so its largest-magnitude entry is exactly +1."""
+def _peaks(xs):
+    """The largest-magnitude entry of each of the stacked elements, sign kept."""
     flat = xs.reshape(xs.shape[0], -1)
-    peak = flat[np.arange(flat.shape[0]), np.abs(flat).argmax(axis=1)]
+    return flat[np.arange(flat.shape[0]), np.abs(flat).argmax(axis=1)]
+
+
+def _normalize_elements(xs, peak=None):
+    """Scale the stacked elements in place so each largest-magnitude entry is exactly +1.
+
+    ``peak`` is ``_peaks(xs)`` when the caller has it already.
+    """
+    if peak is None:
+        peak = _peaks(xs)
     if (peak == 0.0).any():
         raise NumericalError("zero candidate pseudometric cannot be normalized")
-    return xs / peak[:, None, None]
+    xs /= peak[:, None, None]
+    return xs
 
 
 def _gap_gate(h, min_gap):
@@ -218,7 +228,7 @@ def _symmetric_elements(coefs, n):
 
 
 def _dense_route(h):
-    """Null space of X -> H^T X - X H over the symmetric subspace, by SVD."""
+    """Null space of X -> H^T X - X H over the symmetric subspace, by SVD, normalized."""
     n = h.n
     a = _intertwining_operator(dense(h))
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
@@ -230,10 +240,10 @@ def _dense_route(h):
             f"intertwining kernel dimension {dim} != n={n} "
             f"(singular values near the cutoff: {sv[max(rank - 2, 0):rank + 2]})"
         )
-    return _symmetric_elements(vt[rank:], n)
+    return _normalize_elements(_symmetric_elements(vt[rank:], n))
 
 
-def _recurrence_elements(sup, sub):
+def _recurrence_elements(sup, sub, flip=False):
     """The n solutions of H^T X = X H with first rows e_1..e_n, stacked (n, n, n).
 
     Row i+1 of every element follows from entry (i, j) of the equation,
@@ -241,22 +251,29 @@ def _recurrence_elements(sup, sub):
         X[i+1, j] = (X[i, j-1] sup[j-1] + X[i, j+1] sub[j] - sup[i-1] X[i-1, j]) / sub[i]
 
     (the diagonal of H is constant, so it cancels).  Entries j >= i+1 of row
-    i+1 use entries j >= i of the rows above only, so the upper triangle is
-    mirrored onto the lower one to make each element exactly symmetric.
+    i+1 use entries j >= i of the rows above only, so only the upper triangle
+    is computed, and it is mirrored in place onto the lower one to make each
+    element exactly symmetric; adding 0.0 then turns every -0.0 into +0.0.
+    With ``flip`` the recurrence writes through a view reversed along both
+    matrix axes, so the C-contiguous result holds F X F (F the reversal) for
+    each solution X of the problem that sup and sub describe.
     """
     n = sub.size + 1
-    # Laid out (row, element, column) so that each step writes one contiguous block.
-    x = np.zeros((n, n, n))
-    x[0] = np.eye(n)
+    elements = np.zeros((n, n, n))
+    x = elements[:, ::-1, ::-1] if flip else elements
+    x[:, 0] = np.eye(n)
     for i in range(n - 1):
-        row = x[i + 1]
-        row[:, 1:] = x[i, :, :-1] * sup
-        row[:, :-1] += x[i, :, 1:] * sub
+        j = i + 1
+        row = x[:, j, j:]
+        row[...] = x[:, i, i:-1] * sup[i:]
+        row[:, :-1] += x[:, i, j + 1 :] * sub[j:]
         if i:
-            row -= sup[i - 1] * x[i - 1]
+            row -= sup[i - 1] * x[:, i - 1, j:]
         row /= sub[i]
-    x = x.transpose(1, 0, 2)
-    return np.triu(x) + np.triu(x, 1).transpose(0, 2, 1)
+    for r in range(1, n):
+        x[:, r, :r] = x[:, :r, r]
+    elements += 0.0
+    return elements
 
 
 def _recurrence_route(h):
@@ -264,22 +281,25 @@ def _recurrence_route(h):
 
     Upward is the downward recurrence on the flipped problem F H F, whose
     super- and sub-diagonals are H's sub- and super-diagonals reversed; its
-    solutions X' give F X' F for H.  Refused (NumericalError) when an entry
-    grows past RECURRENCE_GROWTH_MAX, overflows, or divides by a zero bond.
+    solutions X' give F X' F for H.  Returns the elements normalized.
+    Refused (NumericalError) when an entry grows past RECURRENCE_GROWTH_MAX,
+    overflows, or divides by a zero bond.
     """
     with np.errstate(all="ignore"):
         if np.abs(h.sub).min() >= np.abs(h.super).min():
             x = _recurrence_elements(h.super, h.sub)
         else:
-            x = _recurrence_elements(h.sub[::-1], h.super[::-1])[:, ::-1, ::-1]
-    growth = float(np.abs(x).max())
+            x = _recurrence_elements(h.sub[::-1], h.super[::-1], flip=True)
+    # The largest entry is the largest of the peaks the normalization divides by.
+    peak = _peaks(x)
+    growth = float(np.abs(peak).max())
     # Written so that NaN (a zero bond in both directions) fails it too.
     if not growth <= RECURRENCE_GROWTH_MAX:
         raise NumericalError(
             f"first-row recurrence grew to {growth:.3e} (limit {RECURRENCE_GROWTH_MAX:.0e}) "
             f"at n={h.n}, lambda={h.couplings.lam}, mu={h.couplings.mu}"
         )
-    return x
+    return _normalize_elements(x, peak)
 
 
 def spectral_dyads(h):
@@ -300,7 +320,7 @@ def spectral_dyads(h):
 
 
 def _dyad_route(h):
-    """Orthonormalized span of the spectral dyads (couplings in the open square)."""
+    """Orthonormalized span of the spectral dyads (couplings in the open square), normalized."""
     n = h.n
     v = np.stack([x.reshape(-1) for x in spectral_dyads(h)], axis=1)
     q, r = np.linalg.qr(v)
@@ -310,7 +330,7 @@ def _dyad_route(h):
             f"spectral dyads are numerically dependent (pivot ratio {rd.min() / rd.max():.3e})"
         )
     x = q.T.reshape(n, n, n)
-    return 0.5 * (x + x.transpose(0, 2, 1))
+    return _normalize_elements(0.5 * (x + x.transpose(0, 2, 1)))
 
 
 def kernel_basis(h, route=None):
@@ -343,15 +363,16 @@ def kernel_basis(h, route=None):
     if route == "dyad":
         return _certified_basis(h, _dyad_route(h), route)
     _reject_degenerate(h)
-    raw = _recurrence_route(h) if route == "recurrence" else _dense_route(h)
-    return _certified_basis(h, raw, route)
+    elements = _recurrence_route(h) if route == "recurrence" else _dense_route(h)
+    return _certified_basis(h, elements, route)
 
 
-def _certified_basis(h, raw, route):
-    """Normalize the stacked (n, n, n) elements and check residuals and independence."""
-    basis = _normalize_elements(raw)
+def _certified_basis(h, basis, route):
+    """Check the residuals and independence of a route's normalized (n, n, n) elements."""
     hd = dense(h)
-    residuals = np.abs(hd.T @ basis - basis @ hd).max(axis=(1, 2), initial=0.0)
+    defect = hd.T @ basis
+    defect -= basis @ hd
+    residuals = np.abs(defect, out=defect).max(axis=(1, 2), initial=0.0)
     bound = RESIDUAL_FACTOR * _entry_norm_h(h)
     if residuals.max(initial=0.0) > bound:
         raise NumericalError(

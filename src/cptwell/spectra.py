@@ -359,6 +359,11 @@ def _stacked(solver, a, rows, failed):
     return out, bad
 
 
+# Couplings near the float range overflow in intermediate products (the bond
+# products, the double-double Taylor terms, the conjugate pairing); those cells
+# come out non-finite or failed, and numpy's RuntimeWarnings about them, which
+# carry the path of the installed source, are not raised.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
 

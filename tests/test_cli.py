@@ -533,6 +533,40 @@ class TestArrayEncoder:
         expected = json.dumps({"a": [a.tolist()]}, indent=2) + "\n"
         assert cli.render({"a": [a]}, (), (), "json") == expected
 
+    @staticmethod
+    @st.composite
+    def shared_value_payloads(draw):
+        """Nested dicts and lists holding 1-4 float arrays (0-3 axes, possibly
+        as transposed or strided views) and float scalars, all drawn from one
+        small pool of values, so that values recur across the arrays."""
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e16, 1e-7, 0.1]
+        pool = draw(st.lists(st.one_of(st.sampled_from(special), st.floats()),
+                             min_size=1, max_size=6))
+        payload = {"scalar": draw(st.sampled_from(pool))}
+        for k in range(draw(st.integers(1, 4))):
+            shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+            entries = draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+            dtype = draw(st.sampled_from([np.float64, np.float32]))
+            with np.errstate(over="ignore"):
+                a = np.array(entries, dtype=dtype).reshape(shape)
+            a = a.transpose(draw(st.permutations(range(a.ndim))))
+            steps = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=a.ndim,
+                                  max_size=a.ndim))
+            node = a[(*(slice(None, None, step) for step in steps), Ellipsis)]
+            for _ in range(draw(st.integers(0, 2))):
+                if draw(st.booleans()):
+                    node = [draw(st.sampled_from(pool)), node]
+                else:
+                    node = {"inner": node, "n": k}
+            payload[f"array{k}"] = node
+        return payload
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_value_payloads())
+    def test_arrays_sharing_values_render_as_json_dumps_of_the_payload(self, payload):
+        assert cli.render(payload, (), (), "json") == reference_json(payload)
+
 
 class TestParserReuse:
     """One parser serves every main() call and answers as a fresh one would."""

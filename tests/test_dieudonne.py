@@ -557,6 +557,64 @@ class TestDyadRouteAssembly:
                 assert bits(pm.independence) == bits(independence), (n, lam, mu)
 
 
+def loop_recurrence_basis(h):
+    """Reference: the recurrence one element at a time over whole rows, made
+    symmetric by the sum triu(X) + triu(X, 1)^T, normalized, checked through
+    public residual()."""
+    n = h.n
+    down = np.abs(h.sub).min() >= np.abs(h.super).min()
+    sup, sub = (h.super, h.sub) if down else (h.sub[::-1], h.super[::-1])
+    basis = []
+    for k in range(n):
+        x = np.zeros((n, n))
+        x[0, k] = 1.0
+        for i in range(n - 1):
+            x[i + 1, 1:] = x[i, :-1] * sup
+            x[i + 1, :-1] += x[i, 1:] * sub
+            if i:
+                x[i + 1] -= sup[i - 1] * x[i - 1]
+            x[i + 1] /= sub[i]
+        x = np.triu(x) + np.triu(x, 1).T
+        if not down:
+            x = x[::-1, ::-1]
+        flat = x.reshape(-1)
+        basis.append(x / flat[int(np.abs(flat).argmax())])
+    residuals = np.array([residual(h, x) for x in basis])
+    stacked = np.stack([x.reshape(-1) for x in basis], axis=1)
+    return basis, residuals, float(np.linalg.svd(stacked, compute_uv=False)[-1])
+
+
+class TestRecurrenceRouteAssembly:
+    """The all-elements-at-once recurrence, its in-place mirror and the shared
+    normalization against the per-element loop; equality is bitwise."""
+
+    SIZES = (2, 3, 8, 33, 64)
+    # Both directions, a zero and a negative-zero coupling, a line, and a cell
+    # outside the window.
+    COUPLINGS = ((0.41, -0.27), (-0.27, 0.41), (-0.0, 0.3), (0.6, -0.0), (-0.0, -0.0),
+                 (0.0, 0.0), (0.7, 0.7), (-0.5, 0.5), (1.3, 1.3), (3.0, -0.5))
+
+    def test_recurrence_route_matches_the_loop_construction(self):
+        for n in self.SIZES:
+            for lam, mu in self.COUPLINGS:
+                h = well(n, lam, mu)
+                pm = kernel_basis(h, route="recurrence")
+                basis, residuals, independence = loop_recurrence_basis(h)
+                assert np.array_equal(bits(pm.basis), bits(basis)), (n, lam, mu)
+                assert np.array_equal(bits(pm.residuals), bits(residuals)), (n, lam, mu)
+                assert bits(pm.independence) == bits(independence), (n, lam, mu)
+
+    def test_every_element_equals_its_transpose_bit_for_bit(self):
+        # The mirrored triangle is exactly the computed one, and every zero of
+        # an element is +0.0 divided by its peak: all zeros share one sign.
+        for n in self.SIZES:
+            for lam, mu in self.COUPLINGS:
+                for x in kernel_basis(well(n, lam, mu), route="recurrence").basis:
+                    assert np.array_equal(bits(x), bits(x.T)), (n, lam, mu)
+                    zeros = np.signbit(x[x == 0.0])
+                    assert zeros.all() or not zeros.any(), (n, lam, mu)
+
+
 class TestSpectralDyads:
     def test_each_dyad_solves_the_equation(self):
         h = well(6, 0.3)

@@ -11,10 +11,13 @@ Independent oracles frozen into this file:
 """
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptwell import spectra
 from cptwell.errors import ConvergenceError, NumericalError, ValidationError
@@ -271,6 +274,88 @@ class TestSpectralSymmetries:
             assert np.max(np.abs(matched - (2.0 + gap * np.array([-1, 1])))) <= 1e-12
             assert np.max(np.abs(opposite - (2.0 + (1 + lam) * np.array([-1, 1])))) <= 1e-12
             assert np.max(np.abs(matched - opposite)) > 0.1
+
+
+# Couplings of the reality window, where every n >= 3 takes the real branch.
+WINDOW = st.floats(-0.99, 0.99)
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExactInvariantProperties:
+    """Exact invariants of det(H - E): for n >= 3 the spectrum depends on the
+    couplings only through the bond products (1 - lambda^2) and (1 - mu^2) at
+    the two ends, and H - 2 is similar to its negative for every n."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64), WINDOW, WINDOW)
+    def test_coupling_signs_leave_the_real_branch_bit_for_bit(self, n, lam, mu):
+        # Flipping a sign swaps the two factors of one end-bond product, and a
+        # floating-point product does not depend on their order.
+        ref = spectrum_of(well(n, lam, mu))
+        for other in (well(n, -lam, mu), well(n, lam, -mu)):
+            s = spectrum_of(other)
+            assert bitwise_equal(s.values, ref.values), (n, lam, mu)
+            assert s.all_real and bitwise_equal(np.float64(s.min_gap), np.float64(ref.min_gap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64), WINDOW, WINDOW)
+    def test_swapping_the_couplings_keeps_the_spectrum(self, n, lam, mu):
+        # Swapping them reverses the bond products, i.e. conjugates the
+        # symmetrized form by the reversal: the same spectrum up to rounding.
+        h = well(n, lam, mu)
+        tol = 1e-12 * max(1.0, h.gershgorin_radius())
+        a = spectrum_of(h).values
+        b = spectrum_of(well(n, mu, lam)).values
+        assert np.abs(a - b).max() <= tol, (n, lam, mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64), WINDOW, WINDOW)
+    def test_the_spectrum_is_mirror_symmetric_about_two(self, n, lam, mu):
+        # D (H - 2) D = -(H - 2) for D = diag((-1)^k): E and 4 - E pair up.
+        h = well(n, lam, mu)
+        tol = 1e-12 * max(1.0, h.gershgorin_radius())
+        v = spectrum_of(h).values
+        assert np.abs(v + v[::-1] - 4.0).max() <= tol, (n, lam, mu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+           st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
+    def test_two_sites_break_the_sign_invariants(self, a, b, sa, sb):
+        # One bond carries both couplings, (1 + lambda)(1 - mu), so the levels
+        # 2 -/+ sqrt((1 + lambda)(1 - mu)) move when either sign flips.
+        lam, mu = sa * a, sb * b
+
+        def levels(lam, mu):
+            return spectrum_of(well(2, lam, mu)).values.real
+
+        for la, m in ((lam, mu), (-lam, mu), (lam, -mu)):
+            gap = np.sqrt((1.0 + la) * (1.0 - m))
+            assert np.abs(levels(la, m) - (2.0 + gap * np.array([-1.0, 1.0]))).max() <= 1e-12
+        assert np.abs(levels(-lam, mu) - levels(lam, mu)).max() > 1e-3
+        assert np.abs(levels(lam, -mu) - levels(lam, mu)).max() > 1e-3
+
+
+class TestHugeCouplings:
+    def test_overflowing_intermediates_raise_no_warnings(self):
+        # The bond products and the root-polishing terms overflow here; the
+        # cells come out as they always did, without a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = spectrum_of(well(2, 1e308, 0.0))
+            assert np.array_equal(s.values, 2.0 + 1e154 * np.array([-1.0, 1.0]))
+            assert s.all_real
+            scan = scan_domain(3, [1e300], [1e300])
+            # Levels 2 and 2 +/- sqrt(2 - lambda^2 - mu^2) = 2 +/- i sqrt(2) 1e300.
+            assert scan.complex_pairs.tolist() == [1] and not scan.all_real[0]
+            assert scan.min_gap[0] == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-12)
+            for n, lam, mu in ((2, 1e308, 1e308), (3, 1e308, 0.0), (5, 1.0, 1e308),
+                               (5, 1e154, 1e-300), (9, -1e308, 1e308)):
+                spectrum_of(well(n, lam, mu))
+                scan_domain(n, [lam, 0.5], [mu, -mu])
+                scan_line(n, [lam], -1)
 
 
 class TestSpectrumType:
