@@ -553,14 +553,20 @@ def dispatch(cfg):
         return render(payload, header, rows, cfg.fmt)
 
 
-def _absorb_grid_value(argv):
-    """Join '--grid LO:HI:STEP' into '--grid=...' so a leading minus parses."""
+# Options whose value may start with '-'.  argparse takes only '-1' or '-.5'
+# style tokens for negative numbers, so '--lambda -1.5e-1' or
+# '--grid -1:1:0.5' would otherwise read as a missing value.
+SIGNED_OPTIONS = frozenset({"--grid", "--lambda", "--mu", "--tol"})
+
+
+def _absorb_signed_values(argv):
+    """Join each 'OPTION VALUE' of SIGNED_OPTIONS into 'OPTION=VALUE'."""
     out = []
     it = iter(argv)
     for tok in it:
-        if tok == "--grid":
+        if tok in SIGNED_OPTIONS:
             val = next(it, None)
-            out.append(tok if val is None else f"--grid={val}")
+            out.append(tok if val is None else f"{tok}={val}")
         else:
             out.append(tok)
     return out
@@ -570,7 +576,7 @@ def main(argv=None):
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(_absorb_grid_value(argv))
+        ns = parser.parse_args(_absorb_signed_values(argv))
         cfg = _config_from(ns)
         text = dispatch(cfg)
     except _UsageError as exc:

@@ -75,14 +75,6 @@ class SymmetrizedForm:
     def n(self):
         return self.s_diag.shape[0]
 
-    def gershgorin_bounds(self):
-        """(lo, hi) bracketing the whole spectrum."""
-        n = self.n
-        r = np.zeros(n)
-        r[:-1] += np.abs(self.s_off)
-        r[1:] += np.abs(self.s_off)
-        return float((self.s_diag - r).min()), float((self.s_diag + r).max())
-
 
 def _freeze(a):
     a = np.ascontiguousarray(a, dtype=float)

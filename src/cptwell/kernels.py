@@ -1,398 +1,29 @@
-"""Numeric kernels shared by the spectral routines.
+"""The characteristic-polynomial recurrence behind `spectra.char_poly`."""
 
-Every kernel is written once, in numba-compatible numpy, and compiled with
-``numba.njit`` at import time unless the environment variable
-``CPTWELL_DISABLE_NUMBA=1`` is set (or numba is missing), in which case the
-plain-Python/numpy versions run as-is.  The un-jitted functions stay reachable
-under ``*_py`` names so tests and benchmarks can compare both paths inside one
-process.
-
-The kernels are deliberately self-contained: the Sturm-count recurrence and the
-characteristic-polynomial recurrence are inlined where needed instead of calling
-across kernel boundaries, so that each function is compilable (or interpretable)
-on its own regardless of which backend the others use.
-"""
-
-import os
-
-import numpy as np
-
-_EPS = float(np.finfo(np.float64).eps)
-_EPS2 = 2.0**-104
-
-DISABLE_ENV = "CPTWELL_DISABLE_NUMBA"
-
-if os.environ.get(DISABLE_ENV, "") == "1":
-    HAS_NUMBA = False
-else:
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        HAS_NUMBA = False
-
-
-def sturm_count(sd, so2, shifts, tiny):
-    """Count eigenvalues of the symmetric tridiagonal below each shift.
-
-    ``sd`` is the diagonal, ``so2`` the squared off-diagonal, ``shifts`` a
-    vector of evaluation points.  The count uses the LDL^T pivot recurrence;
-    pivots closer to zero than ``tiny`` are replaced by ``-tiny`` (an exact hit
-    counts as "below").
-    """
-    n = sd.shape[0]
-    m = shifts.shape[0]
-    count = np.zeros(m, np.int64)
-    q = sd[0] - shifts
-    q = np.where(np.abs(q) < tiny, -tiny, q)
-    count += (q < 0.0).astype(np.int64)
-    for i in range(1, n):
-        q = sd[i] - shifts - so2[i - 1] / q
-        q = np.where(np.abs(q) < tiny, -tiny, q)
-        count += (q < 0.0).astype(np.int64)
-    return count
-
-
-def bisect_spectrum(sd, so2, lo0, hi0, iters, tiny):
-    """All eigenvalues of a symmetric tridiagonal by simultaneous bisection.
-
-    ``lo0``/``hi0`` must bracket the whole spectrum (Gershgorin bounds do).
-    Runs a fixed number of bisection steps on every eigenvalue index at once;
-    62 steps shrink an order-10 bracket below 1e-17, past double resolution.
-    Returns the eigenvalues in ascending order.
-    """
-    n = sd.shape[0]
-    lo = np.full(n, lo0)
-    hi = np.full(n, hi0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        # Sturm count at the n per-index midpoints (inlined recurrence).
-        count = np.zeros(n, np.int64)
-        q = sd[0] - mid
-        q = np.where(np.abs(q) < tiny, -tiny, q)
-        count += (q < 0.0).astype(np.int64)
-        for i in range(1, n):
-            q = sd[i] - mid - so2[i - 1] / q
-            q = np.where(np.abs(q) < tiny, -tiny, q)
-            count += (q < 0.0).astype(np.int64)
-        for k in range(n):
-            if count[k] >= k + 1:
-                hi[k] = mid[k]
-            else:
-                lo[k] = mid[k]
-    return 0.5 * (lo + hi)
-
-
-def tridiag_solve_shifted(sd, so, shift, rhs, tiny):
-    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T.
-
-    Gaussian elimination with partial pivoting; the row swaps create one
-    fill-in superdiagonal.  Pivots smaller than ``tiny`` are nudged to ``tiny``
-    so that inverse iteration at a converged eigenvalue stays finite.
-    """
-    n = sd.shape[0]
-    d = sd - shift
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    for i in range(n - 1):
-        u1[i] = so[i]
-    x = rhs.copy()
-    for i in range(n - 1):
-        below = so[i]
-        if abs(below) > abs(d[i]):
-            t = d[i]
-            d[i] = below
-            below = t
-            t = u1[i]
-            u1[i] = d[i + 1]
-            d[i + 1] = t
-            u2[i] = u1[i + 1]
-            u1[i + 1] = 0.0
-            t = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = t
-        piv = d[i]
-        if abs(piv) < tiny:
-            piv = tiny
-            d[i] = tiny
-        m = below / piv
-        d[i + 1] -= m * u1[i]
-        u1[i + 1] -= m * u2[i]
-        x[i + 1] -= m * x[i]
-    for i in range(n - 1, -1, -1):
-        acc = x[i]
-        if i + 1 < n:
-            acc -= u1[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= u2[i] * x[i + 2]
-        piv = d[i]
-        if abs(piv) < tiny:
-            piv = tiny
-        x[i] = acc / piv
-    return x
+# There is no jit backend; `bench/provenance.py` reads this flag to label the
+# backend of a benchmark run.
+HAS_NUMBA = False
 
 
 def charpoly_terms(diag, bonds, z):
     """Characteristic polynomial of the tridiagonal family at a complex point.
 
     ``bonds[k]`` is the product super[k]*sub[k]; the determinant obeys
-    p_k = (diag_k - z) p_{k-1} - bonds_{k-1} p_{k-2}.  Returns
-    (p, dp/dz, err, nscale) where ``err`` bounds the roundoff accumulated in p
-    (so callers can stop refining once |p| sinks into the noise) and the true
-    determinant is p * 2**(512*nscale): all running terms are rescaled together
-    by the exact power 2**-512 whenever they grow past 1e150, which leaves the
-    Newton ratio p/dp and the |p|-versus-err comparison untouched.
+    p_k = (diag_k - z) p_{k-1} - bonds_{k-1} p_{k-2}.  Returns (p, nscale),
+    where the true determinant is p * 2**(512*nscale): both running terms are
+    rescaled together by the exact power 2**-512 whenever they grow past 1e150.
     """
     n = diag.shape[0]
     pm2 = 1.0 + 0.0j
     pm1 = diag[0] - z
-    dm2 = 0.0 + 0.0j
-    dm1 = -1.0 + 0.0j
-    em2 = 0.0
-    em1 = _EPS * abs(pm1)
     nscale = 0
     for k in range(1, n):
-        a = diag[k] - z
-        b = bonds[k - 1]
-        t1 = a * pm1
-        t2 = b * pm2
-        p = t1 - t2
-        dp = a * dm1 - pm1 - b * dm2
-        e = abs(a) * em1 + abs(b) * em2 + 2.0 * _EPS * (abs(t1) + abs(t2) + abs(p))
+        p = (diag[k] - z) * pm1 - bonds[k - 1] * pm2
         pm2 = pm1
         pm1 = p
-        dm2 = dm1
-        dm1 = dp
-        em2 = em1
-        em1 = e
-        if abs(pm1.real) + abs(pm1.imag) > 1e150 or em1 > 1e150:
+        if abs(pm1.real) + abs(pm1.imag) > 1e150:
             s = 2.0**-512
             pm2 *= s
             pm1 *= s
-            dm2 *= s
-            dm1 *= s
-            em2 *= s
-            em1 *= s
             nscale += 1
-    return pm1, dm1, em1, nscale
-
-
-def newton_roots(diag, bonds, guesses, re_lo, re_hi, im_rad, maxit, restarts, seed):
-    """All roots of the tridiagonal characteristic polynomial.
-
-    Newton iteration with Maehly deflation against the roots already found,
-    started from ``guesses``; each root gets deterministic LCG-seeded restarts
-    inside the [re_lo, re_hi] x [-im_rad, im_rad] box if an attempt stalls.
-    After deflated convergence the root is polished with a few plain Newton
-    steps on the undeflated polynomial.
-
-    The determinant recurrence is evaluated in compensated (double-double)
-    arithmetic: in plain doubles the evaluation noise around the extreme
-    roots grows so fast with n that past n ~ 40 the noise disk spans several
-    root spacings, while the compensated value is good to ~2**-104 of the
-    running magnitudes, so every root is resolved to the precision of the
-    iterate itself.  The primary stop is the Newton step shrinking to a few
-    ulp of the iterate; an accumulated noise estimate for the compensated
-    value gives an early exit at genuine zeros.
-
-    Returns (roots, ok, info); ``info[r]`` holds (|p| at the final iterate,
-    iterations used, attempts used) for diagnostics.
-    """
-    n = diag.shape[0]
-
-    def two_sum(a, b):
-        s = a + b
-        bb = s - a
-        return s, (a - (s - bb)) + (b - bb)
-
-    def dd_prod(a, b):
-        # exact double*double product via Dekker splitting (hi, lo)
-        t = 134217729.0 * a
-        a1 = t - (t - a)
-        a2 = a - a1
-        t = 134217729.0 * b
-        b1 = t - (t - b)
-        b2 = b - b1
-        p = a * b
-        return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-    def dd_mul(ahi, alo, bhi, blo):
-        p, e = dd_prod(ahi, bhi)
-        e = e + (ahi * blo + alo * bhi)
-        return two_sum(p, e)
-
-    def dd_add(ahi, alo, bhi, blo):
-        s, e = two_sum(ahi, bhi)
-        e = e + (alo + blo)
-        return two_sum(s, e)
-
-    def eval_pd(z):
-        # Double-double three-term recurrences for p = det(H - z) and dp/dz.
-        # Both must be compensated: near the extreme roots at larger n the
-        # running terms reach ~1e19 while p' is only ~1e3, so the plain-double
-        # roundoff would swamp not just p but the Newton step direction too.
-        # All running terms are rescaled together by 2**-512 when they outgrow
-        # 1e150; the scaling cancels out of the Newton ratio and of the
-        # |p|-versus-err comparison.
-        zre = z.real
-        zim = z.imag
-        u_rh, u_rl, u_ih, u_il = 1.0, 0.0, 0.0, 0.0
-        v_rh, v_rl = two_sum(diag[0], -zre)
-        v_ih, v_il = -zim, 0.0
-        x_rh, x_rl, x_ih, x_il = 0.0, 0.0, 0.0, 0.0
-        w_rh, w_rl, w_ih, w_il = -1.0, 0.0, 0.0, 0.0
-        em2 = 0.0
-        em1 = 0.0
-        for k in range(1, n):
-            a_rh, a_rl = two_sum(diag[k], -zre)
-            b = bonds[k - 1]
-            # t1 = (a_r + i a_i) * prev1, all four real products in dd
-            m1h, m1l = dd_mul(a_rh, a_rl, v_rh, v_rl)
-            m2h, m2l = dd_mul(-zim, 0.0, v_ih, v_il)
-            t1rh, t1rl = dd_add(m1h, m1l, -m2h, -m2l)
-            m3h, m3l = dd_mul(a_rh, a_rl, v_ih, v_il)
-            m4h, m4l = dd_mul(-zim, 0.0, v_rh, v_rl)
-            t1ih, t1il = dd_add(m3h, m3l, m4h, m4l)
-            # t2 = b * prev2
-            t2rh, t2rl = dd_mul(b, 0.0, u_rh, u_rl)
-            t2ih, t2il = dd_mul(b, 0.0, u_ih, u_il)
-            # p_new = t1 - t2
-            prh, prl = dd_add(t1rh, t1rl, -t2rh, -t2rl)
-            pih, pil = dd_add(t1ih, t1il, -t2ih, -t2il)
-            # dp_new = a * dprev1 - prev1 - b * dprev2
-            m1h, m1l = dd_mul(a_rh, a_rl, w_rh, w_rl)
-            m2h, m2l = dd_mul(-zim, 0.0, w_ih, w_il)
-            d1rh, d1rl = dd_add(m1h, m1l, -m2h, -m2l)
-            m3h, m3l = dd_mul(a_rh, a_rl, w_ih, w_il)
-            m4h, m4l = dd_mul(-zim, 0.0, w_rh, w_rl)
-            d1ih, d1il = dd_add(m3h, m3l, m4h, m4l)
-            d1rh, d1rl = dd_add(d1rh, d1rl, -v_rh, -v_rl)
-            d1ih, d1il = dd_add(d1ih, d1il, -v_ih, -v_il)
-            t3rh, t3rl = dd_mul(b, 0.0, x_rh, x_rl)
-            t3ih, t3il = dd_mul(b, 0.0, x_ih, x_il)
-            d1rh, d1rl = dd_add(d1rh, d1rl, -t3rh, -t3rl)
-            d1ih, d1il = dd_add(d1ih, d1il, -t3ih, -t3il)
-            # Accumulated noise estimate: fresh double-double roundoff per
-            # step, with prior noise carried at factor one.  The worst-case
-            # |a|*e1 + |b|*e2 propagation would grow like 2.4**n and swamp the
-            # true noise by ~20 orders in the oscillatory regime (|p_k| stays
-            # O(1) there); the step-size criterion below is the rigorous stop,
-            # this estimate only provides an early exit at genuine zeros.
-            e_new = max(em1, em2) + 4.0 * _EPS2 * (
-                abs(complex(t1rh, t1ih)) + abs(complex(t2rh, t2ih)) + abs(complex(prh, pih))
-            )
-            u_rh, u_rl, u_ih, u_il = v_rh, v_rl, v_ih, v_il
-            v_rh, v_rl, v_ih, v_il = prh, prl, pih, pil
-            x_rh, x_rl, x_ih, x_il = w_rh, w_rl, w_ih, w_il
-            w_rh, w_rl, w_ih, w_il = d1rh, d1rl, d1ih, d1il
-            em2 = em1
-            em1 = e_new
-            if abs(v_rh) + abs(v_ih) > 1e150 or em1 > 1e150:
-                s = 2.0**-512
-                u_rh *= s
-                u_rl *= s
-                u_ih *= s
-                u_il *= s
-                v_rh *= s
-                v_rl *= s
-                v_ih *= s
-                v_il *= s
-                x_rh *= s
-                x_rl *= s
-                x_ih *= s
-                x_il *= s
-                w_rh *= s
-                w_rl *= s
-                w_ih *= s
-                w_il *= s
-                em2 *= s
-                em1 *= s
-        return complex(v_rh, v_ih), complex(w_rh, w_ih), em1
-
-    roots = np.zeros(n, np.complex128)
-    ok = np.zeros(n, np.bool_)
-    info = np.zeros((n, 3))
-    state = np.int64(seed % 2147483647 + 1)
-    for r in range(n):
-        z = guesses[r]
-        found = False
-        attempts = 0
-        iters = 0
-        plast = 0.0
-        for attempt in range(restarts + 1):
-            attempts = attempt + 1
-            if attempt > 0:
-                state = (1103515245 * state + 12345) % 2147483648
-                fr = state / 2147483648.0
-                state = (1103515245 * state + 12345) % 2147483648
-                fi = state / 2147483648.0
-                z = complex(re_lo + fr * (re_hi - re_lo), (2.0 * fi - 1.0) * im_rad)
-            for it in range(maxit):
-                iters = it + 1
-                p, dp, err = eval_pd(z)
-                plast = abs(p)
-                if plast <= 4.0 * err:
-                    found = True
-                    break
-                # Maehly deflation: subtract the logarithmic derivative of the
-                # roots already found.  Tiny separations are fine (the huge
-                # pole term just repels the iterate to the other side, which is
-                # how clustered copies get resolved); only a dead-exact overlap
-                # needs a nudge to keep 1/dz finite.
-                defl = 0.0 + 0.0j
-                collide = False
-                for j in range(r):
-                    dz = z - roots[j]
-                    if abs(dz) < 1e-290:
-                        collide = True
-                        break
-                    defl += 1.0 / dz
-                if collide:
-                    z = z + 4.0 * _EPS * (1.0 + abs(z)) * complex(0.7, 0.7)
-                    continue
-                denom = dp - p * defl
-                if abs(denom) == 0.0:
-                    break
-                step = p / denom
-                z = z - step
-                if abs(step) <= 8.0 * _EPS * (1.0 + abs(z)):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            # polish on the undeflated polynomial
-            for _ in range(3):
-                p, dp, err = eval_pd(z)
-                plast = abs(p)
-                if plast <= 4.0 * err or abs(dp) == 0.0:
-                    break
-                step = p / dp
-                if abs(step) > 0.1 * (1.0 + abs(z)):
-                    break
-                z = z - step
-                if abs(step) <= 8.0 * _EPS * (1.0 + abs(z)):
-                    break
-        roots[r] = z
-        ok[r] = found
-        info[r, 0] = plast
-        info[r, 1] = iters
-        info[r, 2] = attempts
-    return roots, ok, info
-
-
-# Plain-Python handles kept for direct comparison against the jitted versions.
-sturm_count_py = sturm_count
-bisect_spectrum_py = bisect_spectrum
-tridiag_solve_shifted_py = tridiag_solve_shifted
-charpoly_terms_py = charpoly_terms
-newton_roots_py = newton_roots
-
-if HAS_NUMBA:
-    _jit = numba.njit(cache=True, fastmath=False)
-    sturm_count = _jit(sturm_count)
-    bisect_spectrum = _jit(bisect_spectrum)
-    tridiag_solve_shifted = _jit(tridiag_solve_shifted)
-    charpoly_terms = _jit(charpoly_terms)
-    newton_roots = _jit(newton_roots)
+    return pm1, nscale

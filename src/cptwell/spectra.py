@@ -26,6 +26,7 @@ or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
 ``min_gap`` is the smallest pairwise distance between the sorted values.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,14 +170,17 @@ def char_poly(h, e):
     """det(H - e*I) via the three-term recurrence (complex-capable).
 
     For one site the determinant is just diag[0] - e; the recurrence handles
-    that edge because the bond loop is empty.
+    that edge because the bond loop is empty.  A determinant past the float
+    range raises `NumericalError` carrying its natural log-magnitude.
     """
-    diag = np.ascontiguousarray(h.diag)
-    bonds = np.ascontiguousarray(h.bonds)
-    p, _, _, nscale = kernels.charpoly_terms(diag, bonds, complex(e))
-    if nscale:
-        p = p * (2.0 ** (512.0 * nscale))
-    return complex(p)
+    p, nscale = kernels.charpoly_terms(h.diag, h.bonds, complex(e))
+    try:
+        return complex(math.ldexp(p.real, 512 * nscale), math.ldexp(p.imag, 512 * nscale))
+    except OverflowError:
+        log_mag = math.log(abs(p)) + 512 * nscale * math.log(2.0)
+        raise NumericalError(
+            f"det(H - e) overflows the float range: log|det| = {log_mag:.17g}"
+        ) from None
 
 
 def _enforce_conjugate_pairs(values, tol):

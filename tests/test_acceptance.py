@@ -91,7 +91,7 @@ def report(k, ok, detail):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
+def warm_both_branches():
     # Run both solver branches once before criterion 1 starts its stopwatch.
     spectrum_of(well(4, 0.5))
     spectrum_of(well(3, 1.01))

@@ -97,9 +97,20 @@ class TestSpectrumCommand:
         assert a == b
 
     def test_negative_lambda_parses(self):
-        rc, out, _ = run("spectrum", "-N", "2", "--lambda", "-0.5")
-        assert rc == 0
-        assert json.loads(out)["lambda"] == -0.5
+        # argparse alone reads only '-1' and '-.5' style tokens as numbers.
+        for argv, lam, mu in (
+            (("spectrum", "-N", "2", "--lambda", "-0.5"), -0.5, -0.5),
+            (("spectrum", "-N", "3", "--lambda", "-1.5e-1"), -0.15, -0.15),
+            (("spectrum", "-N", "3", "--lambda", "0.2", "--mu", "-1e-3"), 0.2, -1e-3),
+            (("metric", "-N", "4", "--lambda", "-2E-1", "--mu", "-2E-1"), -0.2, -0.2),
+            (("continuum", "--lambda", "-1e-1", "-N", "16"), -0.1, None),
+        ):
+            rc, out, err = run(*argv)
+            assert rc == 0, (argv, err)
+            payload = json.loads(out)
+            assert payload["lambda"] == lam, argv
+            if mu is not None:
+                assert payload["mu"] == mu, argv
 
     def test_output_is_byte_identical_across_runs(self):
         a = run("spectrum", "-N", "6", "--lambda", "0.7", "--format", "csv")
@@ -110,7 +121,7 @@ class TestSpectrumCommand:
         # n = 4 stays real up to lambda = sqrt(5)/2; at 1.05 it takes the
         # general branch, where --tol -1 used to fail the conjugate pairing and
         # --tol nan to report all_real false.
-        for tol in ("-1", "nan", "inf"):
+        for tol in ("-1", "-1e-3", "nan", "inf"):
             for command in (
                 ("spectrum", "-N", "4", "--lambda", "1.05"),
                 ("spectrum", "-N", "4", "--lambda", "0.5"),
@@ -414,7 +425,7 @@ def reference_csv(header, rows):
 
 def config(*argv):
     parser = cli._build_parser()
-    return cli._config_from(parser.parse_args(cli._absorb_grid_value(list(argv))))
+    return cli._config_from(parser.parse_args(cli._absorb_signed_values(list(argv))))
 
 
 class TestArrayEncoder:

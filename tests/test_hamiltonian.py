@@ -191,12 +191,6 @@ class TestSymmetrize:
             b = np.sort(np.linalg.eigvals(dense(h)).real)
             assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_gershgorin_bounds_bracket_the_symmetric_spectrum(self):
-        s = symmetrize(well(7, 0.8, -0.5))
-        lo, hi = s.gershgorin_bounds()
-        ev = np.linalg.eigvalsh(sym_dense(s))
-        assert lo <= ev[0] and ev[-1] <= hi
-
 
 class TestSerialization:
     def test_tridiagonal_dict_carries_the_bands_and_couplings(self):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptwell import spectra
+from cptwell import kernels, spectra
 from cptwell.errors import ConvergenceError, NumericalError, ValidationError
 from cptwell.hamiltonian import CouplingPair, bands, build, dense, dense_bands, symmetrize
 from cptwell.spectra import (
@@ -217,6 +217,53 @@ class TestCharPoly:
         probe = max(abs(char_poly(h, z)) for z in (0.0, 1.1, 2.3, 4.7))
         for v in spec.values:
             assert abs(char_poly(h, v)) <= 1e-10 * probe
+
+    def test_matches_the_chebyshev_form_of_the_determinant(self):
+        # For n >= 3, det(H - E) = U_n(x) + (lam^2 + mu^2) U_{n-2}(x)
+        # + lam^2 mu^2 U_{n-4}(x) with x = 1 - E/2, U_k the Chebyshev
+        # polynomials of the second kind and U_{-1} = 0.
+        rng = np.random.default_rng(20261018)
+        for n in range(3, 65):
+            for _ in range(6):
+                lam, mu = rng.uniform(-2.0, 2.0, 2)
+                e = complex(rng.uniform(-1.0, 5.0), rng.uniform(-2.0, 2.0))
+                x = 1.0 - e / 2.0
+                u = [1.0 + 0.0j, 2.0 * x]  # U_0, U_1, ...
+                for _ in range(n - 1):
+                    u.append(2.0 * x * u[-1] - u[-2])
+                ref = u[n] + (lam**2 + mu**2) * u[n - 2]
+                if n >= 4:
+                    ref += lam**2 * mu**2 * u[n - 4]
+                got = char_poly(well(n, lam, mu), e)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, lam, mu, e)
+
+    def test_two_sites_follow_their_own_closed_form(self):
+        # The Chebyshev form fails at n = 2, where the single bond carries
+        # super = -1 - lam and sub = -1 + mu.
+        for lam, mu, e in ((0.3, -0.7, 1.1 + 0.4j), (1.5, 0.2, -0.3j), (-2.0, 2.0, 4.5)):
+            ref = (2.0 - e) ** 2 - (1.0 + lam) * (1.0 - mu)
+            assert abs(char_poly(well(2, lam, mu), e) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_twice_rescaled_determinant_matches_the_exact_log_sum(self):
+        # det(H0 - z) = prod_k (level_k - z) for the uncoupled well.  At these
+        # points the recurrence is rescaled twice, yet the determinant stays
+        # below the float maximum; the logs agree up to a multiple of 2 pi i.
+        for n, z in ((342, 10.0 + 0.0j), (330, 10.0 - 3.0j), (337, -6.0 + 2.0j)):
+            h = well(n, 0.0)
+            assert kernels.charpoly_terms(h.diag, h.bonds, z)[1] == 2
+            got = char_poly(h, z)
+            ref = np.sum(np.log(dirichlet_levels(n) - z))
+            diff = np.log(got) - ref
+            turns = diff.imag / (2.0 * np.pi)
+            assert abs(diff.real) <= 1e-12 * ref.real, (n, z)
+            assert abs(turns - round(turns)) <= 1e-12 * n, (n, z)
+
+    def test_a_determinant_past_the_float_range_is_a_numerical_error(self):
+        ref = np.sum(np.log(np.abs(dirichlet_levels(400) - 10.0)))
+        with pytest.raises(NumericalError, match=r"log\|det\| = ") as info:
+            char_poly(well(400, 0.0), 10.0)
+        logged = float(str(info.value).rsplit("= ", 1)[1])
+        assert abs(logged - ref) <= 1e-9 * ref
 
 
 class TestExactPolynomialOracle:
