@@ -8,38 +8,31 @@ Math. 9 (1959) 893) every solution is symmetric and the solution space has
 real dimension exactly n.  Inside the reality window it is spanned by the
 rank-one dyads u_k u_k^T built from left eigenvectors.
 
-Three routes compute a basis of that space:
+One construction computes a basis of that space, with no eigenvectors:
+entry (i, j) of H^T X = X H gives row i+1 of X from rows i and i-1, divided
+by the bond H[i+1, i], so X is fixed by its first row.  The first rows
+e_1..e_n give a basis, built for all n elements at once in O(n) vectorized
+steps, O(n^3) work in all.  The recurrence runs downward (dividing by the
+sub-diagonal) or, on the flipped problem F H F, upward from the last row
+(dividing by the super-diagonal): whichever direction's smallest divisor has
+the larger magnitude.  Each element is made exactly symmetric by mirroring
+its upper triangle, which the recurrence computes from rows above it only.
+Any couplings, real or complex spectrum alike.
 
-* recurrence route: entry (i, j) of H^T X = X H gives row i+1 of X from rows
-  i and i-1, divided by the bond H[i+1, i], so X is fixed by its first row.
-  The first rows e_1..e_n give a basis, built for all n elements at once in
-  O(n) vectorized steps, O(n^3) work in all, with no eigenvectors.  The
-  recurrence runs downward (dividing by the sub-diagonal) or, on the flipped
-  problem F H F, upward from the last row (dividing by the super-diagonal):
-  whichever direction's smallest divisor has the larger magnitude.  Each
-  element is made exactly symmetric by mirroring its upper triangle, which
-  the recurrence computes from rows above it only.  Any couplings, real or
-  complex spectrum alike, as long as no entry grows past
-  RECURRENCE_GROWTH_MAX: rounding grows with the entries, and they grow near
-  a zero bond and far outside the window.
-* dyad route: spectral dyads from the symmetrized form, orthonormalized;
-  requires every bond product to be positive (|lambda| < 1 and |mu| < 1 for
-  n >= 3).  O(n^3) work.
-* dense route: singular value decomposition of the intertwining operator
-  restricted to the n(n+1)/2-dimensional symmetric subspace; works for any
-  couplings, real or complex spectrum alike, for O(n^6) work.
+Near a small bond and far outside the window the unit first rows are an
+ill-conditioned basis: the entries grow (by the inverse of the bond, or
+geometrically along the rows) and rounding grows with them, although the
+solution space itself is well defined.  When an entry of the plain run grows
+past RECURRENCE_GROWTH_MAX, the recurrence is run once more, replacing the
+computed rows of the whole stack by an orthonormal recombination (a QR
+factorization along the element axis) whenever a new row has an entry larger
+than 10.  An invertible recombination of solutions is still a basis of the
+solution space, so the recurrence goes on from it.  Only a non-finite result
+(overflow, a zero bond) is refused.
 
-By default the recurrence is tried first, then the dyads, then (for n <= 32
-only) the dense route, and the first basis that passes the residual and
-independence certificates is returned.  A route that raises NumericalError
-(growth past RECURRENCE_GROWTH_MAX, h not symmetrizable, a failed
-certificate) hands the request to the next one, and the last refusal
-stands.  The recurrence and dense routes sit behind the same degeneracy
-gate: a minimum eigenvalue gap at the DegenerateSpectrum threshold (at
-lambda = mu = 1, say, where the upward recurrence would still answer) sends
-the default request on to the dyads and the dense route, which then refuse
-it exactly as they do on their own.  The result records which route
-answered.
+The recurrence sits behind a degeneracy gate: a minimum eigenvalue gap at the
+DegenerateSpectrum threshold (at lambda = mu = 1, say) is refused.  Every
+basis then goes through the residual and independence certificates.
 
 Closed-form templates exist on the two structured coupling lines: the
 exchange matrix J (antidiagonal of ones) for mu = +lambda, and the
@@ -58,18 +51,22 @@ from .errors import DegenerateSpectrum, NumericalError, ValidationError
 from .hamiltonian import DiscreteHamiltonian, dense, symmetrize
 from .spectra import DEGENERACY_THRESHOLD, eigen_real, spectrum_of
 
+# Unused by the library: only bench/tracing.py reads it, to label kernel_basis
+# calls, like kernels.HAS_NUMBA.
 DENSE_ROUTE_MAX = 32
 INDEPENDENCE_FLOOR = 1e-8
 RESIDUAL_FACTOR = 1e-10
-# Largest entry the recurrence may grow to from its unit first rows.  Rounding
-# errors grow with the entries, so this keeps them near 1e6 * eps = 2e-10
-# relative; far outside the window the rows grow geometrically and the span
-# would drift (3e-8 at n = 32, lambda = -1.5, mu = 2) while still passing the
-# residual and independence certificates.
+# Largest entry the plain recurrence may grow to from its unit first rows.
+# Rounding errors grow with the entries, so this keeps them near
+# 1e6 * eps = 2e-10 relative; past it (far outside the window, or near a small
+# bond) the span would drift (3e-8 at n = 32, lambda = -1.5, mu = 2) while
+# still passing the residual and independence certificates, so the recurrence
+# is run again with re-orthonormalization.
 RECURRENCE_GROWTH_MAX = 1e6
+# In that second run, a new row larger than this re-orthonormalizes the stack.
+_REORTHONORMALIZE_AT = 10.0
 
 VARIANTS = ("exchange", "weighted")
-ROUTES = ("recurrence", "dyad", "dense")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +77,13 @@ class PseudometricBasis:
     max-abs entry with the largest-magnitude entry positive.  ``residuals``
     are the per-element intertwining defects ``max|H^T X - X H|`` and
     ``independence`` is the smallest singular value of the stacked basis, a
-    linear-independence certificate.  ``route`` names the construction that
-    produced the basis: "recurrence", "dyad" or "dense".
+    linear-independence certificate.
     """
 
     n: int
     basis: list
     residuals: np.ndarray
     independence: float
-    route: str
 
     @property
     def dimension(self):
@@ -160,19 +155,6 @@ def _peaks(xs):
     return flat[np.arange(flat.shape[0]), np.abs(flat).argmax(axis=1)]
 
 
-def _normalize_elements(xs, peak=None):
-    """Scale the stacked elements in place so each largest-magnitude entry is exactly +1.
-
-    ``peak`` is ``_peaks(xs)`` when the caller has it already.
-    """
-    if peak is None:
-        peak = _peaks(xs)
-    if (peak == 0.0).any():
-        raise NumericalError("zero candidate pseudometric cannot be normalized")
-    xs /= peak[:, None, None]
-    return xs
-
-
 def _gap_gate(h, min_gap):
     scale = max(1.0, h.gershgorin_radius())
     if min_gap <= DEGENERACY_THRESHOLD * scale:
@@ -183,68 +165,8 @@ def _gap_gate(h, min_gap):
         )
 
 
-def _reject_degenerate(h):
-    _gap_gate(h, spectrum_of(h).min_gap)
-
-
-def _symmetric_pairs(n):
-    """Orthonormal (Frobenius) basis of the symmetric n x n matrices.
-
-    Element k is w[k] (E_ij + E_ji) for the row-major pair i = iu[k] <= j = ju[k],
-    with weight 1/sqrt(2) off the diagonal; on it (i = j) it is E_ii itself.
-    """
-    iu, ju = np.triu_indices(n)
-    return iu, ju, np.where(iu == ju, 1.0, 1.0 / np.sqrt(2.0))
-
-
-def _intertwining_operator(hd):
-    """Matrix of X -> H^T X - X H from the symmetric basis to row-major n*n vectors.
-
-    Column k holds H^T B - B H for the basis element B of `_symmetric_pairs`,
-    assembled by scattering rows of H: H^T E_ij has row i of H as its column j,
-    and E_ij H has row j of H as its row i.  The H^T terms are added to zeros,
-    as a matrix product accumulates them, so the result is bit-identical to
-    forming the products, signed zeros included.
-    """
-    n = hd.shape[0]
-    iu, ju, w = _symmetric_pairs(n)
-    c = np.arange(iu.size)
-    off = iu != ju
-    a = np.zeros((n, n, iu.size))
-    a[:, ju, c] += w * hd[iu].T
-    a[:, iu[off], c[off]] += w[off] * hd[ju[off]].T
-    a[iu, :, c] -= w[:, None] * hd[ju]
-    a[ju[off], :, c[off]] -= w[off, None] * hd[iu[off]]
-    return a.reshape(n * n, iu.size)
-
-
-def _symmetric_elements(coefs, n):
-    """The symmetric matrices with coordinates ``coefs`` (rows) in that basis."""
-    iu, ju, w = _symmetric_pairs(n)
-    x = np.zeros((coefs.shape[0], n, n))
-    x[:, iu, ju] += coefs * w
-    x[:, ju, iu] = x[:, iu, ju]
-    return x
-
-
-def _dense_route(h):
-    """Null space of X -> H^T X - X H over the symmetric subspace, by SVD, normalized."""
-    n = h.n
-    a = _intertwining_operator(dense(h))
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = sv[0] * max(a.shape) * float(np.finfo(float).eps)
-    rank = int(np.count_nonzero(sv > cutoff))
-    dim = a.shape[1] - rank
-    if dim != n:
-        raise NumericalError(
-            f"intertwining kernel dimension {dim} != n={n} "
-            f"(singular values near the cutoff: {sv[max(rank - 2, 0):rank + 2]})"
-        )
-    return _normalize_elements(_symmetric_elements(vt[rank:], n))
-
-
-def _recurrence_elements(sup, sub, flip=False):
-    """The n solutions of H^T X = X H with first rows e_1..e_n, stacked (n, n, n).
+def _recurrence_elements(sup, sub, flip=False, orthonormalize=False):
+    """n solutions of H^T X = X H, stacked (n, n, n): first rows e_1..e_n, or a recombination.
 
     Row i+1 of every element follows from entry (i, j) of the equation,
 
@@ -254,6 +176,13 @@ def _recurrence_elements(sup, sub, flip=False):
     i+1 use entries j >= i of the rows above only, so only the upper triangle
     is computed, and it is mirrored in place onto the lower one to make each
     element exactly symmetric; adding 0.0 then turns every -0.0 into +0.0.
+    With ``orthonormalize``, whenever a new row has an entry larger than
+    _REORTHONORMALIZE_AT, the rows computed so far are replaced by the
+    recombination R^-T X along the element axis, R from the QR factorization
+    of the flattened stack, and the recurrence goes on from it.  The new rows
+    are orthonormal, and one matrix product keeps each new element a
+    combination of the old ones entry for entry; taking Q itself would spread
+    rounding of the size of the largest rows over the small ones.
     With ``flip`` the recurrence writes through a view reversed along both
     matrix axes, so the C-contiguous result holds F X F (F the reversal) for
     each solution X of the problem that sup and sub describe.
@@ -270,6 +199,10 @@ def _recurrence_elements(sup, sub, flip=False):
         if i:
             row -= sup[i - 1] * x[:, i - 1, j:]
         row /= sub[i]
+        if orthonormalize and np.abs(row).max() > _REORTHONORMALIZE_AT:
+            done = x[:, : j + 1].reshape(n, -1)
+            inv_r = np.linalg.inv(np.linalg.qr(done.T, mode="r"))
+            x[:, : j + 1] = (inv_r.T @ done).reshape(n, j + 1, n)
     for r in range(1, n):
         x[:, r, :r] = x[:, :r, r]
     elements += 0.0
@@ -281,25 +214,32 @@ def _recurrence_route(h):
 
     Upward is the downward recurrence on the flipped problem F H F, whose
     super- and sub-diagonals are H's sub- and super-diagonals reversed; its
-    solutions X' give F X' F for H.  Returns the elements normalized.
-    Refused (NumericalError) when an entry grows past RECURRENCE_GROWTH_MAX,
-    overflows, or divides by a zero bond.
+    solutions X' give F X' F for H.  An entry past RECURRENCE_GROWTH_MAX
+    reruns it with re-orthonormalization.  Returns the elements scaled in
+    place so that each largest-magnitude entry is exactly +1; refused
+    (NumericalError) only when they are not finite (overflow, or a zero bond
+    in both directions).  No element is zero: each has a unit entry in its
+    first (upward: last) row, or is an invertible recombination of such.
     """
+    if np.abs(h.sub).min() >= np.abs(h.super).min():
+        bands = (h.super, h.sub, False)
+    else:
+        bands = (h.sub[::-1], h.super[::-1], True)
     with np.errstate(all="ignore"):
-        if np.abs(h.sub).min() >= np.abs(h.super).min():
-            x = _recurrence_elements(h.super, h.sub)
-        else:
-            x = _recurrence_elements(h.sub[::-1], h.super[::-1], flip=True)
-    # The largest entry is the largest of the peaks the normalization divides by.
-    peak = _peaks(x)
-    growth = float(np.abs(peak).max())
-    # Written so that NaN (a zero bond in both directions) fails it too.
-    if not growth <= RECURRENCE_GROWTH_MAX:
+        x = _recurrence_elements(*bands)
+        peak = _peaks(x)
+        # Written so that NaN fails it too.
+        if not np.abs(peak).max() <= RECURRENCE_GROWTH_MAX:
+            x = _recurrence_elements(*bands, orthonormalize=True)
+            peak = _peaks(x)
+    # A NaN or infinite entry makes its element's peak NaN or infinite.
+    if not np.isfinite(peak).all():
         raise NumericalError(
-            f"first-row recurrence grew to {growth:.3e} (limit {RECURRENCE_GROWTH_MAX:.0e}) "
-            f"at n={h.n}, lambda={h.couplings.lam}, mu={h.couplings.mu}"
+            f"first-row recurrence is not finite at n={h.n}, "
+            f"lambda={h.couplings.lam}, mu={h.couplings.mu}"
         )
-    return _normalize_elements(x, peak)
+    x /= peak[:, None, None]
+    return x
 
 
 def spectral_dyads(h):
@@ -319,56 +259,21 @@ def spectral_dyads(h):
     return [np.outer(u[:, k], u[:, k]) for k in range(h.n)]
 
 
-def _dyad_route(h):
-    """Orthonormalized span of the spectral dyads (couplings in the open square), normalized."""
-    n = h.n
-    v = np.stack([x.reshape(-1) for x in spectral_dyads(h)], axis=1)
-    q, r = np.linalg.qr(v)
-    rd = np.abs(np.diag(r))
-    if rd.min() <= 1e-12 * rd.max():
-        raise NumericalError(
-            f"spectral dyads are numerically dependent (pivot ratio {rd.min() / rd.max():.3e})"
-        )
-    x = q.T.reshape(n, n, n)
-    return _normalize_elements(0.5 * (x + x.transpose(0, 2, 1)))
-
-
-def kernel_basis(h, route=None):
+def kernel_basis(h):
     """All pseudometrics of h: a normalized basis of {X = X^T : H^T X = X H}.
 
-    ``route`` picks the construction explicitly ("recurrence", "dyad" or
-    "dense").  By default the recurrence route is tried first, behind the
-    degeneracy gate; any NumericalError there (a degenerate spectrum, growth
-    past RECURRENCE_GROWTH_MAX, a failed residual or independence
-    certificate) hands the request to the dyad route.  For n <= DENSE_ROUTE_MAX a refusal of the
-    dyad route in turn hands it to the dense route; above that size it
-    propagates.  Degenerate input is rejected, so the dimension always
-    equals n.
+    Degenerate input is refused first (DegenerateSpectrum), so the dimension
+    always equals n.  The basis comes from the first-row recurrence and must
+    pass the residual and independence certificates (NumericalError).
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("kernel_basis expects a DiscreteHamiltonian")
-    if route not in (None,) + ROUTES:
-        raise ValidationError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if route is None:
-        try:
-            _reject_degenerate(h)
-            return _certified_basis(h, _recurrence_route(h), "recurrence")
-        except NumericalError:
-            route = "dyad"
-        if h.n <= DENSE_ROUTE_MAX:
-            try:
-                return _certified_basis(h, _dyad_route(h), route)
-            except NumericalError:
-                route = "dense"
-    if route == "dyad":
-        return _certified_basis(h, _dyad_route(h), route)
-    _reject_degenerate(h)
-    elements = _recurrence_route(h) if route == "recurrence" else _dense_route(h)
-    return _certified_basis(h, elements, route)
+    _gap_gate(h, spectrum_of(h).min_gap)
+    return _certified_basis(h, _recurrence_route(h))
 
 
-def _certified_basis(h, basis, route):
-    """Check the residuals and independence of a route's normalized (n, n, n) elements."""
+def _certified_basis(h, basis):
+    """Check the residuals and independence of normalized (n, n, n) elements."""
     hd = dense(h)
     defect = hd.T @ basis
     defect -= basis @ hd
@@ -385,7 +290,7 @@ def _certified_basis(h, basis, route):
             f"normalized basis is near-dependent (smallest singular value "
             f"{independence:.3e} <= {INDEPENDENCE_FLOOR})"
         )
-    return PseudometricBasis(h.n, list(basis), residuals, independence, route)
+    return PseudometricBasis(h.n, list(basis), residuals, independence)
 
 
 def span_residual(pm, x):

@@ -166,20 +166,3 @@ def dense_bands(diag, sup, sub):
     m[..., 1 :: n + 1] = sup
     m[..., n :: n + 1] = sub
     return m.reshape(diag.shape + (n,))
-
-
-def tridiagonal_dict(h):
-    """JSON-ready band form: {"n", "diag", "super", "sub", "lambda", "mu"}."""
-    return {
-        "n": h.n,
-        "diag": h.diag.tolist(),
-        "super": h.super.tolist(),
-        "sub": h.sub.tolist(),
-        "lambda": h.couplings.lam,
-        "mu": h.couplings.mu,
-    }
-
-
-def dense_dict(h):
-    """JSON-ready dense form: {"n", "rows"}."""
-    return {"n": h.n, "rows": dense(h).tolist()}

@@ -24,7 +24,6 @@ from hypothesis.extra import numpy as hnp
 
 from cptwell import cli
 from cptwell.cli import MAX_ENTRIES, MAX_GRID_POINTS, main, parse_grid
-from cptwell.dieudonne import DENSE_ROUTE_MAX
 from cptwell.errors import ValidationError
 
 
@@ -200,6 +199,13 @@ class TestPseudometricsCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "element,row,col,value,residual"
         assert len(lines) == 1 + 2 * 4
+
+    def test_a_cell_whose_first_rows_grow_answers(self):
+        # Far outside the window, above n = 32: refused until the recurrence
+        # re-orthonormalized its rows.
+        rc, out, err = run("pseudometrics", "-N", "40", "--lambda", "2.5", "--mu", "0.3")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["dimension"] == 40
 
 
 class TestMetricCommand:
@@ -431,7 +437,7 @@ def config(*argv):
 class TestArrayEncoder:
     """Rendered JSON equals json.dumps(indent=2) of the list-form payload."""
 
-    SMALL, LARGE = str(DENSE_ROUTE_MAX // 4), str(DENSE_ROUTE_MAX + 1)
+    SMALL, LARGE = "8", "33"
     REQUESTS = (
         ("spectrum", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
         ("spectrum", "-N", LARGE, "--lambda", "1.3", "--mu", "0.2"),

@@ -6,8 +6,10 @@ Oracles:
 * hand-checked antidiagonal templates on the two structured coupling lines,
 * dimension counts against the non-degenerate theory (n independent
   symmetric solutions, one per spectral dyad),
-* cross-validation of the three construction routes against each other,
-* the first-row recurrence run exactly on fractions.Fraction, and the flip
+* the spectral dyads, and a test-local SVD null space of the intertwining
+  operator, as independent constructions of the same space,
+* the first-row recurrence run exactly on fractions.Fraction (entry by entry,
+  and as an exact span by rational Gram-Schmidt), and the flip
   F H(lambda, mu) F = H(-mu, -lambda), which maps solutions to solutions.
 """
 
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptwell.dieudonne import (
-    DENSE_ROUTE_MAX,
     INDEPENDENCE_FLOOR,
+    RECURRENCE_GROWTH_MAX,
     RESIDUAL_FACTOR,
     ClosedFormPseudometric,
     PseudometricBasis,
@@ -34,9 +36,8 @@ from cptwell.dieudonne import (
 )
 from cptwell.dieudonne import (
     _certified_basis,
-    _intertwining_operator,
+    _recurrence_elements,
     _recurrence_route,
-    _symmetric_elements,
 )
 from cptwell.errors import (
     DegenerateSpectrum,
@@ -49,7 +50,6 @@ from cptwell.quasihermitian import biorthogonalize
 
 LAMBDAS = (-0.8, -0.4, 0.1, 0.5, 0.9)
 MUS = (-0.7, -0.2, 0.3, 0.8)
-ROUTES = ("dense", "dyad", "recurrence")
 
 
 def well(n, lam, mu=None):
@@ -125,50 +125,43 @@ class TestClosedForms:
 
 
 class TestKernelBasis:
-    # In the open square both explicit routes apply; each must keep these properties.
     def test_dimension_equals_the_matrix_size_off_the_degenerate_set(self):
-        for route in ROUTES:
-            for n in (2, 3, 5, 8):
-                for lam in LAMBDAS:
-                    for mu in MUS:
-                        pm = kernel_basis(well(n, lam, mu), route=route)
-                        assert pm.dimension == n, (route, n, lam, mu)
+        for n in (2, 3, 5, 8):
+            for lam in LAMBDAS:
+                for mu in MUS:
+                    pm = kernel_basis(well(n, lam, mu))
+                    assert pm.dimension == n, (n, lam, mu)
 
     def test_elements_are_symmetric_normalized_and_small_residual(self):
         h = well(7, 0.45, -0.15)
         scale = entry_norm(h)
-        for route in ROUTES:
-            pm = kernel_basis(h, route=route)
-            for x, r in zip(pm.basis, pm.residuals):
-                assert np.array_equal(x, x.T)
-                peak = np.unravel_index(np.argmax(np.abs(x)), x.shape)
-                assert x[peak] == 1.0
-                assert r <= RESIDUAL_FACTOR * scale
-            assert pm.independence > INDEPENDENCE_FLOOR
+        pm = kernel_basis(h)
+        for x, r in zip(pm.basis, pm.residuals):
+            assert np.array_equal(x, x.T)
+            peak = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+            assert x[peak] == 1.0
+            assert r <= RESIDUAL_FACTOR * scale
+        assert pm.independence > INDEPENDENCE_FLOOR
 
     def test_uncoupled_two_site_span_contains_identity_and_flip(self):
-        for route in ROUTES:
-            pm = kernel_basis(well(2, 0.0), route=route)
-            assert pm.dimension == 2
-            assert span_residual(pm, np.eye(2)) <= 1e-10
-            assert span_residual(pm, np.fliplr(np.eye(2))) <= 1e-10
+        pm = kernel_basis(well(2, 0.0))
+        assert pm.dimension == 2
+        assert span_residual(pm, np.eye(2)) <= 1e-10
+        assert span_residual(pm, np.fliplr(np.eye(2))) <= 1e-10
 
     def test_matched_line_span_contains_the_exchange_template(self):
-        for route in ROUTES:
-            pm = kernel_basis(well(3, 0.5), route=route)
-            assert span_residual(pm, np.fliplr(np.eye(3))) <= 1e-10
+        pm = kernel_basis(well(3, 0.5))
+        assert span_residual(pm, np.fliplr(np.eye(3))) <= 1e-10
 
     def test_opposite_line_span_contains_the_weighted_template(self):
-        for route in ROUTES:
-            pm = kernel_basis(well(4, 0.5, -0.5), route=route)
-            assert span_residual(pm, closed_form(4, 0.5, "weighted").matrix) <= 1e-10
+        pm = kernel_basis(well(4, 0.5, -0.5))
+        assert span_residual(pm, closed_form(4, 0.5, "weighted").matrix) <= 1e-10
 
     def test_an_asymmetric_probe_is_far_from_the_span(self):
         probe = np.zeros((3, 3))
         probe[0, 1] = 1.0
-        for route in ROUTES:
-            pm = kernel_basis(well(3, 0.2), route=route)
-            assert span_residual(pm, probe) > 0.1
+        pm = kernel_basis(well(3, 0.2))
+        assert span_residual(pm, probe) > 0.1
 
     def test_complex_spectrum_still_gives_a_full_solution_space(self):
         h = well(5, 1.3)
@@ -183,51 +176,30 @@ class TestKernelBasis:
             kernel_basis(well(6, 1.0))
 
     def test_routes_agree_on_their_common_domain(self):
+        # The recurrence basis against the SVD null space, both ways.
         h = well(10, 0.35, 0.6)
-        a = kernel_basis(h, route="dense")
-        b = kernel_basis(h, route="dyad")
-        assert a.dimension == b.dimension == 10
-        for x in a.basis:
-            assert span_residual(b, x) <= 1e-9
-        for x in b.basis:
-            assert span_residual(a, x) <= 1e-9
-
-    def test_large_sizes_fall_back_to_the_dyad_route(self):
-        n = DENSE_ROUTE_MAX + 1
-        pm = kernel_basis(well(n, 0.4), route="dyad")
-        assert pm.dimension == n
-        assert pm.independence > INDEPENDENCE_FLOOR
-
-    def test_dyad_route_requires_a_symmetrizable_matrix(self):
-        with pytest.raises(NotSymmetrizable):
-            kernel_basis(well(DENSE_ROUTE_MAX + 8, 1.2), route="dyad")
-        with pytest.raises(NotSymmetrizable):
-            kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.3, -1.0), route="dyad")
-
-    def test_unknown_route_is_rejected(self):
-        with pytest.raises(ValidationError):
-            kernel_basis(well(4, 0.2), route="cofactor")
+        pm = kernel_basis(h)
+        assert pm.dimension == 10
+        assert span_gap(pm.basis, svd_null_space(h)) <= 1e-9
 
     def test_solutions_transpose_the_spectral_projectors(self):
         for n, lam, mu in ((3, 0.5, 0.5), (4, 0.3, -0.4), (5, -0.7, 0.2)):
             h = well(n, lam, mu)
             system = biorthogonalize(h)
-            for route in ROUTES:
-                pm = kernel_basis(h, route=route)
-                for x in pm.basis:
-                    for k in range(n):
-                        pk = system.projector(k)
-                        assert np.max(np.abs(x @ pk - pk.T @ x)) <= 1e-8, (route, n, lam, mu)
+            pm = kernel_basis(h)
+            for x in pm.basis:
+                for k in range(n):
+                    pk = system.projector(k)
+                    assert np.max(np.abs(x @ pk - pk.T @ x)) <= 1e-8, (n, lam, mu)
 
     def test_serialization_round_trips(self):
-        for route in ROUTES:
-            pm = kernel_basis(well(3, 0.25), route=route)
-            d = json.loads(json.dumps(pm.to_dict()))
-            assert d["n"] == 3 and d["dimension"] == 3
-            assert len(d["elements"]) == 3
-            assert d["independence"] > 1e-8
-            first = np.asarray(d["elements"][0]["matrix"])
-            assert span_residual(pm, first) <= 1e-12
+        pm = kernel_basis(well(3, 0.25))
+        d = json.loads(json.dumps(pm.to_dict()))
+        assert d["n"] == 3 and d["dimension"] == 3
+        assert len(d["elements"]) == 3
+        assert d["independence"] > 1e-8
+        first = np.asarray(d["elements"][0]["matrix"])
+        assert span_residual(pm, first) <= 1e-12
 
 
 def loop_symmetric_basis(n):
@@ -246,105 +218,102 @@ def loop_symmetric_basis(n):
     return mats
 
 
+def svd_null_space(h):
+    """Reference: the n symmetric solutions from the SVD of X -> H^T X - X H.
+
+    The operator acts on the orthonormal symmetric basis, one column per basis
+    matrix; its n smallest right singular vectors, which must lie well below
+    the rest, give the coordinates of the solutions.
+    """
+    n = h.n
+    hd = dense(h)
+    cols = loop_symmetric_basis(n)
+    a = np.stack([(hd.T @ x - x @ hd).reshape(-1) for x in cols], axis=1)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    assert sv[-n] <= 1e-13 * sv[0] < 1e-6 * sv[-n - 1], (n, sv[-n - 1 : -n + 1])
+    return list(np.tensordot(vt[-n:], np.array(cols), axes=1))
+
+
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def same_bits(a, b):
+def same_bits(pm, loop):
+    """Whether pm equals the loop construction's (basis, residuals, independence) bitwise."""
+    basis, residuals, independence = loop
     return (
-        np.array_equal(bits(a.basis), bits(b.basis))
-        and np.array_equal(bits(a.residuals), bits(b.residuals))
-        and bits(a.independence) == bits(b.independence)
+        np.array_equal(bits(pm.basis), bits(basis))
+        and np.array_equal(bits(pm.residuals), bits(residuals))
+        and bits(pm.independence) == bits(independence)
     )
 
 
+def plain_growth(h):
+    """Largest entry of the recurrence from unit first rows, in the library's direction."""
+    down = np.abs(h.sub).min() >= np.abs(h.super).min()
+    sup, sub = (h.super, h.sub) if down else (h.sub[::-1], h.super[::-1])
+    with np.errstate(all="ignore"):
+        return float(np.abs(_recurrence_elements(sup, sub)).max())
+
+
 class TestDefaultRoute:
-    """The default tries the recurrence (behind the degeneracy gate), then the
-    dyads, then, up to DENSE_ROUTE_MAX, the dense route; the first route that
-    answers is returned unchanged and named in ``route``."""
+    """``kernel_basis(h)``: the degeneracy gate, the first-row recurrence
+    (re-orthonormalized when its plain run grows past RECURRENCE_GROWTH_MAX),
+    then the certificates."""
 
     def test_the_recurrence_answers_in_and_out_of_the_window(self):
+        # Cells whose plain run stays below the bound keep the plain basis bit for bit.
         cells = (
-            (2, 0.41, -0.27), (2, 1.3, 0.2), (7, 0.45, -0.15), (DENSE_ROUTE_MAX, 0.9, -0.9),
-            (3, 1.3, 1.3), (8, 1.3, 0.2), (DENSE_ROUTE_MAX, 0.3, -1.2), (64, 0.41, -0.27),
+            (2, 0.41, -0.27), (2, 1.3, 0.2), (7, 0.45, -0.15), (32, 0.9, -0.9),
+            (3, 1.3, 1.3), (8, 1.3, 0.2), (32, 0.3, -1.2), (64, 0.41, -0.27),
         )
         for n, lam, mu in cells:
             h = well(n, lam, mu)
-            pm = kernel_basis(h)
-            assert pm.route == "recurrence", (n, lam, mu)
-            assert same_bits(pm, kernel_basis(h, route="recurrence")), (n, lam, mu)
+            assert plain_growth(h) <= RECURRENCE_GROWTH_MAX, (n, lam, mu)
+            assert same_bits(kernel_basis(h), loop_recurrence_basis(h)), (n, lam, mu)
 
-    def test_a_recurrence_refusal_falls_back_to_the_dyad_basis(self):
-        # Near the mu = -lambda corner the recurrence divides by a small bond and grows.
-        for n, lam in ((3, 1.0 - 1e-8), (DENSE_ROUTE_MAX + 1, 1.0 - 1e-10)):
+    def test_growth_near_a_corner_is_reorthonormalized_onto_the_dyad_space(self):
+        # Near the mu = -lambda corner the plain run divides by a small bond and
+        # grows; the re-orthonormalized basis spans the dyads' space.
+        for n, lam in ((3, 1.0 - 1e-8), (33, 1.0 - 1e-6)):
             h = well(n, lam, -lam)
-            with pytest.raises(NumericalError, match="grew"):
-                kernel_basis(h, route="recurrence")
+            assert plain_growth(h) > RECURRENCE_GROWTH_MAX, n
             pm = kernel_basis(h)
-            assert pm.route == "dyad", n
-            assert same_bits(pm, kernel_basis(h, route="dyad")), n
+            assert pm.residuals.max() <= RESIDUAL_FACTOR * entry_norm(h), n
+            assert span_gap(pm.basis, spectral_dyads(h)) <= 1e-8, n
 
-    def test_a_recurrence_refusal_out_of_the_window_falls_back_to_the_dense_basis(self):
-        # Far outside the window the rows grow geometrically.  Without the growth
-        # bound the recurrence would pass both certificates at (24, 2.5, 0.3) and
-        # (32, -1.5, 2) with spans 5e-8 and 3e-8 from the exact ones, where the
-        # dense route's are within 1e-14.
-        for n, lam, mu in ((24, 2.5, 0.3), (DENSE_ROUTE_MAX, 2.5, 0.3), (DENSE_ROUTE_MAX, -1.5, 2.0)):
-            h = well(n, lam, mu)
-            with pytest.raises(NumericalError, match="grew"):
-                kernel_basis(h, route="recurrence")
-            with pytest.raises(NotSymmetrizable):
-                kernel_basis(h, route="dyad")
-            pm = kernel_basis(h)
-            assert pm.route == "dense", (n, lam, mu)
-            assert same_bits(pm, kernel_basis(h, route="dense")), (n, lam, mu)
-        with pytest.raises(NotSymmetrizable):
-            kernel_basis(well(DENSE_ROUTE_MAX + 1, 2.5, 0.3))
-
-    def test_a_failed_dyad_certificate_falls_back_to_the_dense_basis(self):
-        h = well(3, 1.0 - 1e-12, -(1.0 - 1e-12))
-        with pytest.raises(NumericalError, match="grew"):
-            kernel_basis(h, route="recurrence")
-        with pytest.raises(NumericalError, match="residual"):
-            kernel_basis(h, route="dyad")
-        pm = kernel_basis(h)
-        assert pm.route == "dense"
-        assert same_bits(pm, kernel_basis(h, route="dense"))
-
-    def test_a_dense_refusal_after_the_fallback_is_the_dense_refusal(self):
+    def test_a_degenerate_spectrum_is_refused_before_the_recurrence(self):
         h = well(6, 1.0)
-        with pytest.raises(DegenerateSpectrum) as dense_refusal:
-            kernel_basis(h, route="dense")
-        with pytest.raises(DegenerateSpectrum) as default_refusal:
+        with pytest.raises(DegenerateSpectrum, match="minimum eigenvalue gap"):
             kernel_basis(h)
-        assert str(default_refusal.value) == str(dense_refusal.value)
-        with pytest.raises(DegenerateSpectrum) as recurrence_refusal:
-            kernel_basis(h, route="recurrence")
-        assert str(recurrence_refusal.value) == str(dense_refusal.value)
         # Without the gate the upward recurrence would answer here.
-        assert _certified_basis(h, _recurrence_route(h), "recurrence").dimension == 6
+        assert _certified_basis(h, _recurrence_route(h)).dimension == 6
 
     def test_routes_span_the_same_space_at_the_window_edge(self):
+        # The recurrence basis against the SVD null space, both ways.
         edge = (0.9, 0.99, 0.999, 0.9999)
         for n in (3, 8, 17):
             for i, a_lam in enumerate(edge):
                 for j, a_mu in enumerate(edge):
                     lam, mu = (-1) ** i * a_lam, (-1) ** (i + j) * a_mu
                     h = well(n, lam, mu)
-                    a = kernel_basis(h)
-                    b = kernel_basis(h, route="dense")
-                    for x in a.basis:
-                        assert span_residual(b, x) <= 1e-9, (n, lam, mu)
-                    for x in b.basis:
-                        assert span_residual(a, x) <= 1e-9, (n, lam, mu)
+                    assert span_gap(kernel_basis(h).basis, svd_null_space(h)) <= 1e-9, (n, lam, mu)
 
 
-def span_gap(a, b):
-    """Largest span residual of either basis against the other."""
-    return max(
-        max(span_residual(b, x) for x in a.basis),
-        max(span_residual(a, x) for x in b.basis),
-    )
+def span_distance(xs, ys):
+    """Largest relative max-abs distance from a matrix in xs to the span of ys."""
+    y = np.stack([e.reshape(-1) for e in ys], axis=1)
+    worst = 0.0
+    for x in xs:
+        t = x.reshape(-1)
+        coef = np.linalg.lstsq(y, t, rcond=None)[0]
+        worst = max(worst, float(np.abs(t - y @ coef).max() / np.abs(t).max()))
+    return worst
+
+
+def span_gap(xs, ys):
+    """Largest span distance of either list of matrices against the other."""
+    return max(span_distance(xs, ys), span_distance(ys, xs))
 
 
 def exact_bands(n, lam, mu):
@@ -359,7 +328,7 @@ def exact_bands(n, lam, mu):
     return sup, sub
 
 
-def fraction_recurrence(n, lam, mu):
+def fraction_recurrence(sup, sub):
     """Reference: the first-row recurrence in exact arithmetic, entry by entry.
 
     Oriented by the library's rule: downward from first rows e_k, or, when the
@@ -367,7 +336,7 @@ def fraction_recurrence(n, lam, mu):
     e_{n-1-k}, solving entry (i, j) of H^T X = X H for X[i-1, j].  Nothing is
     symmetrized.  Returns the elements and whether the run went downward.
     """
-    sup, sub = exact_bands(n, lam, mu)
+    n = len(sub) + 1
     down = min(map(abs, sub)) >= min(map(abs, sup))
     elements = []
     for k in range(n):
@@ -409,6 +378,95 @@ def exact_defect(n, lam, mu, x):
     )
 
 
+def exact_span(h):
+    """Reference: an orthogonal basis of the exact solution space of the stored H.
+
+    The recurrence runs on the stored float bands in exact arithmetic, and
+    rational Gram-Schmidt (no square roots) makes its n solutions orthogonal;
+    each is scaled by its largest entry before it is rounded to floats.
+    """
+    sup = [Fraction(float(v)) for v in h.super]
+    sub = [Fraction(float(v)) for v in h.sub]
+    done = []
+    for x in fraction_recurrence(sup, sub)[0]:
+        v = [e for row in x for e in row]
+        for w, ww in done:
+            c = sum(a * b for a, b in zip(v, w)) / ww
+            v = [a - c * b for a, b in zip(v, w)]
+        done.append((v, sum(a * a for a in v)))
+    return [
+        np.array([float(a / max(v, key=abs)) for a in v]).reshape(h.n, h.n)
+        for v, _ in done
+    ]
+
+
+class TestReferenceSpans:
+    """Cells where the plain recurrence grows past RECURRENCE_GROWTH_MAX, against
+    references that share no code with the library's construction."""
+
+    GROWN = (
+        (3, 1.0 - 1e-12, -(1.0 - 1e-12)), (7, 1.0 - 1e-8, -(1.0 - 1e-12)),
+        (33, 1.0 - 1e-6, -(1.0 - 1e-6)), (24, 2.5, 0.3), (32, -1.5, 2.0),
+        (40, 2.5, 0.3), (64, 2.5, 0.3), (64, -3.0, 0.3),
+    )
+
+    @pytest.mark.parametrize("n", (3, 5, 7, 8))
+    def test_mu_minus_lambda_corners_match_the_exact_span(self, n):
+        for lam, mu in ((1.0 - 1e-8, -(1.0 - 1e-12)), (1.0 - 1e-12, -(1.0 - 1e-12))):
+            h = well(n, lam, mu)
+            assert plain_growth(h) > RECURRENCE_GROWTH_MAX, (n, lam, mu)
+            if n == 8:
+                # The two edge states are 4e-10 and 4e-12 apart: the degeneracy
+                # gate refuses both cells, so the basis is checked below it.
+                with pytest.raises(DegenerateSpectrum):
+                    kernel_basis(h)
+                pm = _certified_basis(h, _recurrence_route(h))
+            else:
+                pm = kernel_basis(h)
+            assert span_gap(pm.basis, exact_span(h)) <= 1e-12, (n, lam, mu)
+
+    def test_grown_cells_match_the_svd_null_space(self):
+        # Far outside the window the rows grow geometrically; without the second
+        # pass the plain run's spans were 5e-8 and 3e-8 off at (24, 2.5, 0.3)
+        # and (32, -1.5, 2).
+        cells = (
+            (17, -3.0, 0.3), (24, 2.5, 0.3), (32, 2.0, -2.5), (32, 2.5, 0.3),
+            (32, -1.5, 2.0), (40, 2.5, 0.3),
+        )
+        for n, lam, mu in cells:
+            h = well(n, lam, mu)
+            assert plain_growth(h) > RECURRENCE_GROWTH_MAX, (n, lam, mu)
+            assert span_gap(kernel_basis(h).basis, svd_null_space(h)) <= 1e-12, (n, lam, mu)
+
+    def test_random_cells_outside_the_window_match_the_svd_null_space(self):
+        # Both passes: cells whose plain run stays below the bound keep its
+        # rounding, up to about RECURRENCE_GROWTH_MAX * eps = 2e-10.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 25))
+            lam, mu = rng.choice([-1.0, 1.0], 2) * rng.uniform(1.01, 3.0, 2)
+            h = well(n, float(lam), float(mu))
+            assert span_gap(kernel_basis(h).basis, svd_null_space(h)) <= 1e-9, (n, lam, mu)
+
+    def test_reorthonormalized_bases_keep_rounding_level_residuals(self):
+        # Each recombination is one matrix product, so every new element is a
+        # combination of solutions entry for entry.  Taking Q of the QR instead
+        # left a residual of 2e-4 at (3, 1 - 1e-12, -(1 - 1e-12)).
+        for n, lam, mu in self.GROWN:
+            h = well(n, lam, mu)
+            assert plain_growth(h) > RECURRENCE_GROWTH_MAX, (n, lam, mu)
+            pm = kernel_basis(h)
+            assert pm.residuals.max() <= 1e-13 * entry_norm(h), (n, lam, mu)
+            assert pm.independence > INDEPENDENCE_FLOOR, (n, lam, mu)
+
+    def test_reorthonormalized_elements_equal_their_transpose_bit_for_bit(self):
+        for n, lam, mu in self.GROWN:
+            for x in kernel_basis(well(n, lam, mu)).basis:
+                assert np.array_equal(bits(x), bits(x.T)), (n, lam, mu)
+                zeros = np.signbit(x[x == 0.0])
+                assert zeros.all() or not zeros.any(), (n, lam, mu)
+
+
 class TestRecurrenceRoute:
     RATIONAL_COUPLINGS = (
         (Fraction(1, 2), Fraction(-1, 3)),
@@ -420,9 +478,9 @@ class TestRecurrenceRoute:
         directions = set()
         for n in range(2, 7):
             for lam, mu in self.RATIONAL_COUPLINGS:
-                exact, down = fraction_recurrence(n, lam, mu)
+                exact, down = fraction_recurrence(*exact_bands(n, lam, mu))
                 directions.add(down)
-                pm = kernel_basis(well(n, float(lam), float(mu)), route="recurrence")
+                pm = kernel_basis(well(n, float(lam), float(mu)))
                 for x, got in zip(exact, pm.basis):
                     assert exact_defect(n, lam, mu, x) == 0, (n, lam, mu)
                     assert all(x[i][j] == x[j][i] for i in range(n) for j in range(n))
@@ -441,38 +499,39 @@ class TestRecurrenceRoute:
                 for x in kernel_basis(h).basis:
                     assert span_residual(pm, x[::-1, ::-1]) <= 1e-9, (n, lam, mu)
 
-    def test_growth_overflow_and_zero_bonds_are_refused_without_warnings(self):
-        # Growth past the bound, past the float range (inf), and a zero bond in
-        # both directions (NaN; the degeneracy gate refuses it first, at every size).
-        for h in (well(24, 2.5, 0.3), well(64, 1e200, 0.5), well(5, 1.0, -1.0)):
+    def test_overflow_and_zero_bonds_are_refused_without_warnings(self):
+        # Past the float range (inf), and a zero bond in both directions (NaN;
+        # the degeneracy gate refuses it first, at every size).
+        for h in (well(64, 1e200, 0.5), well(5, 1.0, -1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(NumericalError, match="grew to"):
+                with pytest.raises(NumericalError, match="not finite"):
                     _recurrence_route(h)
+        # Growth past the bound is answered, also without warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(_recurrence_route(well(24, 2.5, 0.3))).all()
 
     def test_the_edge_cell_the_dyads_refused_now_answers(self):
-        pm = kernel_basis(well(DENSE_ROUTE_MAX + 1, 0.41, 1.0 - 1e-12))
-        assert pm.route == "recurrence" and pm.dimension == DENSE_ROUTE_MAX + 1
+        assert kernel_basis(well(33, 0.41, 1.0 - 1e-12)).dimension == 33
 
     def test_out_of_window_cells_above_the_dense_limit_answer(self):
-        for lam, mu in ((1.3, 1.3), (3.0, -0.5)):
-            pm = kernel_basis(well(64, lam, mu))
-            assert pm.route == "recurrence" and pm.dimension == 64, (lam, mu)
+        for lam, mu in ((1.3, 1.3), (3.0, -0.5), (2.5, 0.3)):
+            assert kernel_basis(well(64, lam, mu)).dimension == 64, (lam, mu)
         # At (2, 2) the recurrence passes the certificates, but the two edge
-        # states are 7e-15 apart, so the degeneracy gate refuses it and the
-        # default keeps the dyad route's refusal.
+        # states are 7e-15 apart, so the degeneracy gate refuses it.
         h = well(64, 2.0, 2.0)
-        assert _certified_basis(h, _recurrence_route(h), "recurrence").dimension == 64
+        assert _certified_basis(h, _recurrence_route(h)).dimension == 64
         with pytest.raises(DegenerateSpectrum):
-            kernel_basis(h, route="recurrence")
-        with pytest.raises(NotSymmetrizable):
             kernel_basis(h)
 
     def test_a_mu_minus_lambda_corner_is_pinned_to_the_recurrence(self):
-        # Both directions divide by a bond of 1e-12 here.  Every route passes its
-        # certificates, yet each span is about 1e-4 from the exact one.
-        pm = kernel_basis(well(7, -(1.0 - 1e-12), 1.0 - 1e-12))
-        assert pm.route == "recurrence"
+        # Both directions divide by a bond of 1e-12 here, yet the plain run does
+        # not grow, so no second pass runs.  The basis passes its certificates
+        # but is 1.1e-4 from the exact span: cancellation at the last divisor.
+        h = well(7, -(1.0 - 1e-12), 1.0 - 1e-12)
+        assert plain_growth(h) <= RECURRENCE_GROWTH_MAX
+        assert same_bits(kernel_basis(h), loop_recurrence_basis(h))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -483,78 +542,9 @@ class TestRecurrenceRoute:
     def test_in_the_window_the_default_is_the_recurrence_on_the_dyad_space(self, n, lam, mu):
         h = well(n, lam, mu)
         pm = kernel_basis(h)
-        assert pm.route == "recurrence"
         assert pm.residuals.max() <= RESIDUAL_FACTOR * entry_norm(h)
         assert pm.independence > INDEPENDENCE_FLOOR
-        assert span_gap(pm, kernel_basis(h, route="dyad")) <= 1e-9
-
-
-class TestDenseRouteAssembly:
-    """The index-arithmetic operator and rebuild against the loop construction.
-
-    Equality is bitwise (signed zeros included), so the SVD and every printed
-    digit of the dense route are unchanged.
-    """
-
-    SIZES = (2, 3, 8, 24, DENSE_ROUTE_MAX)
-    COUPLINGS = ((0.41, -0.27), (1.3, 0.2), (0.0, 0.0), (-1.0, 0.5), (-0.0, 0.3))
-
-    def test_operator_matches_the_matrix_products(self):
-        for n in self.SIZES:
-            for lam, mu in self.COUPLINGS:
-                hd = dense(well(n, lam, mu))
-                cols = loop_symmetric_basis(n)
-                ref = np.empty((n * n, len(cols)))
-                for c, x in enumerate(cols):
-                    ref[:, c] = (hd.T @ x - x @ hd).reshape(-1)
-                assert np.array_equal(bits(_intertwining_operator(hd)), bits(ref)), (n, lam, mu)
-
-    def test_elements_match_the_summed_basis_matrices(self):
-        rng = np.random.default_rng(7)
-        for n in self.SIZES:
-            cols = loop_symmetric_basis(n)
-            coefs = rng.standard_normal((3, len(cols)))
-            coefs[0, :4] = -0.0
-            coefs[1, -3:] = 0.0
-            ref = []
-            for row in coefs:
-                x = np.zeros((n, n))
-                for coef, e in zip(row, cols):
-                    x += coef * e
-                ref.append(x)
-            got = _symmetric_elements(coefs, n)
-            assert np.array_equal(bits(got), bits(ref)), n
-
-
-def loop_dyad_basis(h):
-    """Reference: the dyad route one element at a time, through public residual()."""
-    n = h.n
-    v = np.stack([x.reshape(-1) for x in spectral_dyads(h)], axis=1)
-    q, _ = np.linalg.qr(v)
-    basis = []
-    for k in range(n):
-        x = q[:, k].reshape(n, n)
-        x = 0.5 * (x + x.T)
-        flat = x.reshape(-1)
-        basis.append(x / flat[int(np.abs(flat).argmax())])
-    residuals = np.array([residual(h, x) for x in basis])
-    stacked = np.stack([x.reshape(-1) for x in basis], axis=1)
-    return basis, residuals, float(np.linalg.svd(stacked, compute_uv=False)[-1])
-
-
-class TestDyadRouteAssembly:
-    """The array-at-once dyad route, normalization and residuals against the
-    per-element loop; equality is bitwise."""
-
-    def test_dyad_route_matches_the_loop_construction(self):
-        for n in (2, 3, 9, DENSE_ROUTE_MAX + 1):
-            for lam, mu in ((0.41, -0.27), (-0.0, 0.3), (0.9999, -0.9)):
-                h = well(n, lam, mu)
-                pm = kernel_basis(h, route="dyad")
-                basis, residuals, independence = loop_dyad_basis(h)
-                assert np.array_equal(bits(pm.basis), bits(basis)), (n, lam, mu)
-                assert np.array_equal(bits(pm.residuals), bits(residuals)), (n, lam, mu)
-                assert bits(pm.independence) == bits(independence), (n, lam, mu)
+        assert span_gap(pm.basis, spectral_dyads(h)) <= 1e-9
 
 
 def loop_recurrence_basis(h):
@@ -598,18 +588,14 @@ class TestRecurrenceRouteAssembly:
         for n in self.SIZES:
             for lam, mu in self.COUPLINGS:
                 h = well(n, lam, mu)
-                pm = kernel_basis(h, route="recurrence")
-                basis, residuals, independence = loop_recurrence_basis(h)
-                assert np.array_equal(bits(pm.basis), bits(basis)), (n, lam, mu)
-                assert np.array_equal(bits(pm.residuals), bits(residuals)), (n, lam, mu)
-                assert bits(pm.independence) == bits(independence), (n, lam, mu)
+                assert same_bits(kernel_basis(h), loop_recurrence_basis(h)), (n, lam, mu)
 
     def test_every_element_equals_its_transpose_bit_for_bit(self):
         # The mirrored triangle is exactly the computed one, and every zero of
         # an element is +0.0 divided by its peak: all zeros share one sign.
         for n in self.SIZES:
             for lam, mu in self.COUPLINGS:
-                for x in kernel_basis(well(n, lam, mu), route="recurrence").basis:
+                for x in kernel_basis(well(n, lam, mu)).basis:
                     assert np.array_equal(bits(x), bits(x.T)), (n, lam, mu)
                     zeros = np.signbit(x[x == 0.0])
                     assert zeros.all() or not zeros.any(), (n, lam, mu)
@@ -631,12 +617,18 @@ class TestSpectralDyads:
             assert sv[1] <= 1e-12 * sv[0]
 
     def test_dyads_span_the_kernel_basis(self):
-        # Against the SVD basis: the default basis is built from these dyads.
+        # The recurrence uses no eigenvectors, so the dyads are an independent check.
         h = well(6, 0.55, -0.25)
-        pm = kernel_basis(h, route="dense")
+        pm = kernel_basis(h)
         for dyad in spectral_dyads(h):
             assert span_residual(pm, dyad) <= 1e-8
 
     def test_unit_coupling_is_rejected_at_the_dead_bond(self):
         with pytest.raises(NotSymmetrizable):
             spectral_dyads(well(4, 1.0))
+
+    def test_dyads_require_a_symmetrizable_matrix(self):
+        # Bond products 1 - lambda^2 < 0 here, though kernel_basis answers both.
+        for h in (well(40, 1.2), well(33, 0.3, -1.0)):
+            with pytest.raises(NotSymmetrizable):
+                spectral_dyads(h)

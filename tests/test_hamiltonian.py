@@ -8,8 +8,6 @@ Oracles used here:
 * Gershgorin interval arithmetic recomputed inline.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -22,10 +20,8 @@ from cptwell.hamiltonian import (
     build,
     dense,
     dense_bands,
-    dense_dict,
     gershgorin_radii,
     symmetrize,
-    tridiagonal_dict,
 )
 
 
@@ -193,24 +189,6 @@ class TestSymmetrize:
 
 
 class TestSerialization:
-    def test_tridiagonal_dict_carries_the_bands_and_couplings(self):
-        h = well(3, 0.25, -0.5)
-        d = tridiagonal_dict(h)
-        assert d["n"] == 3
-        assert d["lambda"] == 0.25
-        assert d["mu"] == -0.5
-        assert d["diag"] == [2.0, 2.0, 2.0]
-        assert d["super"] == [-1.25, -0.5]
-        assert d["sub"] == [-0.75, -1.5]
-        json.dumps(d)
-
-    def test_dense_dict_rows_match_the_dense_matrix(self):
-        h = well(4, 0.6)
-        d = dense_dict(h)
-        assert d["n"] == 4
-        assert np.array_equal(np.asarray(d["rows"]), dense(h))
-        json.dumps(d)
-
     def test_dense_places_bands_and_zeros_elsewhere(self):
         h = well(5, 0.3, -0.8)
         a = dense(h)
