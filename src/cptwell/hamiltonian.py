@@ -54,8 +54,12 @@ class DiscreteHamiltonian:
     sub: np.ndarray
 
     @property
+    @np.errstate(over="ignore")
     def bonds(self):
-        """Bond products super[i]*sub[i]; the spectrum depends only on these."""
+        """Bond products super[i]*sub[i]; the spectrum depends only on these.
+
+        A product past the float range is +-inf, without a numpy warning.
+        """
         return self.super * self.sub
 
     def gershgorin_radius(self):
@@ -115,8 +119,14 @@ def bands(n, lam, mu):
     return diag, sup, sub
 
 
+# Couplings near the float range overflow the row sums to inf; numpy's warning
+# about it would carry the path of the installed source, so it is not raised.
+@np.errstate(over="ignore")
 def gershgorin_radii(diag, sup, sub):
-    """Row-sum bound on the spectral radius of every stacked band triple."""
+    """Row-sum bound on the spectral radius of every stacked band triple.
+
+    A row sum past the float range gives an infinite radius.
+    """
     r = np.abs(diag)
     r[..., :-1] += np.abs(sup)
     r[..., 1:] += np.abs(sub)

@@ -5,21 +5,23 @@ m cells of n sites each: `spectrum_of` and `eigen_general` run it on one cell,
 the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
 branches cover the whole coupling plane:
 
-* real branch: cells whose bond products are all positive symmetrize, and
-  their eigenvalues come from one stacked ``np.linalg.eigvalsh`` on the
-  symmetric tridiagonals; everything is real by construction.  `eigen_real`
-  solves one symmetric form and, on request, gives eigenvectors too
-  (``np.linalg.eigh``).
+* real branch: cells whose bond products are all positive and finite
+  symmetrize, and their eigenvalues come from one stacked
+  ``np.linalg.eigvalsh`` on the symmetric tridiagonals; everything is real by
+  construction.  `eigen_real` solves one symmetric form and, on request, gives
+  eigenvectors too (``np.linalg.eigh``).
 * general branch: elsewhere, the eigenvalues come from one stacked
-  ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices; values that
+  ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
+  the complex values of a real matrix as exact conjugate pairs.  Values that
   coalesce near the real axis (an exceptional point within a few ulps) are
-  re-solved from a double-double Taylor expansion of det(H - E), and complex
-  values are paired exactly with their conjugates.  Both repairs run only on
-  the cells where a vectorized test shows that they would change something.
+  re-solved from a double-double Taylor expansion of det(H - E), only on the
+  cells where a vectorized test shows that this could change something.
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
-failing cells are lost.
+failing cells are lost.  A cell whose solve gives a non-finite value, or (on
+the general branch) whose Gershgorin radius overflows, fails with a
+`NumericalError` of its own.
 
 Classification is shared: a spectrum counts as all-real when every |Im| lies at
 or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
@@ -183,45 +185,6 @@ def char_poly(h, e):
         ) from None
 
 
-def _enforce_conjugate_pairs(values, tol):
-    """Pair complex values with their conjugates and make the pairing exact.
-
-    A real matrix has exactly conjugate eigenvalue pairs; a solver returns them
-    matched to its accuracy, and averaging the members removes any residual
-    asymmetry.
-    """
-    values = values.copy()
-    complex_idx = [i for i in range(values.shape[0]) if abs(values[i].imag) > tol]
-    unpaired = set(complex_idx)
-    for i in complex_idx:
-        if i not in unpaired:
-            continue
-        target = np.conj(values[i])
-        best_j = -1
-        best_d = np.inf
-        for j in unpaired:
-            if j == i or values[j].imag * values[i].imag > 0:
-                continue
-            d = abs(values[j] - target)
-            if d < best_d:
-                best_d = d
-                best_j = j
-        scale = 1.0 + abs(values[i])
-        if best_j < 0 or best_d > 1e-7 * scale:
-            raise NumericalError(
-                f"complex root {complex(values[i])} has no conjugate partner "
-                f"(closest mismatch {float(best_d):.3e})"
-            )
-        re = 0.5 * (values[i].real + values[best_j].real)
-        im = 0.5 * (abs(values[i].imag) + abs(values[best_j].imag))
-        s = 1.0 if values[i].imag > 0 else -1.0
-        values[i] = complex(re, s * im)
-        values[best_j] = complex(re, -s * im)
-        unpaired.discard(i)
-        unpaired.discard(best_j)
-    return values
-
-
 def _two_sum(a, b):
     s = a + b
     bb = s - a
@@ -290,7 +253,7 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
     m >= 2 that lies at least 100 gaps from every other value is replaced by
     the m roots of the double-double Taylor polynomial of det(H - E) about its
     centre, rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before
-    rooting.
+    rooting, unless that polynomial overflows the float range.
     """
     values = values.copy()
     near = np.nonzero(np.abs(values.imag) <= gap)[0]
@@ -304,6 +267,8 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
         if others.size and np.abs(others - c).min() < 100.0 * gap:
             continue
         co = _taylor_charpoly(diag, sup, sub, c, m)
+        if not np.isfinite(co).all():
+            continue  # the expansion overflows; LAPACK's values stand
         r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
         values[idx] = c + r * np.roots((co * r ** np.arange(m + 1))[::-1]) if r > 0.0 else c
     return values
@@ -313,31 +278,11 @@ def _may_cluster(values, gap):
     """Rows on which `_resolve_real_clusters` could act.
 
     Those with two values within ``gap`` of the real axis and within ``gap`` of
-    each other in real part, or with a non-finite value.
+    each other in real part.
     """
     near = np.abs(values.imag) <= gap[:, None]
     re = np.sort(np.where(near, values.real, np.nan), axis=1)  # NaNs sort last
-    close = (np.diff(re, axis=1) <= gap[:, None]).any(axis=1)
-    return close | ~np.isfinite(values).all(axis=1)
-
-
-def _paired_exactly(values, tol):
-    """Rows on which `_enforce_conjugate_pairs` would change nothing.
-
-    Those whose complex values (|Im| > tol) have non-zero real parts and
-    equal their own conjugates as a multiset, bit for bit, and whose parts are
-    all at most half the largest float.  Every value's partner then lies at
-    distance 0, and the averages reproduce it without overflow.
-    """
-    cplx = np.abs(values.imag) > tol[:, None]
-    a = np.sort(np.where(cplx, values, 0.0), axis=1)
-    b = np.sort(np.where(cplx, values.conj(), 0.0), axis=1)
-    part = np.maximum(np.abs(values.real), np.abs(values.imag))
-    return (
-        (a == b).all(axis=1)
-        & (part <= 0.5 * np.finfo(float).max).all(axis=1)
-        & ~(cplx & (values.real == 0.0)).any(axis=1)
-    )
+    return (np.diff(re, axis=1) <= gap[:, None]).any(axis=1)
 
 
 def _stacked(solver, a, rows, failed):
@@ -345,12 +290,10 @@ def _stacked(solver, a, rows, failed):
 
     The batch raises LinAlgError when any one matrix fails; it is then solved
     again matrix by matrix, and each failure is recorded in ``failed`` under
-    its row from ``rows``.  Returns the values (NaN where a matrix failed) and
-    the mask of failed matrices.
+    its row from ``rows``.  Returns the values, NaN where a matrix failed.
     """
-    bad = np.zeros(len(rows), dtype=bool)
     try:
-        return solver(a).astype(complex), bad
+        return solver(a).astype(complex)
     except np.linalg.LinAlgError:
         pass
     out = np.full(a.shape[:-1], np.nan, dtype=complex)
@@ -359,23 +302,35 @@ def _stacked(solver, a, rows, failed):
             out[k] = _lapack(solver, a[k])
         except ConvergenceError as exc:
             failed[int(row)] = exc
-            bad[k] = True
-    return out, bad
+    return out
+
+
+def _refuse_non_finite(failed, rows, x, message="the eigenvalue solve gave a non-finite value"):
+    """Fail the rows of ``rows`` where ``x`` is not finite with a `NumericalError`.
+
+    ``x`` has one entry or one row of entries per row; a row that failed
+    already keeps its error.
+    """
+    finite = np.isfinite(x)
+    if finite.all():
+        return
+    for row in rows[~finite.reshape(rows.size, -1).all(axis=1)]:
+        failed.setdefault(int(row), NumericalError(message))
 
 
 # Couplings near the float range overflow in intermediate products (the bond
-# products, the double-double Taylor terms, the conjugate pairing); those cells
-# come out non-finite or failed, and numpy's RuntimeWarnings about them, which
-# carry the path of the installed source, are not raised.
+# products, the Gershgorin radii, the double-double Taylor terms); a cell with a
+# non-finite value or radius fails, and numpy's RuntimeWarnings about them,
+# which carry the path of the installed source, are not raised.
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
 
     Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
-    (m, n - 1).  Cells whose bond products are all positive take the real
-    branch unless ``general`` is set; the rest take the general branch.
-    Returns (values, all_real, complex_pairs, min_gap, failed): the values
-    (m, n) sorted by real part, then imaginary part; per cell the
+    (m, n - 1).  Cells whose bond products are all positive and finite take
+    the real branch unless ``general`` is set; the rest take the general
+    branch.  Returns (values, all_real, complex_pairs, min_gap, failed): the
+    values (m, n) sorted by real part, then imaginary part; per cell the
     classification and the smallest pairwise gap; and a dict row ->
     NumericalError of the failed cells, whose values and gap are NaN, with
     all_real false and complex_pairs -1.
@@ -388,12 +343,13 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     min_gap = np.empty(m)
     failed = {}
     bonds = sup * sub
-    real = np.zeros(m, dtype=bool) if general else (bonds > 0.0).all(axis=1)
+    real = np.zeros(m, dtype=bool) if general else ((bonds > 0.0) & (bonds < np.inf)).all(axis=1)
 
     rows = np.flatnonzero(real)
     if rows.size:
         off = -np.sqrt(bonds[rows])
-        v, _ = _stacked(np.linalg.eigvalsh, dense_bands(diag[rows], off, off), rows, failed)
+        v = _stacked(np.linalg.eigvalsh, dense_bands(diag[rows], off, off), rows, failed)
+        _refuse_non_finite(failed, rows, v)
         values[rows] = v
         min_gap[rows] = _adjacent_gaps(v.real)
 
@@ -403,15 +359,12 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
         scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
         tol = REALITY_TOL_FACTOR * scale if override is None else np.full(rows.size, override)
         gap = EP_CLUSTER_GAP * scale
-        v, bad = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed)
-        for k in np.flatnonzero(~bad & _may_cluster(v, gap)):
-            v[k] = _resolve_real_clusters(v[k], d[k], su[k], sb[k], gap[k])
-        for k in np.flatnonzero(~bad & ~_paired_exactly(v, tol)):
-            try:
-                v[k] = _enforce_conjugate_pairs(v[k], tol[k])
-            except NumericalError as exc:
-                failed[int(rows[k])] = exc
-                v[k] = np.nan
+        v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed)
+        _refuse_non_finite(failed, rows, scale, "the Gershgorin radius overflows the float range")
+        _refuse_non_finite(failed, rows, v)
+        for k in np.flatnonzero(_may_cluster(v, gap)):
+            if rows[k] not in failed:
+                v[k] = _resolve_real_clusters(v[k], d[k], su[k], sb[k], gap[k])
         v = np.take_along_axis(v, np.lexsort((v.imag, v.real), axis=-1), axis=-1)
         imag = np.abs(v.imag)
         all_real[rows] = imag.max(axis=1, initial=0.0) <= tol
@@ -420,6 +373,7 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
         min_gap[rows] = _pairwise_gaps(v)
 
     for row in failed:
+        values[row] = min_gap[row] = np.nan
         all_real[row] = False
         complex_pairs[row] = -1
     return values, all_real, complex_pairs, min_gap, failed

@@ -20,8 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptwell import kernels, spectra
-from cptwell.errors import ConvergenceError, NumericalError, ValidationError
-from cptwell.hamiltonian import CouplingPair, bands, build, dense, dense_bands, symmetrize
+from cptwell.dieudonne import kernel_basis
+from cptwell.errors import ConvergenceError, NotSymmetrizable, NumericalError, ValidationError
+from cptwell.hamiltonian import (
+    CouplingPair,
+    bands,
+    build,
+    dense,
+    dense_bands,
+    gershgorin_radii,
+    symmetrize,
+)
+from cptwell.quasihermitian import biorthogonalize
 from cptwell.spectra import (
     BLOCK_ENTRIES,
     REALITY_TOL_FACTOR,
@@ -325,6 +335,12 @@ class TestSpectralSymmetries:
 
 # Couplings of the reality window, where every n >= 3 takes the real branch.
 WINDOW = st.floats(-0.99, 0.99)
+# The cells of TestCellsUlpsFromAnExceptionalPoint, (n, lambda) with mu = lambda:
+# a few ulps from the first EP of n = 4 (sqrt(5)/2) and of n = 3 (1).
+EP_CELLS = [
+    (4, s * (np.sqrt(5.0) / 2.0 + k * np.spacing(np.sqrt(5.0) / 2.0)))
+    for k in range(-8, 9) for s in (1.0, -1.0)
+] + [(3, s * (1.0 + k * np.spacing(1.0))) for k in range(9) for s in (1.0, -1.0)]
 
 
 def bitwise_equal(a, b):
@@ -367,6 +383,19 @@ class TestExactInvariantProperties:
         v = spectrum_of(h).values
         assert np.abs(v + v[::-1] - 4.0).max() <= tol, (n, lam, mu)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(2, 64), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.sampled_from(EP_CELLS).map(lambda cell: (cell[0], cell[1], cell[1])),
+    ))
+    def test_general_values_equal_their_own_conjugates(self, cell):
+        # A real matrix has a conjugation-closed spectrum.  LAPACK's real
+        # Hessenberg QR returns complex values as exact conjugate pairs, and so
+        # does the cluster re-solve (np.roots of a real polynomial, shifted and
+        # scaled by reals); nothing after them enforces it.
+        v = eigen_general(well(*cell)).values
+        assert np.array_equal(sorted_c(v), sorted_c(v.conj())), cell
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
            st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
@@ -387,8 +416,8 @@ class TestExactInvariantProperties:
 
 class TestHugeCouplings:
     def test_overflowing_intermediates_raise_no_warnings(self):
-        # The bond products and the root-polishing terms overflow here; the
-        # cells come out as they always did, without a RuntimeWarning.
+        # The bond products overflow here; the cells are answered without a
+        # RuntimeWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = spectrum_of(well(2, 1e308, 0.0))
@@ -403,6 +432,73 @@ class TestHugeCouplings:
                 spectrum_of(well(n, lam, mu))
                 scan_domain(n, [lam, 0.5], [mu, -mu])
                 scan_line(n, [lam], -1)
+
+    def test_an_infinite_bond_product_takes_the_general_branch(self):
+        # (1 + lambda)(1 - mu) = 1e400 overflows; symmetrizing it would give
+        # NaN levels.  The exact levels are 2 -/+ (1 + 1e200).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = spectrum_of(well(2, 1e200, -1e200))
+            scan = scan_line(2, [1e200, 0.5], -1)
+        assert s.all_real
+        assert np.allclose(s.values, 2.0 + 1e200 * np.array([-1.0, 1.0]), rtol=2e-16, atol=0.0)
+        assert s.min_gap == pytest.approx(2e200, rel=1e-15)
+        assert scan.all_real.tolist() == [True, True] and scan.complex_pairs.tolist() == [0, 0]
+        assert scan.min_gap[0] == s.min_gap and scan.diagnostics == []
+
+    def test_an_overflowing_cluster_expansion_keeps_lapacks_values(self):
+        # Both levels 2 -/+ sqrt(1.7e308 * (1e100 - 1)) lie within the cluster
+        # gap 1e-5 * 1.7e308 of each other, but the double-double expansion
+        # about their centre overflows; re-solving from it would give 0, 0.
+        levels = np.sqrt(1.7e308) * np.sqrt(1e100) * np.array([-1.0, 1.0])
+        for solve in (spectrum_of, eigen_general):
+            s = solve(well(2, -1.7e308, 1e100))
+            assert np.allclose(s.values, levels, rtol=1e-15, atol=0.0), solve
+            assert s.all_real and s.min_gap == pytest.approx(2.0 * levels[1], rel=1e-15)
+        # With y = 2 - E, n = 5 has det(H - E) = y (y^4 + (l^2 + m^2 - 4) y^2
+        # + l^2 m^2 - 2 (l^2 + m^2) + 3): the levels are 2 and, to relative
+        # order 1/m^2, 2 +/- i l and 2 +/- i m.  Re-solving from the
+        # overflowed expansion would merge 2 +/- i m into a triple level 2.
+        expected = 2.0 + 1j * np.array([-1e307, -1e300, 0.0, 1e300, 1e307])
+        v = spectrum_of(well(5, 1e307, 1e300)).values
+        v = v[np.argsort(v.imag)]
+        assert (np.abs(v - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected))).all()
+        assert scan_domain(5, [1e307], [1e300]).complex_pairs.tolist() == [2]
+
+    def test_an_overflowing_gershgorin_radius_is_a_numerical_error(self):
+        # The exact levels are 2 and 2 +/- i sqrt(2) 1e308, past the float
+        # range; an infinite radius would make every value count as real.
+        h = well(3, 1e308, 1e308)
+        for tol in (None, 1e-3):
+            with pytest.raises(NumericalError, match="Gershgorin radius"):
+                spectrum_of(h, reality_tol=tol)
+            with pytest.raises(NumericalError, match="Gershgorin radius"):
+                eigen_general(h, reality_tol=tol)
+            scan = scan_line(3, [1e308, 0.5], +1, reality_tol=tol)
+            assert scan.complex_pairs.tolist() == [-1, 0]
+            assert scan.all_real.tolist() == [False, True] and np.isnan(scan.min_gap[0])
+            assert [d[0] for d in scan.diagnostics] == [0]
+            assert "Gershgorin radius" in scan.diagnostics[0][3]
+
+    def test_radius_and_tolerance_overflow_without_a_warning(self):
+        h = well(3, 1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h.gershgorin_radius() == np.inf
+            assert reality_tolerance(h) == np.inf
+            assert np.isinf(gershgorin_radii(*bands(3, np.array([1e308, -1e308]), 1e308))).all()
+            assert h.bonds.tolist() == [-np.inf, -np.inf]
+            with pytest.raises(NumericalError, match="Gershgorin radius"):
+                kernel_basis(h)
+            with pytest.raises(NotSymmetrizable):
+                biorthogonalize(h)
+
+    def test_imaginary_parts_near_the_float_maximum_stay_finite(self):
+        # The exact levels are 2 +/- 1e308 i; LAPACK returns them as a finite
+        # conjugate pair, a rounding from the exact value.
+        v = spectrum_of(well(2, 1e308, 1e308)).values
+        assert np.isfinite(v).all() and v.real.tolist() == [2.0, 2.0]
+        assert v.imag[1] == -v.imag[0] == pytest.approx(1e308, rel=1e-15)
 
 
 class TestSpectrumType:
@@ -654,9 +750,9 @@ class TestBatchedScanAgainstCellLoop:
         assert_scan_matches_cell_loop(scan, n)
 
     def test_skipped_repairs_would_change_nothing(self):
-        # The general branch runs the cluster re-solve and the conjugate
-        # pairing only where a vectorized test says they could act; on every
-        # other row, running them must return the values unchanged.
+        # The general branch runs the cluster re-solve only where a vectorized
+        # test says it could act; on every other row, running it must return
+        # the values unchanged.
         resolve = spectra._resolve_real_clusters
         rng = np.random.default_rng(7)
         lam0 = np.sqrt(5.0) / 2.0
@@ -672,37 +768,11 @@ class TestBatchedScanAgainstCellLoop:
             radii = [build(n, (a, b)).gershgorin_radius() for a, b in zip(lams, mus)]
             scale = np.maximum(1.0, radii)
             gap = spectra.EP_CLUSTER_GAP * scale
-            tol = REALITY_TOL_FACTOR * scale
             cluster = spectra._may_cluster(values, gap)
             assert cluster.any() or n > 4
-            for k in np.flatnonzero(cluster):
-                values[k] = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
-            paired = spectra._paired_exactly(values, tol)
-            assert paired.any()
-            for k in range(len(lams)):
-                if not cluster[k]:
-                    again = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
-                    assert again.tobytes() == values[k].tobytes(), (n, k)
-                if paired[k]:
-                    again = spectra._enforce_conjugate_pairs(values[k], tol[k])
-                    assert again.tobytes() == values[k].tobytes(), (n, k)
-
-    def test_the_pairing_guard_passes_only_exact_conjugate_pairs(self):
-        tol = np.array([1e-9])
-        for row, exact in (
-            ([2 + 1j, 3, 2 - 1j], True),
-            ([2 + 1j, 2 + 1j, 2 - 1j, 2 - 1j], True),
-            ([2 + 1e-10j, 2 + 1e-10j, 3], True),  # below the tolerance: real
-            ([2 + 1j, 2 - (1 + 1e-15) * 1j, 3], False),
-            ([2 + 1j, np.nextafter(2.0, 3.0) - 1j, 3], False),
-            ([1j, -1j, 3], False),  # the average of -0.0 and 0.0 is 0.0
-            ([2 + 1j, 2 - 1j, np.inf], False),
-        ):
-            values = np.array([row], dtype=complex)
-            assert spectra._paired_exactly(values, tol)[0] == exact, row
-            if exact:
-                again = spectra._enforce_conjugate_pairs(values[0], tol[0])
-                assert again.tobytes() == values[0].tobytes()
+            for k in np.flatnonzero(~cluster):
+                again = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
+                assert again.tobytes() == values[k].tobytes(), (n, k)
 
 
 class TestSolverFailures:
@@ -728,6 +798,36 @@ class TestSolverFailures:
         assert np.isnan(scan.min_gap[1])
         assert len(scan.diagnostics) == 1 and scan.diagnostics[0][0] == 1
         assert "did not converge" in scan.diagnostics[0][3]
+
+    def test_a_non_finite_value_is_a_numerical_error_of_its_cell(self, monkeypatch):
+        # On either branch the solver hands back a non-finite value for the
+        # last cell of its stack; that cell fails with a NumericalError that
+        # is not a ConvergenceError, and the other cells come out as before.
+        grid = [0.3, 0.6, 1.3, 1.6]
+        clean = scan_line(5, grid, +1)
+        for name, i in (("eigvalsh", 1), ("eigvals", 3)):
+            solver = getattr(np.linalg, name)
+            for bad in (np.inf, np.nan):
+
+                def spoiled(a, solver=solver, bad=bad):
+                    v = solver(a)
+                    v[-1, 0] = bad
+                    return v
+
+                monkeypatch.setattr(np.linalg, name, spoiled)
+                scan = scan_line(5, grid, +1)
+                with pytest.raises(NumericalError, match="non-finite") as info:
+                    spectrum_of(well(5, grid[i]))
+                monkeypatch.undo()
+                assert not isinstance(info.value, ConvergenceError)
+                assert [d[:3] for d in scan.diagnostics] == [(i, grid[i], grid[i])], name
+                assert "non-finite" in scan.diagnostics[0][3]
+                assert scan.complex_pairs[i] == -1 and not scan.all_real[i]
+                assert np.isnan(scan.min_gap[i])
+                rest = np.arange(len(grid)) != i
+                assert np.array_equal(scan.complex_pairs[rest], clean.complex_pairs[rest])
+                assert np.array_equal(scan.all_real[rest], clean.all_real[rest])
+                assert scan.min_gap[rest].tobytes() == clean.min_gap[rest].tobytes()
 
     def test_a_matrix_that_fails_in_a_batch_costs_only_its_own_cell(self, monkeypatch):
         # LAPACK fails on one matrix of a stacked call; the block is solved
