@@ -11,6 +11,8 @@ Subcommands:
 * ``continuum``     scaled-level convergence study over a size ladder
 
 Exit status: 0 success; 1 validation/usage error; 2 numerical failure.
+Each subcommand builds its payload here, from the library's result
+dataclasses, which have no serialization of their own.
 Identical invocations produce byte-identical output: fixed key order, fixed
 row order, floats via shortest round-trip repr, booleans as lowercase
 true/false, and no timestamps.  JSON text is exactly what
@@ -24,6 +26,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -207,9 +210,16 @@ def _config_from(ns):
 def _cmd_spectrum(cfg):
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
     spec = spectra.spectrum_of(h, reality_tol=cfg.tol)
-    payload = {"n": cfg.n, "lambda": cfg.lam, "mu": cfg.mu}
-    payload.update(spec.to_dict())
-    rows = ((k + 1, v["re"], v["im"]) for k, v in enumerate(payload["values"]))
+    real, imag = spec.values.real.tolist(), spec.values.imag.tolist()
+    payload = {
+        "n": cfg.n,
+        "lambda": cfg.lam,
+        "mu": cfg.mu,
+        "values": [{"re": x, "im": y} for x, y in zip(real, imag)],
+        "all_real": bool(spec.all_real),
+        "min_gap": float(spec.min_gap),
+    }
+    rows = ((k + 1, x, y) for k, (x, y) in enumerate(zip(real, imag)))
     return payload, ("k", "re", "im"), rows
 
 
@@ -240,7 +250,6 @@ def _cmd_pseudometrics(cfg):
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
     basis = dieudonne.kernel_basis(h)
     residuals = basis.residuals.tolist()
-    # The keys of PseudometricBasis.to_dict, with the matrices left as arrays.
     payload = {
         "n": cfg.n,
         "lambda": cfg.lam,
@@ -332,11 +341,9 @@ def _cmd_verify(cfg):
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
     report = quasihermitian.symmetry_report(h, triple)
-    fields = report.to_dict()
-    payload = {"n": cfg.n, "lambda": cfg.lam}
-    payload.update(fields)
-    rows = fields.items()
-    return payload, ("quantity", "value"), rows
+    fields = {name: float(value) for name, value in vars(report).items()}
+    payload = {"n": cfg.n, "lambda": cfg.lam, **fields}
+    return payload, ("quantity", "value"), fields.items()
 
 
 def _cmd_continuum(cfg):
@@ -346,7 +353,21 @@ def _cmd_continuum(cfg):
         )
     sizes = (cfg.n // 8, cfg.n // 4, cfg.n // 2, cfg.n)
     study = continuum.convergence_study(sizes, cfg.lam, cfg.levels)
-    return study.to_dict(), ("n", "k", "scaled_energy", "richardson_order"), study.rows()
+    # Lists, not arrays: the float-array path costs more than it saves on
+    # rows this short.  NaN orders (no estimate) print as null.
+    payload = {
+        "sizes": list(study.sizes),
+        "lambda": study.lam,
+        "scaled_levels": [row.tolist() for row in study.scaled_levels],
+        "differences": [row.tolist() for row in study.differences],
+        "orders": [_nan_to_none(row) for row in study.orders],
+        "estimated_order": _nan_to_none(study.estimated_order),
+    }
+    return payload, ("n", "k", "scaled_energy", "richardson_order"), study.rows()
+
+
+def _nan_to_none(values):
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 _COMMANDS = {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import CouplingPair, build, symmetrize
+from .hamiltonian import CouplingPair, build, dimension, symmetrize
 from .spectra import eigen_real
 
 PI_SQ = float(np.pi) ** 2
@@ -72,23 +72,10 @@ class ConvergenceStudy:
                     None if np.isnan(order) else float(order),
                 )
 
-    def to_dict(self):
-        def clean(seq):
-            return [None if np.isnan(v) else float(v) for v in seq]
-
-        return {
-            "sizes": [int(n) for n in self.sizes],
-            "lambda": float(self.lam),
-            "scaled_levels": [[float(v) for v in row] for row in self.scaled_levels],
-            "differences": [[float(v) for v in row] for row in self.differences],
-            "orders": [clean(row) for row in self.orders],
-            "estimated_order": clean(self.estimated_order),
-        }
-
 
 def scaled_spectrum(n, lam, levels):
     """The K lowest levels of H(lam, lam) scaled by (n+1)^2 / pi^2."""
-    n = int(n)
+    n = dimension(n)
     levels = int(levels)
     lam = float(lam)
     if not -1.0 < lam < 1.0:
@@ -105,7 +92,7 @@ def scaled_spectrum(n, lam, levels):
 
 def convergence_study(sizes, lam, levels=1):
     """Scaled-level convergence over a strictly increasing size ladder."""
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(dimension(n) for n in sizes)
     if len(sizes) < 3:
         raise ValidationError(
             f"a study needs at least 3 sizes for one order estimate, got {len(sizes)}"

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NumericalError, ValidationError
-from .hamiltonian import DiscreteHamiltonian, dense, symmetrize
+from .hamiltonian import CouplingPair, DiscreteHamiltonian, dense, dimension, symmetrize
 from .spectra import DEGENERACY_THRESHOLD, eigen_real, spectrum_of
 
 # Unused by the library: only bench/tracing.py reads it, to label kernel_basis
@@ -89,20 +89,6 @@ class PseudometricBasis:
     def dimension(self):
         return len(self.basis)
 
-    def to_dict(self):
-        return {
-            "n": int(self.n),
-            "dimension": int(self.dimension),
-            "independence": float(self.independence),
-            "elements": [
-                {
-                    "matrix": [[float(v) for v in row] for row in x],
-                    "residual": float(r),
-                }
-                for x, r in zip(self.basis, self.residuals)
-            ],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormPseudometric:
@@ -118,22 +104,10 @@ class ClosedFormPseudometric:
     alpha: float
     matrix: np.ndarray
 
-    def to_dict(self):
-        return {
-            "n": int(self.n),
-            "variant": self.variant,
-            "alpha": float(self.alpha),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
 
-
-def _entry_norm_h(h):
-    """max|H_ij| straight from the band storage."""
-    return max(
-        float(np.abs(h.diag).max()),
-        float(np.abs(h.super).max()),
-        float(np.abs(h.sub).max()),
-    )
+def _entry_norm(a):
+    """max|a_ij|, the matrix norm of every check here (0 for an empty array)."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def residual(h, x):
@@ -146,7 +120,7 @@ def residual(h, x):
             f"candidate shape {x.shape} does not match operator size {h.n}"
         )
     hd = dense(h)
-    return float(np.abs(hd.T @ x - x @ hd).max(initial=0.0))
+    return _entry_norm(hd.T @ x - x @ hd)
 
 
 def _peaks(xs):
@@ -155,14 +129,19 @@ def _peaks(xs):
     return flat[np.arange(flat.shape[0]), np.abs(flat).argmax(axis=1)]
 
 
-def _gap_gate(h, min_gap):
+def _gap_gate(h, min_gap, consequence="the solution space is not guaranteed n-dimensional"):
+    """Refuse a minimum gap at the degeneracy threshold; return the threshold's scale.
+
+    ``consequence`` ends the DegenerateSpectrum message: what the caller
+    cannot do with a (near-)multiple eigenvalue.
+    """
     scale = max(1.0, h.gershgorin_radius())
     if min_gap <= DEGENERACY_THRESHOLD * scale:
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {min_gap:.3e} at n={h.n}, "
-            f"lambda={h.couplings.lam}, mu={h.couplings.mu}; the solution "
-            "space is not guaranteed n-dimensional"
+            f"lambda={h.couplings.lam}, mu={h.couplings.mu}; {consequence}"
         )
+    return scale
 
 
 def _recurrence_elements(sup, sub, flip=False, orthonormalize=False):
@@ -278,7 +257,7 @@ def _certified_basis(h, basis):
     defect = hd.T @ basis
     defect -= basis @ hd
     residuals = np.abs(defect, out=defect).max(axis=(1, 2), initial=0.0)
-    bound = RESIDUAL_FACTOR * _entry_norm_h(h)
+    bound = RESIDUAL_FACTOR * _entry_norm(hd)
     if residuals.max(initial=0.0) > bound:
         raise NumericalError(
             f"pseudometric residual {residuals.max():.3e} exceeds {bound:.3e}"
@@ -318,12 +297,8 @@ def closed_form(n, lam, variant):
     ones with both corners alpha = (1 - lam)/(1 + lam) for H(lam, -lam).  The
     weighted template degenerates at lam = -1 where alpha diverges.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError(f"size must be at least 2, got {n}")
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValidationError(f"coupling must be finite, got {lam}")
+    n = dimension(n)
+    lam = CouplingPair(lam, lam).lam
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     matrix = np.zeros((n, n))

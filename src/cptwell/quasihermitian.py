@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dieudonne import PseudometricBasis
+from .dieudonne import PseudometricBasis, _entry_norm, _gap_gate, closed_form, residual
 from .errors import (
-    DegenerateSpectrum,
     FactorizationError,
     InadmissiblePseudometric,
     NotDyadRepresentable,
@@ -42,16 +41,12 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import CouplingPair, DiscreteHamiltonian, build, dense, symmetrize
-from .spectra import DEGENERACY_THRESHOLD, eigen_real
+from .spectra import eigen_real
 
 CONSTRUCTION_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 ASSEMBLY_TOL = 1e-9
 OVERLAP_FLOOR = 1e-12
-
-
-def _entry_norm(a):
-    return float(np.abs(a).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +72,6 @@ class BiorthogonalSystem:
         """Oblique spectral projector r_k l_k^T / mu_k onto the k-th mode."""
         return np.outer(self.right[:, k], self.left[:, k]) / self.overlaps[k]
 
-    def to_dict(self):
-        return {
-            "values": [float(v) for v in self.values],
-            "overlaps": [float(m) for m in self.overlaps],
-            "right": [[float(v) for v in row] for row in self.right],
-            "left": [[float(v) for v in row] for row in self.left],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ChargeAssembly:
@@ -101,15 +88,6 @@ class ChargeAssembly:
     kappa_sq: np.ndarray
     signs: np.ndarray
     c: np.ndarray
-
-    def to_dict(self):
-        return {
-            "nu": [float(v) for v in self.nu],
-            "omega": [float(v) for v in self.omega],
-            "kappa_sq": [float(v) for v in self.kappa_sq],
-            "signs": [int(s) for s in self.signs],
-            "c": [[float(v) for v in row] for row in self.c],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,16 +106,6 @@ class OperatorTriple:
     residual_involution: float
     positivity: float
 
-    def to_dict(self):
-        return {
-            "p": [[float(v) for v in row] for row in self.p],
-            "c": [[float(v) for v in row] for row in self.c],
-            "theta": [[float(v) for v in row] for row in self.theta],
-            "residual_dieudonne_theta": float(self.residual_dieudonne_theta),
-            "residual_involution": float(self.residual_involution),
-            "positivity": float(self.positivity),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class AnsatzMetric:
@@ -155,14 +123,6 @@ class AnsatzMetric:
     smallest_eigenvalue: float
     residual_bound: float
 
-    def to_dict(self):
-        return {
-            "theta": [[float(v) for v in row] for row in self.theta],
-            "positive": bool(self.positive),
-            "smallest_eigenvalue": float(self.smallest_eigenvalue),
-            "residual_bound": float(self.residual_bound),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetryReport:
@@ -179,15 +139,6 @@ class SymmetryReport:
     residual_involution: float
     theta_min_eig: float
 
-    def to_dict(self):
-        return {
-            "residual_p": float(self.residual_p),
-            "residual_theta": float(self.residual_theta),
-            "residual_commutator": float(self.residual_commutator),
-            "residual_involution": float(self.residual_involution),
-            "theta_min_eig": float(self.theta_min_eig),
-        }
-
 
 def biorthogonalize(h):
     """Right and left eigenbases of h with their biorthogonal overlaps.
@@ -201,13 +152,7 @@ def biorthogonalize(h):
         raise ValidationError("biorthogonalize expects a DiscreteHamiltonian")
     sym = symmetrize(h)
     spec, w = eigen_real(sym, want_vectors=True)
-    scale = max(1.0, h.gershgorin_radius())
-    if spec.min_gap <= DEGENERACY_THRESHOLD * scale:
-        raise DegenerateSpectrum(
-            f"minimum eigenvalue gap {spec.min_gap:.3e} at n={h.n}, "
-            f"lambda={h.couplings.lam}, mu={h.couplings.mu}; biorthogonal "
-            "pairing is ill-defined"
-        )
+    scale = _gap_gate(h, spec.min_gap, "biorthogonal pairing is ill-defined")
     values = spec.values.real.copy()
     right = w * sym.d[:, None]
     left = w / sym.d[:, None]
@@ -345,12 +290,8 @@ def closed_form_operators(n, lam):
     and the corners become the square roots of those values.  The construction
     is singular at |lam| = 1 where the corners vanish or diverge.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError(f"size must be at least 2, got {n}")
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValidationError(f"coupling must be finite, got {lam}")
+    h = build(n, CouplingPair(lam, lam))
+    n, lam = h.n, h.couplings.lam
     if lam == 1.0 or lam == -1.0:
         raise ValidationError(
             f"closed forms are singular at the exceptional point lambda={lam}"
@@ -366,14 +307,12 @@ def closed_form_operators(n, lam):
         low, high = np.sqrt(alpha), np.sqrt(beta)
     else:
         low, high = alpha, beta
-    p = np.fliplr(np.eye(n))
-    c = np.fliplr(np.eye(n))
+    p = closed_form(n, lam, "exchange").matrix
+    c = p.copy()
     c[0, n - 1] = high
     c[n - 1, 0] = low
     theta = p @ c
-    h = build(n, CouplingPair(lam, lam))
-    hd = dense(h)
-    res_theta = _entry_norm(hd.T @ theta - theta @ hd)
+    res_theta = residual(h, theta)
     res_inv = _entry_norm(c @ c - np.eye(n))
     positivity = float(np.diag(theta).min())
     return OperatorTriple(p, c, theta, res_theta, res_inv, positivity)
@@ -421,8 +360,8 @@ def symmetry_report(h, triple):
     p, c, theta = triple.p, triple.c, triple.theta
     sym_theta = 0.5 * (theta + theta.T)
     return SymmetryReport(
-        residual_p=_entry_norm(hd.T @ p - p @ hd),
-        residual_theta=_entry_norm(hd.T @ theta - theta @ hd),
+        residual_p=residual(h, p),
+        residual_theta=residual(h, theta),
         residual_commutator=_entry_norm(c @ hd - hd @ c),
         residual_involution=_entry_norm(c @ c - np.eye(h.n)),
         theta_min_eig=float(np.linalg.eigvalsh(sym_theta)[0]),

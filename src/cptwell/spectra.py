@@ -52,6 +52,7 @@ EP_CLUSTER_GAP = 1e-5
 # Matrix entries (cells x n x n) that one stacked solve may hold; scans run
 # their cells in blocks of this size, so memory does not grow with the grid.
 BLOCK_ENTRIES = 1 << 16
+_RADIUS_OVERFLOW = "the Gershgorin radius overflows the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +70,6 @@ class Spectrum:
     @property
     def n(self):
         return self.values.shape[0]
-
-    def to_dict(self):
-        return {
-            "values": [{"re": float(z.real), "im": float(z.imag)} for z in self.values],
-            "all_real": bool(self.all_real),
-            "min_gap": float(self.min_gap),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +102,15 @@ class DomainScan:
 def reality_tolerance(h, override=None):
     """Scale-aware threshold on |Im| below which a value counts as real.
 
-    An override must be a finite number >= 0.
+    An override must be a finite number >= 0.  Without one, an overflowing
+    Gershgorin radius raises `NumericalError`, as `_solve` fails such a cell.
     """
-    if override is None:
-        return REALITY_TOL_FACTOR * max(1.0, h.gershgorin_radius())
-    return _checked_override(override)
+    if override is not None:
+        return _checked_override(override)
+    radius = h.gershgorin_radius()
+    if not np.isfinite(radius):
+        raise NumericalError(_RADIUS_OVERFLOW)
+    return REALITY_TOL_FACTOR * max(1.0, radius)
 
 
 def _checked_override(override):
@@ -360,7 +358,7 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
         tol = REALITY_TOL_FACTOR * scale if override is None else np.full(rows.size, override)
         gap = EP_CLUSTER_GAP * scale
         v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed)
-        _refuse_non_finite(failed, rows, scale, "the Gershgorin radius overflows the float range")
+        _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
         _refuse_non_finite(failed, rows, v)
         for k in np.flatnonzero(_may_cluster(v, gap)):
             if rows[k] not in failed:

@@ -290,6 +290,67 @@ class TestContinuumCommand:
         assert "divisible by 8" in err
 
 
+class TestPayloadSchema:
+    """Each subcommand's JSON key order and CSV header, pinned."""
+
+    SCHEMAS = {
+        "spectrum": (
+            ("-N", "4", "--lambda", "0.3"),
+            ["n", "lambda", "mu", "values", "all_real", "min_gap"],
+            "k,re,im",
+        ),
+        "scan": (
+            ("-N", "3", "--grid", "0:1:0.5"),
+            ["n", "grid", "line", "cells", "diagnostics"],
+            "lambda,mu,all_real,complex_pairs,min_gap",
+        ),
+        "pseudometrics": (
+            ("-N", "3", "--lambda", "0.25"),
+            ["n", "lambda", "mu", "dimension", "independence", "elements"],
+            "element,row,col,value,residual",
+        ),
+        "metric": (
+            ("-N", "4", "--lambda", "0.5", "--mu", "-0.5"),
+            ["n", "lambda", "mu", "pseudometric", "nu", "kappa_sq", "theta",
+             "smallest_eigenvalue", "positive", "residual_theta"],
+            "row,col,value",
+        ),
+        "charge": (
+            ("-N", "4", "--lambda", "0.6"),
+            ["n", "lambda", "max_difference", "residual_involution_closed",
+             "residual_involution_spectral", "c_spectral", "c_closed"],
+            "row,col,spectral,closed",
+        ),
+        "verify": (
+            ("-N", "4", "--lambda", "0.7"),
+            ["n", "lambda", "residual_p", "residual_theta", "residual_commutator",
+             "residual_involution", "theta_min_eig"],
+            "quantity,value",
+        ),
+        "continuum": (
+            ("-N", "16", "--lambda", "0.3", "--levels", "2"),
+            ["sizes", "lambda", "scaled_levels", "differences", "orders", "estimated_order"],
+            "n,k,scaled_energy,richardson_order",
+        ),
+    }
+    NESTED = {"spectrum": ("values", ["re", "im"]),
+              "scan": ("cells", ["lambda", "mu", "all_real", "complex_pairs", "min_gap"]),
+              "pseudometrics": ("elements", ["matrix", "residual"])}
+
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_json_key_order_and_csv_header(self, command):
+        args, keys, header = self.SCHEMAS[command]
+        rc, out, _ = run(command, *args)
+        assert rc == 0
+        payload = json.loads(out)
+        assert list(payload) == keys
+        if command in self.NESTED:
+            field, inner = self.NESTED[command]
+            assert payload[field] and all(list(entry) == inner for entry in payload[field])
+        rc, out, _ = run(command, *args, "--format", "csv")
+        assert rc == 0 and out.split("\n", 1)[0] == header
+
+
 class TestTopLevelBehaviour:
     def test_no_arguments_is_a_usage_error(self):
         rc, out, err = run()

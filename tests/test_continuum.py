@@ -12,8 +12,6 @@ Oracles:
   L(h) = 1 + 8 lambda^2/(1 + lambda^2) h + O(h^2) for the ground level.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -132,14 +130,9 @@ class TestStudyShape:
         assert rows[0][3] is None and rows[1][3] is None
         assert rows[2][3] == pytest.approx(0.98863247, abs=1e-6)
         assert rows[3][3] == pytest.approx(0.99995435, abs=1e-6)
-
-    def test_to_dict_is_json_serializable(self):
         st = convergence_study((20, 40, 80), 0.0, levels=2)
-        d = json.loads(json.dumps(st.to_dict()))
-        assert d["sizes"] == [20, 40, 80]
-        assert d["lambda"] == 0.0
-        assert len(d["scaled_levels"]) == 3
-        assert len(d["scaled_levels"][0]) == 2
+        assert st.sizes == (20, 40, 80) and st.lam == 0.0 and st.levels == 2
+        assert np.shape(st.scaled_levels) == (3, 2)
 
     def test_ladders_must_be_strictly_increasing_with_three_rungs(self):
         with pytest.raises(ValidationError):

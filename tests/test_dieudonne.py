@@ -13,7 +13,6 @@ Oracles:
   F H(lambda, mu) F = H(-mu, -lambda), which maps solutions to solutions.
 """
 
-import json
 import warnings
 from fractions import Fraction
 
@@ -95,6 +94,7 @@ class TestClosedForms:
         expect = np.array([[0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0], [1.0 / 3.0, 0.0, 0.0]])
         assert np.array_equal(cf.matrix, expect)
         assert cf.alpha == 1.0 / 3.0
+        assert cf.n == 3 and cf.variant == "weighted"
 
     def test_weighted_template_solves_the_opposite_line(self):
         for n, lam in ((2, 0.5), (3, 0.5), (5, 0.3), (7, -0.6), (4, 0.9)):
@@ -116,13 +116,6 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             closed_form(1, 0.5, "exchange")
 
-    def test_serialization_round_trips(self):
-        cf = closed_form(3, 0.5, "weighted")
-        d = json.loads(json.dumps(cf.to_dict()))
-        assert d["n"] == 3 and d["variant"] == "weighted"
-        assert d["alpha"] == pytest.approx(1.0 / 3.0, abs=0.0)
-        assert np.array_equal(np.asarray(d["matrix"]), cf.matrix)
-
 
 class TestKernelBasis:
     def test_dimension_equals_the_matrix_size_off_the_degenerate_set(self):
@@ -131,6 +124,10 @@ class TestKernelBasis:
                 for mu in MUS:
                     pm = kernel_basis(well(n, lam, mu))
                     assert pm.dimension == n, (n, lam, mu)
+        pm = kernel_basis(well(3, 0.25))
+        assert pm.n == 3 and pm.dimension == 3 and len(pm.residuals) == 3
+        assert pm.independence > 1e-8
+        assert span_residual(pm, pm.basis[0]) <= 1e-12
 
     def test_elements_are_symmetric_normalized_and_small_residual(self):
         h = well(7, 0.45, -0.15)
@@ -191,15 +188,6 @@ class TestKernelBasis:
                 for k in range(n):
                     pk = system.projector(k)
                     assert np.max(np.abs(x @ pk - pk.T @ x)) <= 1e-8, (n, lam, mu)
-
-    def test_serialization_round_trips(self):
-        pm = kernel_basis(well(3, 0.25))
-        d = json.loads(json.dumps(pm.to_dict()))
-        assert d["n"] == 3 and d["dimension"] == 3
-        assert len(d["elements"]) == 3
-        assert d["independence"] > 1e-8
-        first = np.asarray(d["elements"][0]["matrix"])
-        assert span_residual(pm, first) <= 1e-12
 
 
 def loop_symmetric_basis(n):

@@ -11,6 +11,8 @@ Oracles used here:
 import numpy as np
 import pytest
 
+from cptwell.continuum import convergence_study, scaled_spectrum
+from cptwell.dieudonne import closed_form
 from cptwell.errors import NotSymmetrizable, ValidationError
 from cptwell.hamiltonian import (
     CouplingPair,
@@ -23,6 +25,7 @@ from cptwell.hamiltonian import (
     gershgorin_radii,
     symmetrize,
 )
+from cptwell.quasihermitian import closed_form_operators
 
 
 def well(n, lam, mu=None):
@@ -77,6 +80,20 @@ class TestBuild:
         for n in (4.5, 2.000001, float("nan"), float("inf"), "4", None):
             with pytest.raises(ValidationError, match="integer"):
                 build(n, (0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: closed_form(2.5, 0.3, "exchange"),
+            lambda: closed_form_operators(3.9, 0.3),
+            lambda: scaled_spectrum(8.7, 0.2, 1),
+            lambda: convergence_study((16.5, 32, 64), 0.2),
+        ],
+        ids=["closed_form", "closed_form_operators", "scaled_spectrum", "convergence_study"],
+    )
+    def test_sized_constructors_refuse_a_non_integral_size_like_build(self, construct):
+        with pytest.raises(ValidationError, match="integer"):
+            construct()
 
     def test_integer_dimensions_of_any_integer_type_are_accepted(self):
         for n in (4, np.int64(4), np.int32(4), np.uint8(4), 4.0):

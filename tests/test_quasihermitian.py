@@ -82,6 +82,9 @@ class TestBiorthogonalize:
             ) <= 1e-12
 
     def test_overlaps_are_positive_and_at_most_one(self):
+        system = biorthogonalize(well(3, 0.2))
+        assert system.n == 3 and system.values.shape == system.overlaps.shape == (3,)
+        assert system.right.shape == system.left.shape == (3, 3)
         system = biorthogonalize(well(8, 0.9))
         assert np.all(system.overlaps > 0.0)
         assert np.all(system.overlaps <= 1.0 + 1e-14)
@@ -104,12 +107,6 @@ class TestBiorthogonalize:
     def test_dead_bond_is_rejected(self):
         with pytest.raises(NotSymmetrizable):
             biorthogonalize(well(5, 1.0))
-
-    def test_serialization_shapes(self):
-        d = biorthogonalize(well(3, 0.2)).to_dict()
-        assert len(d["values"]) == 3
-        assert len(d["right"]) == 3 and len(d["right"][0]) == 3
-        assert len(d["overlaps"]) == 3
 
 
 class TestDecomposeInversePseudometric:
@@ -308,6 +305,7 @@ class TestClosedFormOperators:
 
     def test_beyond_the_window_the_algebra_survives_but_positivity_fails(self):
         trip = closed_form_operators(4, 1.5)
+        assert trip.p.shape == trip.c.shape == trip.theta.shape == (4, 4)
         assert trip.positivity < 0.0
         assert trip.residual_dieudonne_theta <= 1e-12
         assert trip.residual_involution <= 1e-12
@@ -321,17 +319,6 @@ class TestClosedFormOperators:
     def test_two_site_outside_the_window_has_no_real_square_roots(self):
         with pytest.raises(ValidationError):
             closed_form_operators(2, 1.5)
-
-    def test_serialization_keys(self):
-        d = closed_form_operators(3, 0.5).to_dict()
-        assert set(d) == {
-            "p",
-            "c",
-            "theta",
-            "residual_dieudonne_theta",
-            "residual_involution",
-            "positivity",
-        }
 
 
 class TestSpectralAgainstClosedForms:
@@ -433,16 +420,7 @@ class TestSymmetryReport:
     def test_mismatched_line_shows_the_corner_defect(self):
         rep = symmetry_report(well(3, 0.5, -0.5), closed_form_operators(3, 0.5))
         assert rep.residual_p == 1.0
-
-    def test_report_serializes(self):
-        d = symmetry_report(well(3, 0.1), closed_form_operators(3, 0.1)).to_dict()
-        assert set(d) == {
-            "residual_p",
-            "residual_theta",
-            "residual_commutator",
-            "residual_involution",
-            "theta_min_eig",
-        }
+        assert all(type(value) is float for value in vars(rep).values())
 
 
 class TestThetaAdjoint:
