@@ -11,8 +11,9 @@ Subcommands:
 * ``continuum``     scaled-level convergence study over a size ladder
 
 Exit status: 0 success; 1 validation/usage error; 2 numerical failure.
-Each subcommand builds its payload here, from the library's result
-dataclasses, which have no serialization of their own.
+Each subcommand reads its request from the parsed argparse namespace and
+builds its JSON payload and its CSV rows here, from the library's result
+dataclasses, which have no serialization or row layout of their own.
 Identical invocations produce byte-identical output: fixed key order, fixed
 row order, floats via shortest round-trip repr, booleans as lowercase
 true/false, and no timestamps.  JSON text is exactly what
@@ -28,7 +29,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,23 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    """Validated invocation: one subcommand plus its parameters."""
-
-    command: str
-    n: int
-    lam: float
-    mu: float
-    grid: tuple
-    grid_spec: str
-    line: str
-    levels: int
-    tol: float
-    fmt: str
-    output: str
 
 
 def parse_grid(spec):
@@ -136,16 +119,11 @@ def _build_parser():
     common(p, with_tol=True)
 
     p = sub.add_parser("scan", help="reality classification over a coupling grid")
-    p.add_argument("-N", "--size", dest="n", type=int, required=True,
-                   help="matrix dimension n")
+    common(p, with_couplings=False, with_tol=True)
     p.add_argument("--grid", dest="grid_spec", required=True,
                    help="coupling grid lo:hi:step")
     p.add_argument("--line", dest="line", choices=LINES, default=None,
                    help="restrict to a coupling line (default: full product grid)")
-    p.add_argument("--tol", dest="tol", type=float, default=None,
-                   help="absolute reality tolerance override")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
-    p.add_argument("--output", dest="output", default=None)
 
     p = sub.add_parser("pseudometrics", help="basis of solutions of H^T X = X H")
     common(p)
@@ -170,10 +148,15 @@ def _build_parser():
 
 
 def _config_from(ns):
+    """The parsed namespace, after the checks that argparse cannot make.
+
+    A subcommand is given, 2 <= n and n fits MAX_ENTRIES; mu defaults to
+    lambda, and --grid is parsed into ``ns.grid``.
+    """
     command = ns.command
     if command is None:
         raise ValidationError("a subcommand is required (see --help)")
-    n = int(ns.n)
+    n = ns.n
     if n < 2:
         raise ValidationError(f"size must be at least 2, got {n}")
     power = 3 if command == "pseudometrics" else 2
@@ -182,29 +165,11 @@ def _config_from(ns):
             f"size {n} needs {n**power:,} matrix entries for {command}; "
             f"at most {MAX_ENTRIES:,} are allowed"
         )
-    lam = getattr(ns, "lam", None)
-    mu = getattr(ns, "mu", None)
-    if lam is not None:
-        lam = float(lam)
-    if mu is None:
-        mu = lam
-    else:
-        mu = float(mu)
-    grid_spec = getattr(ns, "grid_spec", None)
-    grid = parse_grid(grid_spec) if grid_spec is not None else None
-    return RunConfig(
-        command=command,
-        n=n,
-        lam=lam,
-        mu=mu,
-        grid=grid,
-        grid_spec=grid_spec,
-        line=getattr(ns, "line", None),
-        levels=int(getattr(ns, "levels", 1)),
-        tol=getattr(ns, "tol", None),
-        fmt=ns.fmt,
-        output=ns.output,
-    )
+    if "mu" in vars(ns) and ns.mu is None:
+        ns.mu = ns.lam
+    if command == "scan":
+        ns.grid = parse_grid(ns.grid_spec)
+    return ns
 
 
 def _cmd_spectrum(cfg):
@@ -230,20 +195,17 @@ def _cmd_scan(cfg):
     else:
         sign = 1 if cfg.line == "mu=lambda" else -1
         scan = spectra.scan_line(cfg.n, grid, sign, reality_tol=cfg.tol)
-    rows = list(scan.rows())
-    cells = [
-        {"lambda": r[0], "mu": r[1], "all_real": r[2], "complex_pairs": r[3],
-         "min_gap": r[4]}
-        for r in rows
-    ]
+    header = ("lambda", "mu", "all_real", "complex_pairs", "min_gap")
+    rows = list(zip(scan.lam.tolist(), scan.mu.tolist(), scan.all_real.tolist(),
+                    scan.complex_pairs.tolist(), scan.min_gap.tolist()))
     payload = {
         "n": cfg.n,
         "grid": cfg.grid_spec,
         "line": cfg.line,
-        "cells": cells,
+        "cells": [dict(zip(header, row)) for row in rows],
         "diagnostics": list(scan.diagnostics),
     }
-    return payload, ("lambda", "mu", "all_real", "complex_pairs", "min_gap"), rows
+    return payload, header, rows
 
 
 def _cmd_pseudometrics(cfg):
@@ -316,15 +278,14 @@ def _cmd_charge(cfg):
     system = quasihermitian.biorthogonalize(h)
     nu = quasihermitian.decompose_inverse_pseudometric(triple.p, system)
     asm = quasihermitian.assemble_charge_spectral(system, nu)
-    diff = float(np.abs(asm.c - triple.c).max())
     payload = {
         "n": cfg.n,
         "lambda": cfg.lam,
-        "max_difference": diff,
-        "residual_involution_closed": float(triple.residual_involution),
-        "residual_involution_spectral": float(
-            np.abs(asm.c @ asm.c - np.eye(cfg.n)).max()
+        "max_difference": dieudonne._entry_norm(asm.c - triple.c),
+        "residual_involution_closed": dieudonne._entry_norm(
+            triple.c @ triple.c - np.eye(cfg.n)
         ),
+        "residual_involution_spectral": asm.involution,
         "c_spectral": asm.c,
         "c_closed": triple.c,
     }
@@ -355,15 +316,22 @@ def _cmd_continuum(cfg):
     study = continuum.convergence_study(sizes, cfg.lam, cfg.levels)
     # Lists, not arrays: the float-array path costs more than it saves on
     # rows this short.  NaN orders (no estimate) print as null.
+    scaled = study.scaled_levels.tolist()
+    orders = [_nan_to_none(row) for row in study.orders]
     payload = {
         "sizes": list(study.sizes),
         "lambda": study.lam,
-        "scaled_levels": [row.tolist() for row in study.scaled_levels],
-        "differences": [row.tolist() for row in study.differences],
-        "orders": [_nan_to_none(row) for row in study.orders],
+        "scaled_levels": scaled,
+        "differences": study.differences.tolist(),
+        "orders": orders,
         "estimated_order": _nan_to_none(study.estimated_order),
     }
-    return payload, ("n", "k", "scaled_energy", "richardson_order"), study.rows()
+    rows = (
+        (n, k + 1, level, orders[k][i - 2] if i >= 2 else None)
+        for i, (n, levels) in enumerate(zip(study.sizes, scaled))
+        for k, level in enumerate(levels)
+    )
+    return payload, ("n", "k", "scaled_energy", "richardson_order"), rows
 
 
 def _nan_to_none(values):
@@ -597,8 +565,7 @@ def main(argv=None):
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(_absorb_signed_values(argv))
-        cfg = _config_from(ns)
+        cfg = _config_from(parser.parse_args(_absorb_signed_values(argv)))
         text = dispatch(cfg)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -43,34 +43,20 @@ PI_SQ = float(np.pi) ** 2
 class ConvergenceStudy:
     """Scaled levels over a size ladder with Richardson order estimates.
 
-    ``scaled_levels[i]`` holds the K lowest scaled levels at ``sizes[i]``;
-    ``differences[k]`` the successive differences of level k over the ladder;
-    ``orders[k]`` the per-triple order estimates (NaN where the differences
-    change sign or vanish); ``estimated_order[k]`` the finest-triple estimate.
+    With S sizes and K levels, the arrays are ``scaled_levels`` (S, K), the
+    K lowest scaled levels at ``sizes[i]`` in row i; ``differences`` (K, S-1),
+    the successive differences of level k over the ladder in row k;
+    ``orders`` (K, S-2), the per-triple order estimates of level k in row k
+    (NaN where the differences change sign or vanish); and
+    ``estimated_order`` (K,), the finest-triple estimates.
     """
 
     sizes: tuple
     lam: float
-    scaled_levels: list
-    differences: list
-    orders: list
+    scaled_levels: np.ndarray
+    differences: np.ndarray
+    orders: np.ndarray
     estimated_order: np.ndarray
-
-    @property
-    def levels(self):
-        return int(self.estimated_order.shape[0])
-
-    def rows(self):
-        """CSV rows (n, k, scaled_energy, richardson_order-or-None)."""
-        for i, n in enumerate(self.sizes):
-            for k in range(self.levels):
-                order = self.orders[k][i - 2] if i >= 2 else float("nan")
-                yield (
-                    int(n),
-                    k + 1,
-                    float(self.scaled_levels[i][k]),
-                    None if np.isnan(order) else float(order),
-                )
 
 
 def scaled_spectrum(n, lam, levels):
@@ -104,23 +90,13 @@ def convergence_study(sizes, lam, levels=1):
         raise ValidationError(
             f"levels {levels} exceeds the smallest ladder size {min(sizes)}"
         )
-    scaled = [scaled_spectrum(n, lam, levels) for n in sizes]
-    steps = np.array([1.0 / (n + 1) for n in sizes])
-    differences = []
-    orders = []
-    for k in range(levels):
-        level = np.array([scaled[i][k] for i in range(len(sizes))])
-        diff = level[1:] - level[:-1]
-        differences.append(diff)
-        est = np.full(len(sizes) - 2, np.nan)
-        for i in range(len(sizes) - 2):
-            if diff[i + 1] == 0.0:
-                continue
-            ratio = diff[i] / diff[i + 1]
-            if ratio <= 0.0 or not np.isfinite(ratio):
-                continue
-            rho = np.sqrt(steps[i] / steps[i + 2])
-            est[i] = np.log(ratio) / np.log(rho)
-        orders.append(est)
-    estimated = np.array([orders[k][-1] for k in range(levels)])
-    return ConvergenceStudy(sizes, float(lam), scaled, differences, orders, estimated)
+    scaled = np.array([scaled_spectrum(n, lam, levels) for n in sizes])
+    steps = 1.0 / (np.array(sizes) + 1.0)
+    rho = np.sqrt(steps[:-2] / steps[2:])
+    differences = np.diff(scaled.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = differences[:, :-1] / differences[:, 1:]
+        orders = np.log(ratio) / np.log(rho)
+    # A vanishing later difference gives a non-finite ratio.
+    orders[~((ratio > 0.0) & np.isfinite(ratio))] = np.nan
+    return ConvergenceStudy(sizes, float(lam), scaled, differences, orders, orders[:, -1])

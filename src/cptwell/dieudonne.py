@@ -244,6 +244,13 @@ def kernel_basis(h):
     Degenerate input is refused first (DegenerateSpectrum), so the dimension
     always equals n.  The basis comes from the first-row recurrence and must
     pass the residual and independence certificates (NumericalError).
+
+    With every bond non-zero the solution space is n-dimensional whatever the
+    gaps, so the gate refuses some cells that the recurrence answers.  It
+    stays because it also refuses inaccurate answers that pass both
+    certificates: near the (-, +) corners, e.g. at n = 6, lambda =
+    -0.999999999999, mu = 1, the ungated basis lies 3.9e-5 from the exact
+    span.  It can go once a check that bounds the span error exists.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("kernel_basis expects a DiscreteHamiltonian")

@@ -39,13 +39,7 @@ class DegenerateSpectrum(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative solver failed to converge; carries its iterate history."""
-
-    def __init__(self, message, history=None):
-        self.history = list(history) if history is not None else []
-        if self.history:
-            message = f"{message}; last iterates: {self.history}"
-        super().__init__(message)
+    """A LAPACK solve failed (numpy raised LinAlgError), e.g. did not converge."""
 
 
 class NotDyadRepresentable(NumericalError):

@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .hamiltonian import CouplingPair, DiscreteHamiltonian, build, dense, symmetrize
+from .hamiltonian import CouplingPair, DiscreteHamiltonian, dense, dimension, symmetrize
 from .spectra import eigen_real
 
 CONSTRUCTION_TOL = 1e-12
@@ -81,6 +81,7 @@ class ChargeAssembly:
     eps = sign(nu), ``omega`` = eps/mu, and ``kappa_sq`` = omega/(mu nu) > 0
     are the metric weights; the two coefficient identities
     omega = mu nu kappa_sq and mu omega^2 = 1/mu hold by construction.
+    ``involution`` is the defect max|C^2 - I| of the assembled charge.
     """
 
     nu: np.ndarray
@@ -88,23 +89,20 @@ class ChargeAssembly:
     kappa_sq: np.ndarray
     signs: np.ndarray
     c: np.ndarray
+    involution: float
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorTriple:
     """Pseudometric P, charge C and metric Theta = P C for one Hamiltonian.
 
-    ``residual_dieudonne_theta`` is max|H^T Theta - Theta H|,
-    ``residual_involution`` is max|C^2 - I| and ``positivity`` the smallest
-    eigenvalue of Theta (positive exactly when the metric is admissible).
+    It holds the operators only; `symmetry_report` computes their residuals
+    and the smallest eigenvalue of Theta.
     """
 
     p: np.ndarray
     c: np.ndarray
     theta: np.ndarray
-    residual_dieudonne_theta: float
-    residual_involution: float
-    positivity: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +136,14 @@ class SymmetryReport:
     residual_commutator: float
     residual_involution: float
     theta_min_eig: float
+
+
+def _finite(a, what):
+    """``a`` as a float array; a NaN or infinite entry is a ValidationError."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    return a
 
 
 def biorthogonalize(h):
@@ -189,7 +195,7 @@ def decompose_inverse_pseudometric(p, system):
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
     n = system.n
-    p = np.asarray(p, dtype=float)
+    p = _finite(p, "pseudometric")
     if p.shape != (n, n):
         raise ValidationError(f"pseudometric shape {p.shape} does not match n={n}")
     try:
@@ -218,7 +224,7 @@ def assemble_charge_spectral(system, nu):
     """
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
-    nu = np.asarray(nu, dtype=float)
+    nu = _finite(nu, "nu")
     if nu.shape != (system.n,):
         raise ValidationError(f"nu length {nu.shape} does not match n={system.n}")
     floor = OVERLAP_FLOOR * max(1.0, float(np.abs(nu).max()))
@@ -244,7 +250,7 @@ def assemble_charge_spectral(system, nu):
     involution = _entry_norm(c @ c - np.eye(system.n))
     if involution > IDENTITY_TOL:
         raise NumericalError(f"charge involution defect {involution:.3e}")
-    return ChargeAssembly(nu, omega, kappa_sq, signs, c)
+    return ChargeAssembly(nu, omega, kappa_sq, signs, c, involution)
 
 
 def metric_from_ansatz(basis, coeffs):
@@ -258,9 +264,9 @@ def metric_from_ansatz(basis, coeffs):
         mats = basis.basis
         residuals = np.asarray(basis.residuals, dtype=float)
     else:
-        mats = [np.asarray(x, dtype=float) for x in basis]
+        mats = [_finite(x, "basis element") for x in basis]
         residuals = np.zeros(len(mats))
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _finite(coeffs, "coefficients")
     if coeffs.shape != (len(mats),):
         raise ValidationError(
             f"expected {len(mats)} coefficients, got shape {coeffs.shape}"
@@ -286,12 +292,13 @@ def closed_form_operators(n, lam):
 
     P = J; C is antidiagonal with corners (1+lam)/(1-lam) top-right and
     alpha = (1-lam)/(1+lam) bottom-left and ones between, so Theta = P C =
-    diag(alpha, 1, ..., 1, 1/alpha).  At n = 2 the two boundary weights merge
-    and the corners become the square roots of those values.  The construction
-    is singular at |lam| = 1 where the corners vanish or diverge.
+    diag(alpha, 1, ..., 1, 1/alpha), which is built as that diagonal.  At
+    n = 2 the two boundary weights merge and the corners become the square
+    roots of those values.  The construction is singular at |lam| = 1 where
+    the corners vanish or diverge.
     """
-    h = build(n, CouplingPair(lam, lam))
-    n, lam = h.n, h.couplings.lam
+    lam = CouplingPair(lam, lam).lam
+    n = dimension(n)
     if lam == 1.0 or lam == -1.0:
         raise ValidationError(
             f"closed forms are singular at the exceptional point lambda={lam}"
@@ -311,11 +318,8 @@ def closed_form_operators(n, lam):
     c = p.copy()
     c[0, n - 1] = high
     c[n - 1, 0] = low
-    theta = p @ c
-    res_theta = residual(h, theta)
-    res_inv = _entry_norm(c @ c - np.eye(n))
-    positivity = float(np.diag(theta).min())
-    return OperatorTriple(p, c, theta, res_theta, res_inv, positivity)
+    theta = np.diag(np.r_[low, np.ones(n - 2), high])
+    return OperatorTriple(p, c, theta)
 
 
 def omega_factorize(h, theta):
@@ -327,7 +331,7 @@ def omega_factorize(h, theta):
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("omega_factorize expects a DiscreteHamiltonian")
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite(theta, "metric")
     if theta.shape != (h.n, h.n):
         raise ValidationError(
             f"metric shape {theta.shape} does not match operator size {h.n}"

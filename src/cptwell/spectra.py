@@ -53,6 +53,7 @@ EP_CLUSTER_GAP = 1e-5
 # their cells in blocks of this size, so memory does not grow with the grid.
 BLOCK_ENTRIES = 1 << 16
 _RADIUS_OVERFLOW = "the Gershgorin radius overflows the float range"
+_NON_FINITE_VALUE = "the eigenvalue solve gave a non-finite value"
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +77,9 @@ class Spectrum:
 class DomainScan:
     """Per-cell reality classification over a coupling grid.
 
-    Parallel arrays, one entry per scanned cell in row-major (lambda, mu)
-    order.  ``complex_pairs`` is -1 for a cell whose solve failed; the failure
+    Parallel 1-D arrays, one entry per scanned cell in row-major (lambda, mu)
+    order; there is no row layout here (the CLI builds its own rows).
+    ``complex_pairs`` is -1 for a cell whose solve failed; the failure
     message is kept in ``diagnostics`` and the scan continues.
     """
 
@@ -87,16 +89,6 @@ class DomainScan:
     complex_pairs: np.ndarray
     min_gap: np.ndarray
     diagnostics: list = field(default_factory=list)
-
-    def rows(self):
-        for i in range(self.lam.shape[0]):
-            yield (
-                float(self.lam[i]),
-                float(self.mu[i]),
-                bool(self.all_real[i]),
-                int(self.complex_pairs[i]),
-                float(self.min_gap[i]),
-            )
 
 
 def reality_tolerance(h, override=None):
@@ -144,16 +136,21 @@ def eigen_real(s, want_vectors=False):
     vectors together (its values can differ from ``eigvalsh`` at the rounding
     level), and the call returns (Spectrum, W) with W[:, k] the unit
     eigenvector of the k-th ascending eigenvalue, its first significant
-    component made positive.
+    component made positive.  A non-finite eigenvalue (a bond product that
+    overflows to +inf, say) raises `NumericalError`.
     """
     if not isinstance(s, SymmetrizedForm):
         raise TypeError("eigen_real expects a SymmetrizedForm")
     t = dense_bands(s.s_diag, s.s_off, s.s_off)
-    if not want_vectors:
+    if want_vectors:
+        evals, w = _lapack(np.linalg.eigh, t)
+    else:
         evals = _lapack(np.linalg.eigvalsh, t)
-        return Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
-    evals, w = _lapack(np.linalg.eigh, t)
+    if not np.isfinite(evals).all():
+        raise NumericalError(_NON_FINITE_VALUE)
     spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
+    if not want_vectors:
+        return spec
     mag = np.abs(w)
     lead = w[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(w.shape[1])]
     return spec, w * np.where(lead < 0.0, -1.0, 1.0)
@@ -303,7 +300,7 @@ def _stacked(solver, a, rows, failed):
     return out
 
 
-def _refuse_non_finite(failed, rows, x, message="the eigenvalue solve gave a non-finite value"):
+def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
     """Fail the rows of ``rows`` where ``x`` is not finite with a `NumericalError`.
 
     ``x`` has one entry or one row of entries per row; a row that failed

@@ -226,6 +226,11 @@ class TestMetricCommand:
         assert payload["positive"] is True
         assert payload["residual_theta"] <= 1e-12
 
+    def test_an_overflowing_bond_fails_instead_of_printing_nan(self):
+        rc, out, err = run("metric", "-N", "2", "--lambda", "1e308", "--mu", "-1e308")
+        assert rc == 2 and out == ""
+        assert err.startswith("cptwell: computation failed:")
+
     def test_off_line_couplings_are_refused(self):
         rc, out, err = run("metric", "-N", "3", "--lambda", "0.5", "--mu", "0.3")
         assert rc == 1

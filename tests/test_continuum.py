@@ -73,7 +73,7 @@ class TestScaledSpectrum:
 class TestConvergenceStudyAtZeroCoupling:
     def test_three_rung_ladder_shows_second_order(self):
         st = convergence_study((20, 40, 80), 0.0)
-        assert st.levels == 1
+        assert st.scaled_levels.shape[1] == 1
         assert abs(st.estimated_order[0] - 2.0) <= 0.1
 
     def test_four_rung_ladder_tightens_the_estimate(self):
@@ -86,7 +86,7 @@ class TestConvergenceStudyAtZeroCoupling:
 
     def test_second_level_converges_at_the_same_order(self):
         st = convergence_study((20, 40, 80, 160), 0.0, levels=2)
-        assert st.levels == 2
+        assert st.scaled_levels.shape[1] == 2
         assert abs(st.estimated_order[1] - 2.0) <= 0.1
 
 
@@ -124,15 +124,42 @@ class TestConvergenceStudyAtFixedCoupling:
 class TestStudyShape:
     def test_rows_report_sizes_levels_and_orders(self):
         st = convergence_study((20, 40, 80, 160), 0.5)
-        rows = list(st.rows())
-        assert [r[0] for r in rows] == [20, 40, 80, 160]
-        assert all(r[1] == 1 for r in rows)
-        assert rows[0][3] is None and rows[1][3] is None
-        assert rows[2][3] == pytest.approx(0.98863247, abs=1e-6)
-        assert rows[3][3] == pytest.approx(0.99995435, abs=1e-6)
+        assert st.sizes == (20, 40, 80, 160)
+        assert st.scaled_levels.shape == (4, 1)
+        # The first two sizes have no order estimate: the first triple ends at
+        # the third size, so orders[k, i - 2] belongs to sizes[i].
+        assert st.differences.shape == (1, 3) and st.orders.shape == (1, 2)
+        assert st.orders[0, 0] == pytest.approx(0.98863247, abs=1e-6)
+        assert st.orders[0, 1] == pytest.approx(0.99995435, abs=1e-6)
         st = convergence_study((20, 40, 80), 0.0, levels=2)
-        assert st.sizes == (20, 40, 80) and st.lam == 0.0 and st.levels == 2
+        assert st.sizes == (20, 40, 80) and st.lam == 0.0 and st.estimated_order.shape == (2,)
         assert np.shape(st.scaled_levels) == (3, 2)
+
+    @pytest.mark.parametrize("sizes, lam, levels", [
+        ((20, 40, 80, 160), 0.5, 1),
+        ((4, 8, 16, 32), 0.5, 3),
+        ((4, 8, 16, 32), -0.9, 3),
+        ((5, 7, 9, 11, 13), 0.0, 2),
+    ])
+    def test_arrays_equal_the_per_level_loop(self, sizes, lam, levels):
+        # The per-level, per-triple loop the arrays replace; the arithmetic is
+        # the same, so the results must be equal, NaN (no estimate) included.
+        st = convergence_study(sizes, lam, levels)
+        scaled = [scaled_spectrum(n, lam, levels) for n in sizes]
+        steps = [1.0 / (n + 1) for n in sizes]
+        for k in range(levels):
+            level = np.array([row[k] for row in scaled])
+            diff = level[1:] - level[:-1]
+            est = np.full(len(sizes) - 2, np.nan)
+            for i in range(len(sizes) - 2):
+                ratio = diff[i] / diff[i + 1] if diff[i + 1] != 0.0 else np.nan
+                if ratio > 0.0 and np.isfinite(ratio):
+                    est[i] = np.log(ratio) / np.log(np.sqrt(steps[i] / steps[i + 2]))
+            assert np.array_equal(st.scaled_levels[:, k], level)
+            assert np.array_equal(st.differences[k], diff)
+            assert np.array_equal(st.orders[k], est, equal_nan=True)
+            assert np.array_equal(st.estimated_order[k], est[-1], equal_nan=True)
+        assert np.isnan(st.orders).any() == (levels == 3)
 
     def test_ladders_must_be_strictly_increasing_with_three_rungs(self):
         with pytest.raises(ValidationError):

@@ -171,6 +171,9 @@ class TestKernelBasis:
             kernel_basis(well(2, 1.0))
         with pytest.raises(DegenerateSpectrum):
             kernel_basis(well(6, 1.0))
+        # Without the gate this cell would answer, 3.9e-5 off the exact span.
+        with pytest.raises(DegenerateSpectrum):
+            kernel_basis(well(6, -0.999999999999, 1.0))
 
     def test_routes_agree_on_their_common_domain(self):
         # The recurrence basis against the SVD null space, both ways.

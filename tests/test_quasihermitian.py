@@ -150,6 +150,15 @@ class TestDecomposeInversePseudometric:
             decompose_inverse_pseudometric(np.zeros((3, 3)), system)
 
 
+    def test_non_finite_pseudometric_is_rejected(self):
+        system = biorthogonalize(well(4, 0.3))
+        corner = flip(4)
+        corner[0, 3] = np.inf
+        for bad in (np.full((4, 4), np.nan), corner):
+            with pytest.raises(ValidationError, match="non-finite"):
+                decompose_inverse_pseudometric(bad, system)
+
+
 class TestAssembleChargeSpectral:
     def test_zero_coupling_flip_charge_is_the_flip_itself(self):
         system = biorthogonalize(well(4, 0.0))
@@ -207,6 +216,14 @@ class TestAssembleChargeSpectral:
         assert np.array_equal(runs[0], runs[1])
 
 
+    def test_non_finite_coefficients_are_rejected(self):
+        system = biorthogonalize(well(4, 0.3))
+        nu = decompose_inverse_pseudometric(flip(4), system)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                assemble_charge_spectral(system, np.where(np.arange(4) == 2, bad, nu))
+
+
 class TestMetricFromAnsatz:
     def test_dyad_sum_with_unit_coefficients_is_the_identity_at_zero_coupling(self):
         pm = kernel_basis(well(3, 0.0))
@@ -241,14 +258,24 @@ class TestMetricFromAnsatz:
             metric_from_ansatz([np.eye(2)], [1.0, 2.0])
 
 
+    def test_non_finite_coefficients_or_elements_are_rejected(self):
+        pm = kernel_basis(well(3, 0.3))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                metric_from_ansatz(pm, [1.0, bad, 0.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            metric_from_ansatz([np.eye(2), np.full((2, 2), np.nan)], [1.0, 1.0])
+
+
 class TestClosedFormOperators:
     def test_zero_coupling_collapses_to_flip_and_identity(self):
         trip = closed_form_operators(4, 0.0)
         assert np.array_equal(trip.p, flip(4))
         assert np.array_equal(trip.c, flip(4))
         assert np.array_equal(trip.theta, np.eye(4))
-        assert trip.residual_dieudonne_theta == 0.0
-        assert trip.residual_involution == 0.0
+        rep = symmetry_report(well(4, 0.0), trip)
+        assert rep.residual_theta == 0.0
+        assert rep.residual_involution == 0.0
 
     def test_three_site_operators_at_half_coupling(self):
         trip = closed_form_operators(3, 0.5)
@@ -257,12 +284,12 @@ class TestClosedFormOperators:
         assert trip.c[2, 0] == 1.0 / 3.0
         assert trip.c[1, 1] == 1.0
         assert np.array_equal(trip.theta, np.diag([1.0 / 3.0, 1.0, 3.0]))
-        assert trip.positivity == 1.0 / 3.0
+        assert symmetry_report(well(3, 0.5), trip).theta_min_eig == 1.0 / 3.0
 
     def test_four_site_metric_at_negative_half_coupling(self):
         trip = closed_form_operators(4, -0.5)
         assert np.array_equal(trip.theta, np.diag([3.0, 1.0, 1.0, 1.0 / 3.0]))
-        assert trip.positivity == 1.0 / 3.0
+        assert symmetry_report(well(4, -0.5), trip).theta_min_eig == 1.0 / 3.0
 
     def test_two_site_operators_carry_square_root_corners(self):
         trip = closed_form_operators(2, 0.5)
@@ -270,8 +297,9 @@ class TestClosedFormOperators:
         assert trip.c[0, 1] == pytest.approx(root3, abs=1e-15)
         assert trip.c[1, 0] == pytest.approx(1.0 / root3, abs=1e-15)
         assert np.max(np.abs(trip.theta - np.diag([1.0 / root3, root3]))) <= 1e-15
-        assert trip.residual_dieudonne_theta <= 1e-15
-        assert trip.residual_involution <= 1e-15
+        rep = symmetry_report(well(2, 0.5), trip)
+        assert rep.residual_theta <= 1e-15
+        assert rep.residual_involution <= 1e-15
 
     def test_defining_identities_hold_across_the_window(self):
         for n in (2, 3, 4, 7, 12):
@@ -282,7 +310,7 @@ class TestClosedFormOperators:
                 assert np.array_equal(trip.theta, trip.p @ trip.c)
                 assert np.max(np.abs(h.T @ trip.theta - trip.theta @ h)) <= 1e-12
                 assert np.max(np.abs(trip.c @ h - h @ trip.c)) <= 1e-9
-                assert trip.positivity > 0.0
+                assert symmetry_report(well(n, lam), trip).theta_min_eig > 0.0
 
     def test_metric_eigenvalues_are_alpha_one_and_its_inverse(self):
         n, lam = 6, 0.6
@@ -291,7 +319,8 @@ class TestClosedFormOperators:
         ev = np.sort(np.linalg.eigvalsh(trip.theta))
         expect = np.sort(np.array([alpha] + [1.0] * (n - 2) + [1.0 / alpha]))
         assert np.max(np.abs(ev - expect)) <= 1e-12
-        assert trip.positivity == pytest.approx(min(alpha, 1.0 / alpha), abs=1e-15)
+        rep = symmetry_report(well(n, lam), trip)
+        assert rep.theta_min_eig == pytest.approx(min(alpha, 1.0 / alpha), abs=1e-15)
 
     def test_charge_eigenvalues_are_plus_minus_one(self):
         ev = np.sort(np.linalg.eigvals(closed_form_operators(6, 0.6).c).real)
@@ -306,9 +335,10 @@ class TestClosedFormOperators:
     def test_beyond_the_window_the_algebra_survives_but_positivity_fails(self):
         trip = closed_form_operators(4, 1.5)
         assert trip.p.shape == trip.c.shape == trip.theta.shape == (4, 4)
-        assert trip.positivity < 0.0
-        assert trip.residual_dieudonne_theta <= 1e-12
-        assert trip.residual_involution <= 1e-12
+        rep = symmetry_report(well(4, 1.5), trip)
+        assert rep.theta_min_eig < 0.0
+        assert rep.residual_theta <= 1e-12
+        assert rep.residual_involution <= 1e-12
 
     def test_unit_couplings_are_rejected(self):
         with pytest.raises(ValidationError):
@@ -395,6 +425,15 @@ class TestOmegaFactorize:
         bad[0, 1] = 0.2
         with pytest.raises(FactorizationError):
             omega_factorize(well(3, 0.2), bad)
+
+
+    def test_non_finite_metric_is_rejected(self):
+        theta = np.diag([1.0 / 3.0, 1.0, 3.0])
+        for bad in (np.nan, np.inf):
+            poisoned = theta.copy()
+            poisoned[1, 1] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                omega_factorize(well(3, 0.5), poisoned)
 
 
 class TestSymmetryReport:

@@ -153,6 +153,14 @@ class TestEigenReal:
         a[idx + 1, idx] = s.s_off
         assert np.max(np.abs(spec.values.real - np.linalg.eigvalsh(a))) <= 1e-12
 
+    def test_an_overflowing_bond_product_is_a_numerical_error(self):
+        # At n = 2 the single bond carries -1 - lam and -1 + mu, so on
+        # mu = -lam its product overflows to +inf and the form is not finite.
+        s = symmetrize(well(2, 1e308, -1e308))
+        for want_vectors in (False, True):
+            with pytest.raises(NumericalError, match="non-finite"):
+                eigen_real(s, want_vectors=want_vectors)
+
 
 class TestEigenGeneral:
     CASES = (
@@ -522,7 +530,9 @@ class TestScans:
         grid = np.arange(-1.2, 1.2 + 1e-9, 0.05)
         scan = scan_line(6, grid, +1)
         assert scan.diagnostics == []
-        for lam, mu, all_real, pairs, min_gap in scan.rows():
+        for lam, mu, all_real, pairs, min_gap in zip(
+            scan.lam, scan.mu, scan.all_real, scan.complex_pairs, scan.min_gap
+        ):
             assert mu == lam
             if abs(lam) <= 1.05 + 1e-9:
                 assert all_real, lam
@@ -533,7 +543,7 @@ class TestScans:
 
     def test_razor_points_are_degenerate_but_real(self):
         scan = scan_line(6, np.array([-1.0, 1.0]), +1)
-        for _, _, all_real, pairs, min_gap in scan.rows():
+        for all_real, pairs, min_gap in zip(scan.all_real, scan.complex_pairs, scan.min_gap):
             assert all_real and pairs == 0
             assert min_gap <= 1e-5
 
@@ -541,22 +551,21 @@ class TestScans:
         lams = np.array([0.0, 0.5])
         mus = np.array([-0.5, 0.0, 0.5])
         scan = scan_domain(3, lams, mus)
-        got = [(row[0], row[1]) for row in scan.rows()]
+        got = list(zip(scan.lam.tolist(), scan.mu.tolist()))
         assert got == [(l, m) for l in lams for m in mus]
 
     def test_origin_cell_is_clean(self):
         scan = scan_domain(3, np.array([0.0]), np.array([0.0]))
-        rows = list(scan.rows())
-        assert rows[0][2] is True and rows[0][3] == 0
-        assert rows[0][4] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert scan.all_real.tolist()[0] is True and scan.complex_pairs[0] == 0
+        assert scan.min_gap[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_complex_pair_count_matches_the_values(self):
         scan = scan_line(5, np.array([1.3]), +1)
-        row = next(iter(scan.rows()))
+        pairs = scan.complex_pairs[0]
         v = spectrum_of(well(5, 1.3)).values
         tol = reality_tolerance(well(5, 1.3))
         n_real = int(np.sum(np.abs(v.imag) <= tol))
-        assert row[3] == (5 - n_real) // 2 and row[3] >= 1
+        assert pairs == (5 - n_real) // 2 and pairs >= 1
 
     def test_scans_are_deterministic(self):
         grid = np.arange(-1.2, 1.2 + 1e-9, 0.1)
