@@ -20,6 +20,7 @@ symmetric tridiagonal S = D^-1 H D with positive weights D = diag(d), which is
 what makes the spectrum real there.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class CouplingPair:
     def __post_init__(self):
         lam = float(self.lam)
         mu = float(self.mu)
-        if not (np.isfinite(lam) and np.isfinite(mu)):
+        if not (math.isfinite(lam) and math.isfinite(mu)):
             raise ValidationError(f"couplings must be finite, got ({self.lam}, {self.mu})")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)

@@ -6,10 +6,14 @@ the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
 branches cover the whole coupling plane:
 
 * real branch: cells whose bond products are all positive and finite
-  symmetrize, and their eigenvalues come from one stacked
-  ``np.linalg.eigvalsh`` on the symmetric tridiagonals; everything is real by
-  construction.  `eigen_real` solves one symmetric form and, on request, gives
-  eigenvectors too (``np.linalg.eigh``).
+  symmetrize.  The diagonal is the constant c = 2, so splitting the sites by
+  parity makes T - c = [[0, B], [B^T, 0]] with B a bidiagonal block of half
+  the size, and the levels are c -/+ the singular values of B, plus c itself
+  for odd n (`_chiral_levels`).  They come from one stacked
+  ``np.linalg.svd`` of the blocks, with no dense n x n matrix; everything is
+  real by construction.  `eigen_real` takes the same route for one symmetric
+  form and, on request, gives eigenvectors too (``np.linalg.eigh`` on the
+  dense form).
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
   the complex values of a real matrix as exact conjugate pairs.  Values that
@@ -131,9 +135,10 @@ def _pairwise_gaps(values):
 def eigen_real(s, want_vectors=False):
     """All eigenvalues (ascending) of the symmetric form; optional vectors.
 
-    Eigenvalues come from ``np.linalg.eigvalsh`` on the symmetric tridiagonal.
-    With vectors requested, ``np.linalg.eigh`` gives values and orthonormal
-    vectors together (its values can differ from ``eigvalsh`` at the rounding
+    Eigenvalues come from the singular values of the form's half-size
+    bidiagonal block (`_chiral_levels`).  With vectors requested,
+    ``np.linalg.eigh`` on the dense form gives values and orthonormal vectors
+    together (its values can differ from the values-only ones at the rounding
     level), and the call returns (Spectrum, W) with W[:, k] the unit
     eigenvector of the k-th ascending eigenvalue, its first significant
     component made positive.  A non-finite eigenvalue (a bond product that
@@ -141,13 +146,15 @@ def eigen_real(s, want_vectors=False):
     """
     if not isinstance(s, SymmetrizedForm):
         raise TypeError("eigen_real expects a SymmetrizedForm")
-    t = dense_bands(s.s_diag, s.s_off, s.s_off)
     if want_vectors:
-        evals, w = _lapack(np.linalg.eigh, t)
+        evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_diag, s.s_off, s.s_off))
+        if not np.isfinite(evals).all():
+            raise NumericalError(_NON_FINITE_VALUE)
     else:
-        evals = _lapack(np.linalg.eigvalsh, t)
-    if not np.isfinite(evals).all():
-        raise NumericalError(_NON_FINITE_VALUE)
+        failed = {}
+        evals = _chiral_levels(s.s_diag[:1], np.abs(s.s_off)[None], np.zeros(1, int), failed)[0]
+        if failed:
+            raise failed[0]
     spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
     if not want_vectors:
         return spec
@@ -280,24 +287,56 @@ def _may_cluster(values, gap):
     return (np.diff(re, axis=1) <= gap[:, None]).any(axis=1)
 
 
-def _stacked(solver, a, rows, failed):
-    """``solver`` on a stack of matrices in one LAPACK batch, as complex values.
+def _stacked(solver, a, rows, failed, dtype):
+    """``solver`` on a stack of matrices in one LAPACK batch, as ``dtype`` values.
 
     The batch raises LinAlgError when any one matrix fails; it is then solved
     again matrix by matrix, and each failure is recorded in ``failed`` under
-    its row from ``rows``.  Returns the values, NaN where a matrix failed.
+    its row from ``rows``.  Returns one value per matrix row (the eigenvalues
+    of a square matrix, the singular values of a wide one), NaN where a
+    matrix failed.
     """
     try:
-        return solver(a).astype(complex)
+        return solver(a).astype(dtype, copy=False)
     except np.linalg.LinAlgError:
         pass
-    out = np.full(a.shape[:-1], np.nan, dtype=complex)
+    out = np.full(a.shape[:-1], np.nan, dtype=dtype)
     for k, row in enumerate(rows):
         try:
             out[k] = _lapack(solver, a[k])
         except ConvergenceError as exc:
             failed[int(row)] = exc
     return out
+
+
+def _singular_values(b):
+    return np.linalg.svd(b, compute_uv=False)
+
+
+def _chiral_levels(c, s, rows, failed):
+    """Ascending eigenvalues of m symmetric tridiagonals with constant diagonals.
+
+    ``c`` (m,) holds each matrix's diagonal constant and ``s`` (m, n - 1) the
+    magnitudes of its off-diagonal.  Split by site parity, T - c is
+    [[0, B], [B^T, 0]] with the floor(n/2) x ceil(n/2) upper-bidiagonal block
+    B[q, q] = s[2q], B[q, q + 1] = s[2q + 1], so the levels are c - sigma,
+    then c itself for odd n, then c + sigma, for the singular values sigma of
+    B (Golub & Kahan 1965).  LAPACK computes those to high relative accuracy
+    (Demmel & Kahan 1990), in one stacked call through `_stacked`.  A failed
+    or non-finite matrix is recorded in ``failed`` under its row from ``rows``.
+    """
+    m, n = s.shape[0], s.shape[1] + 1
+    p, r = n // 2, (n + 1) // 2
+    # In row-major order B's diagonals are every (r + 1)-th entry, from 0 and 1.
+    b = np.zeros((m, p * r))
+    b[:, :: r + 1] = s[:, 0::2]
+    b[:, 1 :: r + 1] = s[:, 1::2]
+    sigma = _stacked(_singular_values, b.reshape(m, p, r), rows, failed, float)
+    # LAPACK returns sigma descending, so c - sigma ascends.
+    levels = np.concatenate((-sigma, np.zeros((m, r - p)), sigma[:, ::-1]), axis=1)
+    levels += c[:, None]
+    _refuse_non_finite(failed, rows, levels)
+    return levels
 
 
 def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
@@ -322,7 +361,8 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
 
     Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
-    (m, n - 1).  Cells whose bond products are all positive and finite take
+    (m, n - 1); each cell's diagonal is constant, as the model's is, which
+    the real branch relies on.  Cells whose bond products are all positive and finite take
     the real branch unless ``general`` is set; the rest take the general
     branch.  Returns (values, all_real, complex_pairs, min_gap, failed): the
     values (m, n) sorted by real part, then imaginary part; per cell the
@@ -342,11 +382,9 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
 
     rows = np.flatnonzero(real)
     if rows.size:
-        off = -np.sqrt(bonds[rows])
-        v = _stacked(np.linalg.eigvalsh, dense_bands(diag[rows], off, off), rows, failed)
-        _refuse_non_finite(failed, rows, v)
+        v = _chiral_levels(diag[rows, 0], np.sqrt(bonds[rows]), rows, failed)
         values[rows] = v
-        min_gap[rows] = _adjacent_gaps(v.real)
+        min_gap[rows] = _adjacent_gaps(v)
 
     rows = np.flatnonzero(~real)
     if rows.size:
@@ -354,7 +392,7 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
         scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
         tol = REALITY_TOL_FACTOR * scale if override is None else np.full(rows.size, override)
         gap = EP_CLUSTER_GAP * scale
-        v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed)
+        v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed, complex)
         _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
         _refuse_non_finite(failed, rows, v)
         for k in np.flatnonzero(_may_cluster(v, gap)):

@@ -421,6 +421,35 @@ class TestExactInvariantProperties:
         assert np.abs(levels(lam, -mu) - levels(lam, mu)).max() > 1e-3
 
 
+class TestHalfSizeBlockOracles:
+    """Closed forms that the real branch meets to the last bits.
+
+    Its levels are c -/+ sigma for the singular values sigma of a half-size
+    bidiagonal block, with c = 2 the diagonal: an odd chain's middle level is
+    c itself, and a two-site level is 2 -/+ one square root.
+    """
+
+    def test_uncoupled_levels_match_the_closed_form_to_2e_15(self):
+        for n in range(2, 65):
+            v = spectrum_of(well(n, 0.0)).values
+            assert np.abs(v.real - dirichlet_levels(n)).max() <= 2e-15, n
+            assert not v.imag.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 32).map(lambda q: 2 * q + 1), WINDOW, WINDOW)
+    def test_an_odd_chain_has_the_level_two_exactly(self, n, lam, mu):
+        h = well(n, lam, mu)
+        assert spectrum_of(h).values[n // 2] == 2.0, (n, lam, mu)
+        assert eigen_real(symmetrize(h)).values[n // 2] == 2.0, (n, lam, mu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(WINDOW, WINDOW)
+    def test_two_site_levels_equal_the_closed_form_bit_for_bit(self, lam, mu):
+        gap = np.sqrt((1.0 + lam) * (1.0 - mu))
+        v = spectrum_of(well(2, lam, mu)).values
+        assert bitwise_equal(v.real, np.array([2.0 - gap, 2.0 + gap])), (lam, mu)
+
+
 class TestHugeCouplings:
     def test_overflowing_intermediates_raise_no_warnings(self):
         # The bond products overflow here; the cells are answered without a
@@ -777,16 +806,34 @@ class TestBatchedScanAgainstCellLoop:
                 assert again.tobytes() == values[k].tobytes(), (n, k)
 
 
+def half_block(h):
+    """The floor(n/2) x ceil(n/2) bidiagonal block of a symmetrizable H.
+
+    Odd sites index its rows and even sites its columns; entry (q, q) is the
+    magnitude of bond 2q and (q, q + 1) that of bond 2q + 1.
+    """
+    s = np.sqrt(h.bonds)
+    b = np.zeros((h.n // 2, (h.n + 1) // 2))
+    for k, x in enumerate(s):
+        b[k // 2, (k + 1) // 2] = x
+    return b
+
+
 class TestSolverFailures:
+    # The LAPACK calls behind each branch: the real branch's values are the
+    # singular values of a half-size block, the general branch's come from
+    # eigvals, and eigen_real's vectors from eigh.
     @staticmethod
-    def fail(a):
+    def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def test_lapack_failures_are_typed_convergence_errors(self, monkeypatch):
-        for name in ("eigvals", "eigvalsh", "eigh"):
+        for name in ("eigvals", "svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, self.fail)
         with pytest.raises(ConvergenceError):
             eigen_general(well(5, 1.3))
+        with pytest.raises(ConvergenceError):
+            spectrum_of(well(5, 0.3))
         with pytest.raises(ConvergenceError):
             eigen_real(symmetrize(well(5, 0.3)))
         with pytest.raises(ConvergenceError):
@@ -807,12 +854,12 @@ class TestSolverFailures:
         # is not a ConvergenceError, and the other cells come out as before.
         grid = [0.3, 0.6, 1.3, 1.6]
         clean = scan_line(5, grid, +1)
-        for name, i in (("eigvalsh", 1), ("eigvals", 3)):
+        for name, i in (("svd", 1), ("eigvals", 3)):
             solver = getattr(np.linalg, name)
             for bad in (np.inf, np.nan):
 
-                def spoiled(a, solver=solver, bad=bad):
-                    v = solver(a)
+                def spoiled(a, *args, solver=solver, bad=bad, **kwargs):
+                    v = solver(a, *args, **kwargs)
                     v[-1, 0] = bad
                     return v
 
@@ -836,19 +883,15 @@ class TestSolverFailures:
         # again cell by cell, so only that cell is lost, on either branch.
         lams, mus = [0.3, 0.6, 1.1, 1.3], [-0.5, 0.2, 1.25]
         clean = scan_domain(5, lams, mus)
-        for name, (lam, mu) in (("eigvals", (1.3, 1.25)), ("eigvalsh", (0.6, 0.2))):
+        for name, (lam, mu) in (("eigvals", (1.3, 1.25)), ("svd", (0.6, 0.2))):
             h = well(5, lam, mu)
-            if name == "eigvals":
-                target = dense(h)
-            else:
-                s = symmetrize(h)
-                target = np.diag(s.s_diag) + np.diag(s.s_off, 1) + np.diag(s.s_off, -1)
+            target = dense(h) if name == "eigvals" else half_block(h)
             solver = getattr(np.linalg, name)
 
-            def flaky(a, solver=solver, target=target):
-                if any(np.array_equal(m, target) for m in np.reshape(a, (-1, 5, 5))):
+            def flaky(a, *args, solver=solver, target=target, **kwargs):
+                if any(np.array_equal(m, target) for m in np.reshape(a, (-1, *target.shape))):
                     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                return solver(a)
+                return solver(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, flaky)
             scan = scan_domain(5, lams, mus)

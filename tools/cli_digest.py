@@ -9,8 +9,11 @@ checkout).  The script imports the package from there, runs
 ``cptwell.cli.main`` on every invocation of ``invocations()`` with warnings
 set to "always", and prints the number of invocations and one sha256 over
 (argv, exit code, stdout, stderr) of all of them, plus the text an
-``--output`` request wrote.  Run it on two checkouts on one machine: equal
-digests mean that both print the same bytes for every invocation.
+``--output`` request wrote.  Then it prints one line per subcommand (the
+first argument; ``(none)`` for the bare call) with its number of invocations
+and a sha256 over its records alone.  Run it on two checkouts on one machine:
+equal digests mean that both print the same bytes for every invocation, and
+equal subcommand digests that the subcommand kept its bytes.
 
 The set covers every subcommand in JSON and CSV, n from 2 to 160, couplings
 inside and outside the window (0.999999, +-1, 1e308 and more), scan grids
@@ -26,6 +29,7 @@ import os
 import sys
 import tempfile
 import warnings
+from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -150,6 +154,8 @@ def main(args):
     from cptwell import cli
 
     digest = hashlib.sha256()
+    counts = Counter()
+    parts = defaultdict(hashlib.sha256)
     argvs = invocations()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -157,8 +163,14 @@ def main(args):
         for argv in argvs:
             rc, out, err, written = run(cli.main, argv, output)
             record = [list(argv), rc, out, err.replace(src, "SRC"), written]
-            digest.update(json.dumps(record).encode() + b"\n")
+            line = json.dumps(record).encode() + b"\n"
+            digest.update(line)
+            command = argv[0] if argv else "(none)"
+            counts[command] += 1
+            parts[command].update(line)
     print(f"{len(argvs)} invocations sha256 {digest.hexdigest()}")
+    for command in sorted(parts):
+        print(f"  {command} {counts[command]} invocations sha256 {parts[command].hexdigest()}")
     return 0
 
 
