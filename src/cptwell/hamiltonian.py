@@ -103,21 +103,19 @@ def dimension(n):
 def bands(n, lam, mu):
     """Bands (diag, super, sub) of H(lam, mu), one cell per coupling pair.
 
-    ``lam`` and ``mu`` are finite couplings (the caller checks them), scalars
-    or arrays of one shape; the bands get that shape plus a trailing axis of
-    length n, n - 1 and n - 1.
+    ``n`` is a size from `dimension` and ``lam`` and ``mu`` are finite
+    couplings (the caller checks both), scalars or arrays of one shape; the
+    bands get that shape plus a trailing axis of length n, n - 1 and n - 1.
     """
-    n = dimension(n)
     shape = getattr(lam, "shape", ())
-    diag = np.full(shape + (n,), 2.0)
-    sup = np.full(shape + (n - 1,), -1.0)
-    sub = np.full(shape + (n - 1,), -1.0)
-    sup[..., 0] = -1.0 - lam
-    sub[..., n - 2] = -1.0 + mu
-    if n > 2:
-        sub[..., 0] = -1.0 + lam
-        sup[..., n - 2] = -1.0 - mu
-    return diag, sup, sub
+    # The couplings taken from the super- and added to the subdiagonal.
+    twist = np.zeros(shape + (n - 1,))
+    twist[..., 0] = lam
+    twist[..., -1] = mu
+    sup = -1.0 - twist
+    if n == 2:
+        sup[..., 0] = -1.0 - lam  # the single bond: super -1 - lam, sub -1 + mu
+    return np.zeros(shape + (n,)) + 2.0, sup, twist - 1.0
 
 
 # Couplings near the float range overflow the row sums to inf; numpy's warning
@@ -138,7 +136,7 @@ def build(n, couplings):
     """Construct H(lambda, mu) of dimension n >= 2."""
     if not isinstance(couplings, CouplingPair):
         couplings = CouplingPair(*couplings)
-    diag, sup, sub = bands(n, couplings.lam, couplings.mu)
+    diag, sup, sub = bands(dimension(n), couplings.lam, couplings.mu)
     return DiscreteHamiltonian(diag.shape[0], couplings, _freeze(diag), _freeze(sup), _freeze(sub))
 
 

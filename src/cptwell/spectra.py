@@ -6,20 +6,20 @@ the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
 branches cover the whole coupling plane:
 
 * real branch: cells whose bond products are all positive and finite
-  symmetrize.  The diagonal is the constant c = 2, so splitting the sites by
-  parity makes T - c = [[0, B], [B^T, 0]] with B a bidiagonal block of half
-  the size, and the levels are c -/+ the singular values of B, plus c itself
-  for odd n (`_chiral_levels`).  They come from one stacked
-  ``np.linalg.svd`` of the blocks, with no dense n x n matrix; everything is
-  real by construction.  `eigen_real` takes the same route for one symmetric
-  form and, on request, gives eigenvectors too (``np.linalg.eigh`` on the
-  dense form).
+  symmetrize.  With the model's constant diagonal c = 2, splitting the sites
+  by parity makes T - c = [[0, B], [B^T, 0]] with B a bidiagonal block of
+  half the size, and the levels are c -/+ the singular values of B, plus c
+  itself for odd n (`_chiral_levels`), from one stacked ``np.linalg.svd``
+  with no dense matrix.  `eigen_real` takes this route for one symmetric
+  form and, on request, gives eigenvectors too (``np.linalg.eigh``).
+  `spectrum_of` sends an H whose diagonal is not constant to the general
+  branch.
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
   the complex values of a real matrix as exact conjugate pairs.  Values that
   coalesce near the real axis (an exceptional point within a few ulps) are
   re-solved from a double-double Taylor expansion of det(H - E), only on the
-  cells where a vectorized test shows that this could change something.
+  cells whose smallest pairwise gap shows that this could change something.
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
@@ -29,11 +29,12 @@ the general branch) whose Gershgorin radius overflows, fails with a
 
 Classification is shared: a spectrum counts as all-real when every |Im| lies at
 or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
-``min_gap`` is the smallest pairwise distance between the sorted values.
+``min_gap`` is the smallest pairwise distance between the values.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -126,10 +127,10 @@ def _adjacent_gaps(values):
 
 def _pairwise_gaps(values):
     """Smallest pairwise distance within each row of complex values."""
-    n = values.shape[-1]
-    dist = np.abs(values[..., :, None] - values[..., None, :])
-    dist[..., np.arange(n), np.arange(n)] = np.inf
-    return dist.min(axis=(-2, -1))
+    m, n = values.shape
+    dist = np.abs(values[:, :, None] - values[:, None, :]).reshape(m, n * n)
+    dist[:, :: n + 1] = np.inf  # the diagonal of each n x n block
+    return dist.min(axis=1)
 
 
 def eigen_real(s, want_vectors=False):
@@ -142,7 +143,8 @@ def eigen_real(s, want_vectors=False):
     level), and the call returns (Spectrum, W) with W[:, k] the unit
     eigenvector of the k-th ascending eigenvalue, its first significant
     component made positive.  A non-finite eigenvalue (a bond product that
-    overflows to +inf, say) raises `NumericalError`.
+    overflows to +inf, say) raises `NumericalError`; a diagonal that is not
+    constant, `ValidationError` unless vectors are requested.
     """
     if not isinstance(s, SymmetrizedForm):
         raise TypeError("eigen_real expects a SymmetrizedForm")
@@ -151,6 +153,8 @@ def eigen_real(s, want_vectors=False):
         if not np.isfinite(evals).all():
             raise NumericalError(_NON_FINITE_VALUE)
     else:
+        if not (s.s_diag == s.s_diag[0]).all():
+            raise ValidationError("eigen_real's values-only route needs a constant diagonal")
         failed = {}
         evals = _chiral_levels(s.s_diag[:1], np.abs(s.s_off)[None], np.zeros(1, int), failed)[0]
         if failed:
@@ -276,15 +280,13 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
     return values
 
 
-def _may_cluster(values, gap):
-    """Rows on which `_resolve_real_clusters` could act.
+def _may_cluster(gaps, gap):
+    """Rows on which `_resolve_real_clusters` could act, and a few more.
 
-    Those with two values within ``gap`` of the real axis and within ``gap`` of
-    each other in real part.
+    It acts on values within ``gap`` of the real axis and of each other in real
+    part, so within sqrt(5) * gap: never on a row whose ``gaps`` exceed 3 * gap.
     """
-    near = np.abs(values.imag) <= gap[:, None]
-    re = np.sort(np.where(near, values.real, np.nan), axis=1)  # NaNs sort last
-    return (np.diff(re, axis=1) <= gap[:, None]).any(axis=1)
+    return gaps <= 3.0 * gap
 
 
 def _stacked(solver, a, rows, failed, dtype):
@@ -292,9 +294,8 @@ def _stacked(solver, a, rows, failed, dtype):
 
     The batch raises LinAlgError when any one matrix fails; it is then solved
     again matrix by matrix, and each failure is recorded in ``failed`` under
-    its row from ``rows``.  Returns one value per matrix row (the eigenvalues
-    of a square matrix, the singular values of a wide one), NaN where a
-    matrix failed.
+    its row from ``rows``.  Returns one value per matrix row (eigenvalues or
+    singular values), NaN where a matrix failed.
     """
     try:
         return solver(a).astype(dtype, copy=False)
@@ -307,10 +308,6 @@ def _stacked(solver, a, rows, failed, dtype):
         except ConvergenceError as exc:
             failed[int(row)] = exc
     return out
-
-
-def _singular_values(b):
-    return np.linalg.svd(b, compute_uv=False)
 
 
 def _chiral_levels(c, s, rows, failed):
@@ -331,24 +328,22 @@ def _chiral_levels(c, s, rows, failed):
     b = np.zeros((m, p * r))
     b[:, :: r + 1] = s[:, 0::2]
     b[:, 1 :: r + 1] = s[:, 1::2]
-    sigma = _stacked(_singular_values, b.reshape(m, p, r), rows, failed, float)
+    svd = partial(np.linalg.svd, compute_uv=False)
+    sigma = _stacked(svd, b.reshape(m, p, r), rows, failed, float)
     # LAPACK returns sigma descending, so c - sigma ascends.
-    levels = np.concatenate((-sigma, np.zeros((m, r - p)), sigma[:, ::-1]), axis=1)
-    levels += c[:, None]
-    _refuse_non_finite(failed, rows, levels)
+    c = c[:, None]
+    levels = np.empty((m, n))
+    levels[:, :p] = c - sigma
+    levels[:, p:r] = c
+    levels[:, r:] = c + sigma[:, ::-1]
+    if not np.isfinite(levels).all():
+        _refuse_non_finite(failed, rows, levels)
     return levels
 
 
 def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
-    """Fail the rows of ``rows`` where ``x`` is not finite with a `NumericalError`.
-
-    ``x`` has one entry or one row of entries per row; a row that failed
-    already keeps its error.
-    """
-    finite = np.isfinite(x)
-    if finite.all():
-        return
-    for row in rows[~finite.reshape(rows.size, -1).all(axis=1)]:
+    """Fail each row whose entry or row of ``x`` is not finite; a failed row keeps its error."""
+    for row in rows[~np.isfinite(x).reshape(rows.size, -1).all(axis=1)]:
         failed.setdefault(int(row), NumericalError(message))
 
 
@@ -361,49 +356,55 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
 
     Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
-    (m, n - 1); each cell's diagonal is constant, as the model's is, which
-    the real branch relies on.  Cells whose bond products are all positive and finite take
-    the real branch unless ``general`` is set; the rest take the general
-    branch.  Returns (values, all_real, complex_pairs, min_gap, failed): the
-    values (m, n) sorted by real part, then imaginary part; per cell the
-    classification and the smallest pairwise gap; and a dict row ->
-    NumericalError of the failed cells, whose values and gap are NaN, with
-    all_real false and complex_pairs -1.
+    (m, n - 1).  Cells whose bond products are all positive and finite take
+    the real branch, which reads a cell's diagonal from its first entry,
+    unless ``general`` is set.  Returns (values, all_real, complex_pairs,
+    min_gap, failed): the values (m, n) sorted by real part, then imaginary
+    part; per cell the classification and the smallest pairwise gap; and a
+    dict row -> NumericalError of the failed cells, whose values and gap are
+    NaN, with all_real false and complex_pairs -1.
     """
     m, n = diag.shape
     override = None if reality_tol is None else _checked_override(reality_tol)
-    values = np.empty((m, n), dtype=complex)
-    all_real = np.ones(m, dtype=bool)
-    complex_pairs = np.zeros(m, dtype=np.int64)
-    min_gap = np.empty(m)
     failed = {}
     bonds = sup * sub
     real = np.zeros(m, dtype=bool) if general else ((bonds > 0.0) & (bonds < np.inf)).all(axis=1)
+    values, min_gap = np.empty((m, n), dtype=complex), np.empty(m)
+    all_real, complex_pairs = real.copy(), np.zeros(m, dtype=np.int64)
 
-    rows = np.flatnonzero(real)
+    rows = real.nonzero()[0]
     if rows.size:
-        v = _chiral_levels(diag[rows, 0], np.sqrt(bonds[rows]), rows, failed)
-        values[rows] = v
-        min_gap[rows] = _adjacent_gaps(v)
+        sel = slice(None) if rows.size == m else rows
+        v = _chiral_levels(diag[sel, 0], np.sqrt(bonds[sel]), rows, failed)
+        values[sel] = v
+        min_gap[sel] = _adjacent_gaps(v)
 
-    rows = np.flatnonzero(~real)
+    rows = (~real).nonzero()[0]
     if rows.size:
-        d, su, sb = diag[rows], sup[rows], sub[rows]
+        sel = slice(None) if rows.size == m else rows
+        d, su, sb = diag[sel], sup[sel], sub[sel]
         scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
-        tol = REALITY_TOL_FACTOR * scale if override is None else np.full(rows.size, override)
         gap = EP_CLUSTER_GAP * scale
         v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed, complex)
-        _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
-        _refuse_non_finite(failed, rows, v)
-        for k in np.flatnonzero(_may_cluster(v, gap)):
+        if not (np.isfinite(scale).all() and np.isfinite(v).all()):
+            _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
+            _refuse_non_finite(failed, rows, v)
+        # The gaps, the cluster test and the classification ignore the order
+        # of a row's values, so they come before the sort.
+        gaps = _pairwise_gaps(v)
+        for k in _may_cluster(gaps, gap).nonzero()[0]:
             if rows[k] not in failed:
                 v[k] = _resolve_real_clusters(v[k], d[k], su[k], sb[k], gap[k])
-        v = np.take_along_axis(v, np.lexsort((v.imag, v.real), axis=-1), axis=-1)
+                gaps[k] = _pairwise_gaps(v[k, None])[0]
         imag = np.abs(v.imag)
-        all_real[rows] = imag.max(axis=1, initial=0.0) <= tol
-        complex_pairs[rows] = (imag > tol[:, None]).sum(axis=1) // 2
-        values[rows] = v
-        min_gap[rows] = _pairwise_gaps(v)
+        tol = REALITY_TOL_FACTOR * scale[:, None] if override is None else override
+        all_real[sel] = (imag <= tol).all(axis=1)
+        complex_pairs[sel] = (imag > tol).sum(axis=1) // 2
+        # A stable sort of complex values orders them by real part, then
+        # imaginary part, and keeps equal ones (0.0 and -0.0) in place.
+        v.sort(axis=1, kind="stable")
+        values[sel] = v
+        min_gap[sel] = gaps
 
     for row in failed:
         values[row] = min_gap[row] = np.nan
@@ -414,9 +415,8 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
 
 def _spectrum(h, reality_tol, general):
     """One cell through `_solve`; a failure is raised."""
-    values, all_real, _, min_gap, failed = _solve(
-        h.diag[None], h.super[None], h.sub[None], reality_tol, general
-    )
+    values, all_real, _, min_gap, failed = _solve(h.diag[None], h.super[None], h.sub[None],
+                                                   reality_tol, general)
     if failed:
         raise failed[0]
     return Spectrum(values[0], bool(all_real[0]), float(min_gap[0]))
@@ -433,8 +433,12 @@ def eigen_general(h, reality_tol=None):
 
 
 def spectrum_of(h, reality_tol=None):
-    """Route to the right branch: real where symmetrizable, general otherwise."""
-    return _spectrum(h, reality_tol, general=False)
+    """Route to the right branch: real where symmetrizable, general otherwise.
+
+    The real branch needs the model's constant diagonal; an H without one
+    takes the general branch.
+    """
+    return _spectrum(h, reality_tol, general=not (h.diag == h.diag[0]).all())
 
 
 def _grid(values, what):
@@ -460,14 +464,14 @@ def scan_domain(n, lambda_grid, mu_grid, reality_tol=None):
     """
     lambda_grid = _grid(lambda_grid, "scan grid lambda")
     mu_grid = _grid(mu_grid, "scan grid mu")
-    lam = np.repeat(lambda_grid, mu_grid.size)
-    mu = np.tile(mu_grid, lambda_grid.size)
+    lam = lambda_grid.repeat(mu_grid.size)
+    mu = mu_grid[None].repeat(lambda_grid.size, axis=0).ravel()
     return _scan(n, lam, mu, reality_tol)
 
 
 def scan_line(n, grid, sign, reality_tol=None):
     """Classify along the line mu = sign*lambda for lambda in ``grid``; sign is +1 or -1."""
-    if not (np.ndim(sign) == 0 and sign in (1, -1)):
+    if np.asarray(sign).dtype == bool or not (np.ndim(sign) == 0 and sign in (1, -1)):
         raise ValidationError(f"scan line sign must be +1 or -1, got {sign!r}")
     grid = _grid(grid, "scan grid")
     return _scan(n, grid, sign * grid, reality_tol)
@@ -476,9 +480,7 @@ def scan_line(n, grid, sign, reality_tol=None):
 def _scan(n, lam, mu, reality_tol):
     n = dimension(n)
     m = lam.shape[0]
-    all_real = np.empty(m, dtype=bool)
-    complex_pairs = np.empty(m, dtype=np.int64)
-    min_gap = np.empty(m)
+    all_real, complex_pairs, min_gap = np.empty(m, bool), np.empty(m, np.int64), np.empty(m)
     diagnostics = []
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, m, step):

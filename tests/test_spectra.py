@@ -23,6 +23,7 @@ from cptwell.dieudonne import kernel_basis
 from cptwell.errors import ConvergenceError, NotSymmetrizable, NumericalError, ValidationError
 from cptwell.hamiltonian import (
     CouplingPair,
+    DiscreteHamiltonian,
     bands,
     build,
     dense,
@@ -450,6 +451,48 @@ class TestHalfSizeBlockOracles:
         assert bitwise_equal(v.real, np.array([2.0 - gap, 2.0 + gap])), (lam, mu)
 
 
+def with_diagonal(h, diag):
+    """H with its diagonal replaced: a matrix of the exported type, not the model."""
+    return DiscreteHamiltonian(h.n, h.couplings, np.array(diag, dtype=float), h.super, h.sub)
+
+
+class TestDiagonalOtherThanTheModels:
+    # The real branch takes its levels as c -/+ sigma around a constant
+    # diagonal c, so a diagonal that is not constant must not reach it.
+    def test_a_varying_diagonal_takes_the_general_branch(self):
+        h = with_diagonal(well(3, 0.0), [1.0, 2.0, 3.0])
+        s = spectrum_of(h)
+        # The levels of [[1, -1, 0], [-1, 2, -1], [0, -1, 3]] are 2 and 2 -/+ sqrt(3).
+        expect = np.array([2.0 - np.sqrt(3.0), 2.0, 2.0 + np.sqrt(3.0)])
+        assert np.abs(s.values - expect).max() <= 1e-14 and s.all_real
+        assert s.values.tobytes() == eigen_general(h).values.tobytes()
+        assert np.abs(s.values - sorted_c(np.linalg.eigvals(dense(h)))).max() <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 24), WINDOW, WINDOW, st.integers(0, 23), st.floats(-3.0, 3.0))
+    def test_spectrum_of_matches_numpy_for_any_diagonal(self, n, lam, mu, k, x):
+        diag = np.full(n, 2.0)
+        diag[k % n] = x
+        h = with_diagonal(well(n, lam, mu), diag)
+        s = spectrum_of(h)
+        assert multiset_gap(s.values, np.linalg.eigvals(dense(h))) <= 1e-12, (n, lam, mu, k, x)
+
+    def test_a_constant_diagonal_other_than_two_keeps_the_real_branch(self):
+        h = well(9, 0.4, -0.3)
+        shifted = with_diagonal(h, np.full(9, 5.0))
+        values = spectrum_of(shifted).values
+        assert np.abs(values - (spectrum_of(h).values + 3.0)).max() <= 1e-14
+        assert eigen_real(symmetrize(shifted)).values.tobytes() == values.tobytes()
+
+    def test_values_of_a_varying_symmetrized_diagonal_are_refused(self):
+        sym = symmetrize(with_diagonal(well(3, 0.0), [1.0, 2.0, 3.0]))
+        with pytest.raises(ValidationError, match="constant diagonal"):
+            eigen_real(sym)
+        spec, _ = eigen_real(sym, want_vectors=True)
+        expect = np.array([2.0 - np.sqrt(3.0), 2.0, 2.0 + np.sqrt(3.0)])
+        assert np.abs(spec.values - expect).max() <= 1e-14
+
+
 class TestHugeCouplings:
     def test_overflowing_intermediates_raise_no_warnings(self):
         # The bond products overflow here; the cells are answered without a
@@ -543,6 +586,37 @@ class TestSpectrumType:
         v = spectrum_of(well(9, 1.2)).values
         order = np.lexsort((v.imag, v.real))
         assert np.array_equal(order, np.arange(9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(2, 24), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.sampled_from(EP_CELLS).map(lambda cell: (cell[0], cell[1], cell[1])),
+    ))
+    def test_general_values_come_in_lexsort_order(self, cell):
+        # Includes the cells whose near-real groups are re-solved.
+        v = eigen_general(well(*cell)).values
+        assert np.array_equal(np.lexsort((v.imag, v.real)), np.arange(v.size)), cell
+
+    # Hand-built rows with ties: equal real parts, and values that differ
+    # only in the sign of a zero.
+    PARTS = st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(PARTS, PARTS), min_size=4, max_size=4),
+                    min_size=1, max_size=5))
+    def test_tied_values_keep_lexsort_order(self, rows):
+        # The general branch sorts whatever LAPACK returns; here LAPACK returns
+        # the hand-built rows (and the re-solve, which would act on their ties,
+        # leaves them as they are).  The order, zeros' signs included, must be
+        # the stable lexsort's.
+        raw = np.array([[complex(re, im) for re, im in row] for row in rows])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvals", lambda a: raw.copy())
+            mp.setattr(spectra, "_resolve_real_clusters", lambda values, *rest: values)
+            values = spectra._solve(*bands(4, np.full(len(rows), 1.5), 1.5), general=True)[0]
+        order = np.lexsort((raw.imag, raw.real), axis=-1)
+        expect = np.take_along_axis(raw, order, axis=-1)
+        assert values.tobytes() == expect.tobytes(), raw
 
     def test_min_gap_is_the_smallest_pairwise_distance(self):
         s = spectrum_of(well(4, 0.0))
@@ -647,6 +721,12 @@ class TestScans:
                 scan_line(4, grid, bad)
         for sign, expect in ((1, [0.1, 0.5]), (np.int64(-1), [-0.1, -0.5]), (-1.0, [-0.1, -0.5])):
             assert scan_line(4, grid, sign).mu.tolist() == expect
+
+    def test_a_boolean_sign_is_refused(self):
+        # True == 1, so a membership test alone would take True for +1.
+        for bad in (True, False, np.bool_(True), np.bool_(False), np.array(True)):
+            with pytest.raises(ValidationError, match="sign"):
+                scan_line(4, [0.1, 0.5], bad)
 
 
 class TestCellsUlpsFromAnExceptionalPoint:
@@ -780,6 +860,65 @@ class TestBatchedScanAgainstCellLoop:
         assert sum(m for m, _ in blocks) == cells
         assert_scan_matches_cell_loop(scan, n)
 
+    @staticmethod
+    def counted_lapack(monkeypatch):
+        """Count the stacked calls of each branch's LAPACK routine."""
+        calls = {"svd": 0, "eigvals": 0}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, name=name, solver=solver, **kwargs):
+                calls[name] += 1
+                return solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+    def test_blocks_on_one_or_both_branches_match_bit_for_bit(self, n, monkeypatch):
+        # Inside the window every cell takes the real branch; with both
+        # couplings above 1 (n = 2: (1 + lambda)(1 - mu) < 0) every cell takes
+        # the general one.  A block of one cell takes one branch.
+        rng = np.random.default_rng(n)
+        inside = rng.uniform(-0.99, 0.99, 5)
+        outside = rng.uniform(1.01, 2.5, 5)
+        mixed = np.concatenate((inside[:3], outside[:3]))
+        for grids, branches in (((inside, inside[::-1]), {"svd"}),
+                                ((outside, outside[:3]), {"eigvals"}),
+                                ((inside[:1], inside[1:2]), {"svd"}),
+                                ((outside[:1], outside[1:2]), {"eigvals"}),
+                                ((mixed, mixed[::-1]), {"svd", "eigvals"})):
+            for tol in (None, 1e-3):
+                calls = self.counted_lapack(monkeypatch)
+                scan = scan_domain(n, *grids, reality_tol=tol)
+                line = scan_line(n, grids[0], +1, reality_tol=tol)
+                monkeypatch.undo()
+                assert calls == {name: 2 * (name in branches) for name in calls}, (n, branches)
+                assert_scan_matches_cell_loop(scan, n, tol)
+                assert_scan_matches_cell_loop(line, n, tol)
+
+    @pytest.mark.parametrize("name", ["svd", "eigvals"])
+    def test_a_failure_in_a_block_on_one_branch_matches_the_cell_loop(self, name, monkeypatch):
+        # One matrix of the block fails in LAPACK: the block is solved again
+        # cell by cell, and the scan records the same failure as a loop of
+        # one-cell solves under the same fault.
+        n, lams, mus = 5, [0.3, 0.6, -0.2], [-0.5, 0.2, 0.7]
+        if name == "eigvals":
+            lams, mus = [1.1, 1.3, -1.6], [1.25, -2.0, 1.05]
+        h = well(n, lams[1], mus[1])
+        target = dense(h) if name == "eigvals" else half_block(h)
+        solver = getattr(np.linalg, name)
+
+        def flaky(a, *args, **kwargs):
+            if any(np.array_equal(m, target) for m in np.reshape(a, (-1, *target.shape))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, flaky)
+        scan = scan_domain(n, lams, mus)
+        assert [d[:3] for d in scan.diagnostics] == [(4, lams[1], mus[1])]
+        assert_scan_matches_cell_loop(scan, n)
+
     def test_skipped_repairs_would_change_nothing(self):
         # The general branch runs the cluster re-solve only where a vectorized
         # test says it could act; on every other row, running it must return
@@ -799,7 +938,7 @@ class TestBatchedScanAgainstCellLoop:
             radii = [build(n, (a, b)).gershgorin_radius() for a, b in zip(lams, mus)]
             scale = np.maximum(1.0, radii)
             gap = spectra.EP_CLUSTER_GAP * scale
-            cluster = spectra._may_cluster(values, gap)
+            cluster = spectra._may_cluster(spectra._pairwise_gaps(values), gap)
             assert cluster.any() or n > 4
             for k in np.flatnonzero(~cluster):
                 again = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
