@@ -578,9 +578,13 @@ def main(argv=None):
         return 2
     if cfg.output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cptwell: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

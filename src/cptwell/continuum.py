@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import CouplingPair, build, dimension, symmetrize
-from .spectra import eigen_real
+from .hamiltonian import CouplingPair, as_int, build, dimension
+from .spectra import spectrum_of
 
 PI_SQ = float(np.pi) ** 2
 
@@ -62,7 +62,7 @@ class ConvergenceStudy:
 def scaled_spectrum(n, lam, levels):
     """The K lowest levels of H(lam, lam) scaled by (n+1)^2 / pi^2."""
     n = dimension(n)
-    levels = int(levels)
+    levels = as_int(levels, "levels")
     lam = float(lam)
     if not -1.0 < lam < 1.0:
         raise ValidationError(
@@ -71,9 +71,8 @@ def scaled_spectrum(n, lam, levels):
         )
     if not 1 <= levels <= n:
         raise ValidationError(f"levels must be in 1..{n}, got {levels}")
-    h = build(n, CouplingPair(lam, lam))
-    spec = eigen_real(symmetrize(h))
-    return (n + 1) ** 2 * spec.values.real[:levels] / PI_SQ
+    values = spectrum_of(build(n, CouplingPair(lam, lam))).values.real
+    return (n + 1) ** 2 * values[:levels] / PI_SQ
 
 
 def convergence_study(sizes, lam, levels=1):
@@ -85,7 +84,7 @@ def convergence_study(sizes, lam, levels=1):
         )
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError(f"sizes must be strictly increasing, got {sizes}")
-    levels = int(levels)
+    levels = as_int(levels, "levels")
     if levels > min(sizes):
         raise ValidationError(
             f"levels {levels} exceeds the smallest ladder size {min(sizes)}"

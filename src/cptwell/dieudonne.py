@@ -231,7 +231,7 @@ def spectral_dyads(h):
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("spectral_dyads expects a DiscreteHamiltonian")
     sym = symmetrize(h)
-    spec, w = eigen_real(sym, want_vectors=True)
+    spec, w = eigen_real(sym)
     _gap_gate(h, spec.min_gap)
     u = w / sym.d[:, None]
     u = u / np.linalg.norm(u, axis=0)

@@ -18,10 +18,13 @@ H is not symmetric, but whenever every bond product super[i]*sub[i] is positive
 (equivalent to |lambda| < 1 and |mu| < 1) it is diagonally similar to the
 symmetric tridiagonal S = D^-1 H D with positive weights D = diag(d), which is
 what makes the spectrum real there.
+
+`DiscreteHamiltonian` holds this matrix and no other: it is made from n and the
+couplings (a `CouplingPair` or a (lambda, mu) pair), and its bands are derived.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +49,22 @@ class CouplingPair:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """The matrix H(lambda, mu) stored as three bands (never dense)."""
+    """The matrix H(lambda, mu) stored as three derived, read-only bands (never dense)."""
 
     n: int
     couplings: CouplingPair
-    diag: np.ndarray
-    super: np.ndarray
-    sub: np.ndarray
+    diag: np.ndarray = field(init=False)
+    super: np.ndarray = field(init=False)
+    sub: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        couplings = self.couplings
+        if not isinstance(couplings, CouplingPair):
+            couplings = CouplingPair(*couplings)
+        n = dimension(self.n)
+        diag, sup, sub = map(_freeze, bands(n, couplings.lam, couplings.mu))
+        # Frozen fields are written past the dataclass's __setattr__.
+        vars(self).update(n=n, couplings=couplings, diag=diag, super=sup, sub=sub)
 
     @property
     @np.errstate(over="ignore")
@@ -82,19 +94,23 @@ class SymmetrizedForm:
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
 
 
+def as_int(x, what):
+    """``x`` as a Python int; a value that int() would change is a ValidationError."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
+
+
 def dimension(n):
     """The size n as a Python int; it must be an integer >= 2."""
-    try:
-        size = int(n)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"dimension must be an integer, got {n!r}") from None
-    if size != n:
-        raise ValidationError(f"dimension must be an integer, got {n!r}")
+    size = as_int(n, "dimension")
     if size < 2:
         raise ValidationError(f"dimension must be >= 2, got {size}")
     return size
@@ -133,11 +149,8 @@ def gershgorin_radii(diag, sup, sub):
 
 
 def build(n, couplings):
-    """Construct H(lambda, mu) of dimension n >= 2."""
-    if not isinstance(couplings, CouplingPair):
-        couplings = CouplingPair(*couplings)
-    diag, sup, sub = bands(dimension(n), couplings.lam, couplings.mu)
-    return DiscreteHamiltonian(diag.shape[0], couplings, _freeze(diag), _freeze(sup), _freeze(sub))
+    """Construct H(lambda, mu) of dimension n >= 2: ``DiscreteHamiltonian(n, couplings)``."""
+    return DiscreteHamiltonian(n, couplings)
 
 
 def symmetrize(h):

@@ -157,7 +157,7 @@ def biorthogonalize(h):
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("biorthogonalize expects a DiscreteHamiltonian")
     sym = symmetrize(h)
-    spec, w = eigen_real(sym, want_vectors=True)
+    spec, w = eigen_real(sym)
     scale = _gap_gate(h, spec.min_gap, "biorthogonal pairing is ill-defined")
     values = spec.values.real.copy()
     right = w * sym.d[:, None]
@@ -266,6 +266,9 @@ def metric_from_ansatz(basis, coeffs):
     else:
         mats = [_finite(x, "basis element") for x in basis]
         residuals = np.zeros(len(mats))
+        shapes = sorted({x.shape for x in mats})
+        if len(shapes) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
+            raise ValidationError(f"basis elements must be square and of one size, got {shapes}")
     coeffs = _finite(coeffs, "coefficients")
     if coeffs.shape != (len(mats),):
         raise ValidationError(
@@ -376,6 +379,8 @@ def theta_adjoint(theta, psi):
     """Metric-adjoint row vector of a ket: conj(psi)^T Theta."""
     theta = np.asarray(theta)
     psi = np.asarray(psi)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValidationError(f"metric must be a square matrix, got shape {theta.shape}")
     if psi.shape != (theta.shape[0],):
         raise ValidationError(
             f"vector shape {psi.shape} does not match metric {theta.shape}"

@@ -6,14 +6,12 @@ the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
 branches cover the whole coupling plane:
 
 * real branch: cells whose bond products are all positive and finite
-  symmetrize.  With the model's constant diagonal c = 2, splitting the sites
-  by parity makes T - c = [[0, B], [B^T, 0]] with B a bidiagonal block of
-  half the size, and the levels are c -/+ the singular values of B, plus c
-  itself for odd n (`_chiral_levels`), from one stacked ``np.linalg.svd``
-  with no dense matrix.  `eigen_real` takes this route for one symmetric
-  form and, on request, gives eigenvectors too (``np.linalg.eigh``).
-  `spectrum_of` sends an H whose diagonal is not constant to the general
-  branch.
+  symmetrize.  With the model's constant diagonal 2, splitting the sites by
+  parity makes T - 2 = [[0, B], [B^T, 0]] with B a bidiagonal block of half
+  the size, and the levels are 2 -/+ the singular values of B, plus 2 itself
+  for odd n (`_chiral_levels`), from one stacked ``np.linalg.svd`` with no
+  dense matrix.  This is the only route to real levels; `eigen_real` is for
+  eigenvectors, which it takes with their values from ``np.linalg.eigh``.
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
   the complex values of a real matrix as exact conjugate pairs.  Values that
@@ -133,37 +131,23 @@ def _pairwise_gaps(values):
     return dist.min(axis=1)
 
 
-def eigen_real(s, want_vectors=False):
-    """All eigenvalues (ascending) of the symmetric form; optional vectors.
+def eigen_real(s):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the symmetric form.
 
-    Eigenvalues come from the singular values of the form's half-size
-    bidiagonal block (`_chiral_levels`).  With vectors requested,
-    ``np.linalg.eigh`` on the dense form gives values and orthonormal vectors
-    together (its values can differ from the values-only ones at the rounding
-    level), and the call returns (Spectrum, W) with W[:, k] the unit
-    eigenvector of the k-th ascending eigenvalue, its first significant
-    component made positive.  A non-finite eigenvalue (a bond product that
-    overflows to +inf, say) raises `NumericalError`; a diagonal that is not
-    constant, `ValidationError` unless vectors are requested.
+    ``np.linalg.eigh`` on the dense form gives both (its values can differ
+    from `spectrum_of`'s at the rounding level).  Returns (Spectrum, W) with
+    W[:, k] the unit eigenvector of the k-th ascending eigenvalue, its first
+    significant component made positive.  A non-finite eigenvalue (a bond
+    product that overflows to +inf, say) raises `NumericalError`.
     """
     if not isinstance(s, SymmetrizedForm):
         raise TypeError("eigen_real expects a SymmetrizedForm")
-    if want_vectors:
-        evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_diag, s.s_off, s.s_off))
-        if not np.isfinite(evals).all():
-            raise NumericalError(_NON_FINITE_VALUE)
-    else:
-        if not (s.s_diag == s.s_diag[0]).all():
-            raise ValidationError("eigen_real's values-only route needs a constant diagonal")
-        failed = {}
-        evals = _chiral_levels(s.s_diag[:1], np.abs(s.s_off)[None], np.zeros(1, int), failed)[0]
-        if failed:
-            raise failed[0]
-    spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
-    if not want_vectors:
-        return spec
+    evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_diag, s.s_off, s.s_off))
+    if not np.isfinite(evals).all():
+        raise NumericalError(_NON_FINITE_VALUE)
     mag = np.abs(w)
     lead = w[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(w.shape[1])]
+    spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
     return spec, w * np.where(lead < 0.0, -1.0, 1.0)
 
 
@@ -177,9 +161,8 @@ def _lapack(solver, a):
 def char_poly(h, e):
     """det(H - e*I) via the three-term recurrence (complex-capable).
 
-    For one site the determinant is just diag[0] - e; the recurrence handles
-    that edge because the bond loop is empty.  A determinant past the float
-    range raises `NumericalError` carrying its natural log-magnitude.
+    A determinant past the float range raises `NumericalError` carrying its
+    natural log-magnitude.
     """
     p, nscale = kernels.charpoly_terms(h.diag, h.bonds, complex(e))
     try:
@@ -310,15 +293,15 @@ def _stacked(solver, a, rows, failed, dtype):
     return out
 
 
-def _chiral_levels(c, s, rows, failed):
-    """Ascending eigenvalues of m symmetric tridiagonals with constant diagonals.
+def _chiral_levels(s, rows, failed):
+    """Ascending eigenvalues of m symmetric tridiagonals with the model's diagonal 2.
 
-    ``c`` (m,) holds each matrix's diagonal constant and ``s`` (m, n - 1) the
-    magnitudes of its off-diagonal.  Split by site parity, T - c is
-    [[0, B], [B^T, 0]] with the floor(n/2) x ceil(n/2) upper-bidiagonal block
-    B[q, q] = s[2q], B[q, q + 1] = s[2q + 1], so the levels are c - sigma,
-    then c itself for odd n, then c + sigma, for the singular values sigma of
-    B (Golub & Kahan 1965).  LAPACK computes those to high relative accuracy
+    ``s`` (m, n - 1) holds the magnitudes of each matrix's off-diagonal.
+    Split by site parity, T - 2 is [[0, B], [B^T, 0]] with the
+    floor(n/2) x ceil(n/2) upper-bidiagonal block B[q, q] = s[2q],
+    B[q, q + 1] = s[2q + 1], so the levels are 2 - sigma, then 2 itself for
+    odd n, then 2 + sigma, for the singular values sigma of B (Golub & Kahan
+    1965).  LAPACK computes those to high relative accuracy
     (Demmel & Kahan 1990), in one stacked call through `_stacked`.  A failed
     or non-finite matrix is recorded in ``failed`` under its row from ``rows``.
     """
@@ -330,12 +313,11 @@ def _chiral_levels(c, s, rows, failed):
     b[:, 1 :: r + 1] = s[:, 1::2]
     svd = partial(np.linalg.svd, compute_uv=False)
     sigma = _stacked(svd, b.reshape(m, p, r), rows, failed, float)
-    # LAPACK returns sigma descending, so c - sigma ascends.
-    c = c[:, None]
+    # LAPACK returns sigma descending, so 2 - sigma ascends.
     levels = np.empty((m, n))
-    levels[:, :p] = c - sigma
-    levels[:, p:r] = c
-    levels[:, r:] = c + sigma[:, ::-1]
+    levels[:, :p] = 2.0 - sigma
+    levels[:, p:r] = 2.0
+    levels[:, r:] = 2.0 + sigma[:, ::-1]
     if not np.isfinite(levels).all():
         _refuse_non_finite(failed, rows, levels)
     return levels
@@ -356,9 +338,9 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
 
     Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
-    (m, n - 1).  Cells whose bond products are all positive and finite take
-    the real branch, which reads a cell's diagonal from its first entry,
-    unless ``general`` is set.  Returns (values, all_real, complex_pairs,
+    (m, n - 1), which must be the model's (`bands`).  Cells whose bond
+    products are all positive and finite take the real branch, unless
+    ``general`` is set.  Returns (values, all_real, complex_pairs,
     min_gap, failed): the values (m, n) sorted by real part, then imaginary
     part; per cell the classification and the smallest pairwise gap; and a
     dict row -> NumericalError of the failed cells, whose values and gap are
@@ -375,7 +357,7 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     rows = real.nonzero()[0]
     if rows.size:
         sel = slice(None) if rows.size == m else rows
-        v = _chiral_levels(diag[sel, 0], np.sqrt(bonds[sel]), rows, failed)
+        v = _chiral_levels(np.sqrt(bonds[sel]), rows, failed)
         values[sel] = v
         min_gap[sel] = _adjacent_gaps(v)
 
@@ -433,12 +415,8 @@ def eigen_general(h, reality_tol=None):
 
 
 def spectrum_of(h, reality_tol=None):
-    """Route to the right branch: real where symmetrizable, general otherwise.
-
-    The real branch needs the model's constant diagonal; an H without one
-    takes the general branch.
-    """
-    return _spectrum(h, reality_tol, general=not (h.diag == h.diag[0]).all())
+    """Route to the right branch: real where symmetrizable, general otherwise."""
+    return _spectrum(h, reality_tol, general=False)
 
 
 def _grid(values, what):

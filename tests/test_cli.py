@@ -137,6 +137,13 @@ class TestSpectrumCommand:
         direct = run("spectrum", "-N", "3", "--lambda", "0")[1]
         assert target.read_text() == direct
 
+    def test_an_unwritable_output_path_is_one_line_and_exit_1(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        rc, out, err = run("spectrum", "-N", "3", "--lambda", "0", "--output", str(target))
+        assert rc == 1 and out == "" and not target.exists()
+        assert err.startswith("cptwell: cannot write output:") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestScanCommand:
     def test_line_scan_csv_matches_the_reality_window(self):

@@ -64,6 +64,17 @@ class TestScaledSpectrum:
         with pytest.raises(ValidationError):
             scaled_spectrum(10, 0.0, 0)
 
+    def test_a_level_count_that_is_not_an_integer_is_refused(self):
+        # int() would truncate these to 2 and 1 levels.
+        with pytest.raises(ValidationError, match="levels must be an integer"):
+            scaled_spectrum(8, 0.3, 2.9)
+        with pytest.raises(ValidationError, match="levels must be an integer"):
+            convergence_study([4, 8, 16], 0.3, 1.7)
+        with pytest.raises(ValidationError, match="levels must be an integer"):
+            scaled_spectrum(8, 0.3, "2")
+        assert scaled_spectrum(8, 0.3, 2.0).tolist() == scaled_spectrum(8, 0.3, 2).tolist()
+        assert convergence_study([4, 8, 16], 0.3, np.int64(2)).scaled_levels.shape == (3, 2)
+
     def test_window_endpoint_grid_is_all_real_for_powers_of_two(self):
         for n in (8, 16, 32, 64):
             s = spectrum_of(build(n, (0.99, 0.99)))

@@ -16,8 +16,6 @@ from cptwell.dieudonne import closed_form
 from cptwell.errors import NotSymmetrizable, ValidationError
 from cptwell.hamiltonian import (
     CouplingPair,
-    DiscreteHamiltonian,
-    SymmetrizedForm,
     bands,
     build,
     dense,

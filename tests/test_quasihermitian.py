@@ -266,6 +266,15 @@ class TestMetricFromAnsatz:
         with pytest.raises(ValidationError, match="non-finite"):
             metric_from_ansatz([np.eye(2), np.full((2, 2), np.nan)], [1.0, 1.0])
 
+    def test_elements_of_different_sizes_are_rejected(self):
+        with pytest.raises(ValidationError, match="square and of one size"):
+            metric_from_ansatz([np.eye(2), np.eye(3)], [1.0, 1.0])
+
+    def test_a_non_square_element_is_rejected(self):
+        for bad in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2))):
+            with pytest.raises(ValidationError, match="square and of one size"):
+                metric_from_ansatz([bad], [1.0])
+
 
 class TestClosedFormOperators:
     def test_zero_coupling_collapses_to_flip_and_identity(self):
@@ -472,3 +481,14 @@ class TestThetaAdjoint:
         theta = np.eye(2)
         psi = np.array([1.0 + 2.0j, -1.0j])
         assert np.array_equal(theta_adjoint(theta, psi), np.conj(psi))
+
+    def test_a_non_square_metric_is_rejected(self):
+        # Without the check, a 3 x 2 metric would pair a length-3 ket into a
+        # length-2 row.
+        for theta in (np.ones((3, 2)), np.ones(3), np.ones((3, 3, 3))):
+            with pytest.raises(ValidationError, match="square matrix"):
+                theta_adjoint(theta, np.ones(3))
+
+    def test_a_ket_that_does_not_match_the_metric_is_rejected(self):
+        with pytest.raises(ValidationError, match="does not match"):
+            theta_adjoint(np.eye(3), np.ones(2))

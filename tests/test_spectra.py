@@ -11,6 +11,7 @@ Independent oracles frozen into this file:
 """
 
 import warnings
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestClosedFormOracles:
 class TestEigenReal:
     def test_vectors_are_orthonormal_and_satisfy_the_eigenproblem(self):
         s = symmetrize(well(12, 0.7))
-        spec, w = eigen_real(s, want_vectors=True)
+        spec, w = eigen_real(s)
         assert np.max(np.abs(w.T @ w - np.eye(12))) <= 1e-12
         a = np.diag(s.s_diag)
         idx = np.arange(11)
@@ -139,7 +140,7 @@ class TestEigenReal:
         assert np.max(np.abs(resid)) <= 1e-10 * snorm
 
     def test_three_site_vectors_match_the_closed_form_with_positive_leading_entry(self):
-        _, w = eigen_real(symmetrize(well(3, 0.0)), want_vectors=True)
+        _, w = eigen_real(symmetrize(well(3, 0.0)))
         half = 0.5
         r = np.sqrt(2.0) / 2.0
         expect = np.array([[half, r, half], [r, 0.0, -r], [half, -r, half]]).T
@@ -147,7 +148,7 @@ class TestEigenReal:
 
     def test_matches_numpy_on_a_large_symmetrizable_well(self):
         s = symmetrize(well(40, 0.95))
-        spec = eigen_real(s)
+        spec = spectrum_of(well(40, 0.95))
         a = np.diag(s.s_diag)
         idx = np.arange(39)
         a[idx, idx + 1] = s.s_off
@@ -157,10 +158,14 @@ class TestEigenReal:
     def test_an_overflowing_bond_product_is_a_numerical_error(self):
         # At n = 2 the single bond carries -1 - lam and -1 + mu, so on
         # mu = -lam its product overflows to +inf and the form is not finite.
-        s = symmetrize(well(2, 1e308, -1e308))
-        for want_vectors in (False, True):
-            with pytest.raises(NumericalError, match="non-finite"):
-                eigen_real(s, want_vectors=want_vectors)
+        h = well(2, 1e308, -1e308)
+        with pytest.raises(NumericalError, match="non-finite"):
+            eigen_real(symmetrize(h))
+        # spectrum_of sends the cell to the general branch instead, where H is
+        # symmetric with the levels 2 -/+ (1 + 1e308).
+        spec = spectrum_of(h)
+        assert spec.all_real and not spec.values.imag.any()
+        assert np.allclose(spec.values.real, [-1e308, 1e308], rtol=3e-16, atol=0.0)
 
 
 class TestEigenGeneral:
@@ -185,7 +190,7 @@ class TestEigenGeneral:
         for n, lam in ((3, 0.0), (11, 0.9), (6, -0.6)):
             h = well(n, lam)
             a = eigen_general(h).values
-            b = eigen_real(symmetrize(h)).values
+            b = spectrum_of(h).values
             assert np.max(np.abs(sorted_c(a) - sorted_c(b))) <= 1e-9
 
     def test_complex_values_come_in_exact_conjugate_pairs(self):
@@ -441,7 +446,6 @@ class TestHalfSizeBlockOracles:
     def test_an_odd_chain_has_the_level_two_exactly(self, n, lam, mu):
         h = well(n, lam, mu)
         assert spectrum_of(h).values[n // 2] == 2.0, (n, lam, mu)
-        assert eigen_real(symmetrize(h)).values[n // 2] == 2.0, (n, lam, mu)
 
     @settings(max_examples=300, deadline=None)
     @given(WINDOW, WINDOW)
@@ -451,46 +455,43 @@ class TestHalfSizeBlockOracles:
         assert bitwise_equal(v.real, np.array([2.0 - gap, 2.0 + gap])), (lam, mu)
 
 
-def with_diagonal(h, diag):
-    """H with its diagonal replaced: a matrix of the exported type, not the model."""
-    return DiscreteHamiltonian(h.n, h.couplings, np.array(diag, dtype=float), h.super, h.sub)
+class TestOneHamiltonianType:
+    # A DiscreteHamiltonian is the model's H(lambda, mu) and nothing else: its
+    # bands derive from n and the couplings, so the real branch's diagonal 2
+    # holds for every instance.
+    def test_bands_are_not_arguments(self):
+        h = well(3, 0.0)
+        with pytest.raises(TypeError):
+            DiscreteHamiltonian(3, h.couplings, np.array([1.0, 2.0, 3.0]), h.super, h.sub)
+        with pytest.raises(TypeError):
+            DiscreteHamiltonian(3, h.couplings, diag=np.array([1.0, 2.0, 3.0]))
 
+    def test_bands_are_read_only(self):
+        h = DiscreteHamiltonian(4, (0.3, -0.2))
+        for band in (h.diag, h.super, h.sub):
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 5.0
+        with pytest.raises(FrozenInstanceError):
+            h.diag = np.ones(4)
 
-class TestDiagonalOtherThanTheModels:
-    # The real branch takes its levels as c -/+ sigma around a constant
-    # diagonal c, so a diagonal that is not constant must not reach it.
-    def test_a_varying_diagonal_takes_the_general_branch(self):
-        h = with_diagonal(well(3, 0.0), [1.0, 2.0, 3.0])
-        s = spectrum_of(h)
-        # The levels of [[1, -1, 0], [-1, 2, -1], [0, -1, 3]] are 2 and 2 -/+ sqrt(3).
-        expect = np.array([2.0 - np.sqrt(3.0), 2.0, 2.0 + np.sqrt(3.0)])
-        assert np.abs(s.values - expect).max() <= 1e-14 and s.all_real
-        assert s.values.tobytes() == eigen_general(h).values.tobytes()
-        assert np.abs(s.values - sorted_c(np.linalg.eigvals(dense(h)))).max() <= 1e-14
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_bands_equal_the_band_builder_and_build_bit_for_bit(self, n):
+        for lam, mu in ((0.0, 0.0), (0.4, -0.3), (-2.5, 0.27), (1e308, -1e308)):
+            h = DiscreteHamiltonian(n, CouplingPair(lam, mu))
+            built = build(n, (lam, mu))
+            assert h.n == built.n == n and type(h.n) is int
+            assert (h.couplings.lam, h.couplings.mu) == (lam, mu)
+            for got, want, other in zip((h.diag, h.super, h.sub), bands(n, lam, mu),
+                                        (built.diag, built.super, built.sub)):
+                assert got.dtype == want.dtype and got.shape == want.shape, (n, lam, mu)
+                assert got.tobytes() == want.tobytes() == other.tobytes(), (n, lam, mu)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 24), WINDOW, WINDOW, st.integers(0, 23), st.floats(-3.0, 3.0))
-    def test_spectrum_of_matches_numpy_for_any_diagonal(self, n, lam, mu, k, x):
-        diag = np.full(n, 2.0)
-        diag[k % n] = x
-        h = with_diagonal(well(n, lam, mu), diag)
-        s = spectrum_of(h)
-        assert multiset_gap(s.values, np.linalg.eigvals(dense(h))) <= 1e-12, (n, lam, mu, k, x)
-
-    def test_a_constant_diagonal_other_than_two_keeps_the_real_branch(self):
-        h = well(9, 0.4, -0.3)
-        shifted = with_diagonal(h, np.full(9, 5.0))
-        values = spectrum_of(shifted).values
-        assert np.abs(values - (spectrum_of(h).values + 3.0)).max() <= 1e-14
-        assert eigen_real(symmetrize(shifted)).values.tobytes() == values.tobytes()
-
-    def test_values_of_a_varying_symmetrized_diagonal_are_refused(self):
-        sym = symmetrize(with_diagonal(well(3, 0.0), [1.0, 2.0, 3.0]))
-        with pytest.raises(ValidationError, match="constant diagonal"):
-            eigen_real(sym)
-        spec, _ = eigen_real(sym, want_vectors=True)
-        expect = np.array([2.0 - np.sqrt(3.0), 2.0, 2.0 + np.sqrt(3.0)])
-        assert np.abs(spec.values - expect).max() <= 1e-14
+    def test_the_couplings_may_be_a_plain_pair_and_the_size_a_numpy_integer(self):
+        h = DiscreteHamiltonian(np.int64(5), (0.3, -0.2))
+        assert type(h.n) is int and isinstance(h.couplings, CouplingPair)
+        assert spectrum_of(h).values.tobytes() == spectrum_of(well(5, 0.3, -0.2)).values.tobytes()
+        with pytest.raises(ValidationError, match="dimension"):
+            DiscreteHamiltonian(2.5, (0.3, -0.2))
 
 
 class TestHugeCouplings:
@@ -975,8 +976,6 @@ class TestSolverFailures:
             spectrum_of(well(5, 0.3))
         with pytest.raises(ConvergenceError):
             eigen_real(symmetrize(well(5, 0.3)))
-        with pytest.raises(ConvergenceError):
-            eigen_real(symmetrize(well(5, 0.3)), want_vectors=True)
 
     def test_scan_records_a_failed_cell_and_continues(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", self.fail)
