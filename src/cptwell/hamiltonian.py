@@ -20,11 +20,15 @@ symmetric tridiagonal S = D^-1 H D with positive weights D = diag(d), which is
 what makes the spectrum real there.
 
 `DiscreteHamiltonian` holds this matrix and no other: it is made from n and the
-couplings (a `CouplingPair` or a (lambda, mu) pair), and its bands are derived.
+couplings (a `CouplingPair` or a (lambda, mu) pair), which are checked when it
+is made, and its bands are derived from them on first access.  Every interior
+bond product is (-1)(-1) = 1, so the first and last bond products
+(`end_bonds`, no bands needed) decide which solver branch takes the matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,22 +53,38 @@ class CouplingPair:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """The matrix H(lambda, mu) stored as three derived, read-only bands (never dense)."""
+    """The matrix H(lambda, mu) with three derived, read-only bands (never dense).
+
+    The size and couplings are checked when it is made; the bands ``diag``,
+    ``super`` and ``sub`` are derived by `bands` on the first access to any
+    of them and kept, so a second access returns the same arrays.
+    """
 
     n: int
     couplings: CouplingPair
-    diag: np.ndarray = field(init=False)
-    super: np.ndarray = field(init=False)
-    sub: np.ndarray = field(init=False)
 
     def __post_init__(self):
         couplings = self.couplings
         if not isinstance(couplings, CouplingPair):
             couplings = CouplingPair(*couplings)
-        n = dimension(self.n)
-        diag, sup, sub = map(_freeze, bands(n, couplings.lam, couplings.mu))
         # Frozen fields are written past the dataclass's __setattr__.
-        vars(self).update(n=n, couplings=couplings, diag=diag, super=sup, sub=sub)
+        vars(self).update(n=dimension(self.n), couplings=couplings)
+
+    @cached_property
+    def _bands(self):
+        return tuple(map(_freeze, bands(self.n, self.couplings.lam, self.couplings.mu)))
+
+    @property
+    def diag(self):
+        return self._bands[0]
+
+    @property
+    def super(self):
+        return self._bands[1]
+
+    @property
+    def sub(self):
+        return self._bands[2]
 
     @property
     @np.errstate(over="ignore")
@@ -114,6 +134,19 @@ def dimension(n):
     if size < 2:
         raise ValidationError(f"dimension must be >= 2, got {size}")
     return size
+
+
+def end_bonds(n, lam, mu):
+    """First and last bond products of H(lam, mu), as `bands` would give them.
+
+    The same float operations as ``super * sub`` on `bands`' first and last
+    bonds, so the same bits; for n = 2 the single bond gives both.  An
+    overflowing product is +-inf.  Scalars give Python floats.
+    """
+    if n == 2:
+        bond = (-1.0 - lam) * (mu - 1.0)
+        return bond, bond
+    return (-1.0 - lam) * (lam - 1.0), (-1.0 - mu) * (mu - 1.0)
 
 
 def bands(n, lam, mu):

@@ -1,23 +1,30 @@
 """Eigenvalues, eigenvectors, and reality-domain scans.
 
 Eigenvalues come from one solver core (`_solve`) that works on stacked bands,
-m cells of n sites each: `spectrum_of` and `eigen_general` run it on one cell,
-the scans on blocks of at most ``BLOCK_ENTRIES`` matrix entries.  Two solver
-branches cover the whole coupling plane:
+m cells of n sites each: `eigen_general` runs it on one cell, the scans on
+blocks of at most ``BLOCK_ENTRIES`` matrix entries, and `spectrum_of` on one
+cell off the real branch.  Two solver branches cover the whole coupling plane:
 
 * real branch: cells whose bond products are all positive and finite
-  symmetrize.  With the model's constant diagonal 2, splitting the sites by
-  parity makes T - 2 = [[0, B], [B^T, 0]] with B a bidiagonal block of half
-  the size, and the levels are 2 -/+ the singular values of B, plus 2 itself
-  for odd n (`_chiral_levels`), from one stacked ``np.linalg.svd`` with no
-  dense matrix.  This is the only route to real levels; `eigen_real` is for
-  eigenvectors, which it takes with their values from ``np.linalg.eigh``.
+  symmetrize.  Every interior bond product of the model is 1, so the rule
+  (`_real_branch`) reads the first and last products alone.  With the model's
+  constant diagonal 2, splitting the sites by parity makes
+  T - 2 = [[0, B], [B^T, 0]] with B a bidiagonal block of half the size, and
+  the levels are 2 -/+ the singular values of B, plus 2 itself for odd n
+  (`_chiral_levels`), from one stacked ``np.linalg.svd`` with no dense
+  matrix.  B is the uncoupled chain's block with its two boundary entries
+  set.  `spectrum_of` takes a real-branch cell's levels from `_chiral_levels`
+  directly, with the same rule and the same bits as `_solve`, but without
+  the bands or the stacked bookkeeping.  `_chiral_levels` is the only route
+  to real levels; `eigen_real` is for eigenvectors, which it takes with their
+  values from ``np.linalg.eigh``.
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
   the complex values of a real matrix as exact conjugate pairs.  Values that
   coalesce near the real axis (an exceptional point within a few ulps) are
   re-solved from a double-double Taylor expansion of det(H - E), only on the
-  cells whose smallest pairwise gap shows that this could change something.
+  cells whose smallest pairwise gap shows that this could change something
+  and whose bond products are all finite.
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
@@ -44,6 +51,7 @@ from .hamiltonian import (  # noqa: F401 (build stays importable from this modul
     build,
     dense_bands,
     dimension,
+    end_bonds,
     gershgorin_radii,
 )
 
@@ -57,6 +65,8 @@ EP_CLUSTER_GAP = 1e-5
 BLOCK_ENTRIES = 1 << 16
 _RADIUS_OVERFLOW = "the Gershgorin radius overflows the float range"
 _NON_FINITE_VALUE = "the eigenvalue solve gave a non-finite value"
+# The rows of a one-cell solve, as `_chiral_levels` records its failures.
+_ONE_ROW = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +252,12 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
     m >= 2 that lies at least 100 gaps from every other value is replaced by
     the m roots of the double-double Taylor polynomial of det(H - E) about its
     centre, rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before
-    rooting, unless that polynomial overflows the float range.
+    rooting, unless that polynomial overflows the float range.  It always does
+    when a bond product is infinite, so such a row is returned unchanged,
+    without expanding.
     """
+    if np.isinf(sup * sub).any():
+        return values
     values = values.copy()
     near = np.nonzero(np.abs(values.imag) <= gap)[0]
     near = near[np.argsort(values[near].real)]
@@ -293,26 +307,43 @@ def _stacked(solver, a, rows, failed, dtype):
     return out
 
 
-def _chiral_levels(s, rows, failed):
-    """Ascending eigenvalues of m symmetric tridiagonals with the model's diagonal 2.
+def _real_branch(first, last):
+    """Whether cells with these first and last bond products take the real branch.
 
-    ``s`` (m, n - 1) holds the magnitudes of each matrix's off-diagonal.
+    Every interior bond product of the model is 1, so a cell symmetrizes
+    exactly when both lie in (0, inf).  Takes Python floats or arrays.
+    """
+    return (first > 0.0) & (first < np.inf) & (last > 0.0) & (last < np.inf)
+
+
+def _chiral_levels(n, first, last, rows, failed):
+    """Ascending eigenvalues of m symmetric n x n tridiagonals with the model's diagonal 2.
+
+    Each matrix's off-diagonal has the magnitude ``first`` at its first bond,
+    ``last`` at its last and 1 in between, as in the model; ``first`` and
+    ``last`` are scalars or hold one entry per row of ``rows`` (m rows).
     Split by site parity, T - 2 is [[0, B], [B^T, 0]] with the
     floor(n/2) x ceil(n/2) upper-bidiagonal block B[q, q] = s[2q],
-    B[q, q + 1] = s[2q + 1], so the levels are 2 - sigma, then 2 itself for
-    odd n, then 2 + sigma, for the singular values sigma of B (Golub & Kahan
-    1965).  LAPACK computes those to high relative accuracy
-    (Demmel & Kahan 1990), in one stacked call through `_stacked`.  A failed
-    or non-finite matrix is recorded in ``failed`` under its row from ``rows``.
+    B[q, q + 1] = s[2q + 1] for the magnitudes s of the bonds, so the levels
+    are 2 - sigma, then 2 itself for odd n, then 2 + sigma, for the singular
+    values sigma of B (Golub & Kahan 1965).  LAPACK computes those to high
+    relative accuracy (Demmel & Kahan 1990), in one stacked call through
+    `_stacked`.  A failed or non-finite matrix is recorded in ``failed``
+    under its row from ``rows``.
     """
-    m, n = s.shape[0], s.shape[1] + 1
+    m = rows.size
     p, r = n // 2, (n + 1) // 2
-    # In row-major order B's diagonals are every (r + 1)-th entry, from 0 and 1.
+    # The uncoupled chain's B: in row-major order its diagonals are every
+    # (r + 1)-th entry, from 0 and 1.
     b = np.zeros((m, p * r))
-    b[:, :: r + 1] = s[:, 0::2]
-    b[:, 1 :: r + 1] = s[:, 1::2]
+    b[:, :: r + 1] = 1.0
+    b[:, 1 :: r + 1] = 1.0
+    b = b.reshape(m, p, r)
+    # Bond k sits at B[k // 2, (k + 1) // 2]; for n = 2 both ends are bond 0.
+    b[:, 0, 0] = first
+    b[:, (n - 2) // 2, (n - 1) // 2] = last
     svd = partial(np.linalg.svd, compute_uv=False)
-    sigma = _stacked(svd, b.reshape(m, p, r), rows, failed, float)
+    sigma = _stacked(svd, b, rows, failed, float)
     # LAPACK returns sigma descending, so 2 - sigma ascends.
     levels = np.empty((m, n))
     levels[:, :p] = 2.0 - sigma
@@ -339,8 +370,8 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
 
     Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
     (m, n - 1), which must be the model's (`bands`).  Cells whose bond
-    products are all positive and finite take the real branch, unless
-    ``general`` is set.  Returns (values, all_real, complex_pairs,
+    products are all positive and finite (`_real_branch`) take the real
+    branch, unless ``general`` is set.  Returns (values, all_real, complex_pairs,
     min_gap, failed): the values (m, n) sorted by real part, then imaginary
     part; per cell the classification and the smallest pairwise gap; and a
     dict row -> NumericalError of the failed cells, whose values and gap are
@@ -350,14 +381,15 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     override = None if reality_tol is None else _checked_override(reality_tol)
     failed = {}
     bonds = sup * sub
-    real = np.zeros(m, dtype=bool) if general else ((bonds > 0.0) & (bonds < np.inf)).all(axis=1)
+    real = np.zeros(m, dtype=bool) if general else _real_branch(bonds[:, 0], bonds[:, -1])
     values, min_gap = np.empty((m, n), dtype=complex), np.empty(m)
     all_real, complex_pairs = real.copy(), np.zeros(m, dtype=np.int64)
 
     rows = real.nonzero()[0]
     if rows.size:
         sel = slice(None) if rows.size == m else rows
-        v = _chiral_levels(np.sqrt(bonds[sel]), rows, failed)
+        s = np.sqrt(bonds[sel])
+        v = _chiral_levels(n, s[:, 0], s[:, -1], rows, failed)
         values[sel] = v
         min_gap[sel] = _adjacent_gaps(v)
 
@@ -415,8 +447,22 @@ def eigen_general(h, reality_tol=None):
 
 
 def spectrum_of(h, reality_tol=None):
-    """Route to the right branch: real where symmetrizable, general otherwise."""
-    return _spectrum(h, reality_tol, general=False)
+    """Route to the right branch: real where symmetrizable, general otherwise.
+
+    A real-branch cell is solved here from its two boundary bond products,
+    with `_solve`'s rule and `_chiral_levels`, so with `_solve`'s bits; any
+    other cell goes through `_solve`.
+    """
+    first, last = end_bonds(h.n, h.couplings.lam, h.couplings.mu)
+    if not _real_branch(first, last):
+        return _spectrum(h, reality_tol, general=False)
+    if reality_tol is not None:
+        _checked_override(reality_tol)
+    failed = {}
+    levels = _chiral_levels(h.n, math.sqrt(first), math.sqrt(last), _ONE_ROW, failed)
+    if failed:
+        raise failed[0]
+    return Spectrum(levels[0].astype(complex), True, float(_adjacent_gaps(levels)[0]))
 
 
 def _grid(values, what):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptwell import kernels, spectra
+from cptwell import hamiltonian, kernels, spectra
 from cptwell.dieudonne import kernel_basis
 from cptwell.errors import ConvergenceError, NotSymmetrizable, NumericalError, ValidationError
 from cptwell.hamiltonian import (
@@ -29,6 +29,7 @@ from cptwell.hamiltonian import (
     build,
     dense,
     dense_bands,
+    end_bonds,
     gershgorin_radii,
     symmetrize,
 )
@@ -494,6 +495,132 @@ class TestOneHamiltonianType:
             DiscreteHamiltonian(2.5, (0.3, -0.2))
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("called off its route")
+
+
+def assert_one_cell_matches_the_core(n, lam, mu, reality_tol=None):
+    """`spectrum_of(build(n, (lam, mu)))` against row 0 of `_solve` on the cell's bands.
+
+    The values, all_real and min_gap must be equal bit for bit, or both must
+    fail with the same error type and message.  Returns whether they failed.
+    """
+    values, all_real, _, min_gap, failed = spectra._solve(
+        *(band[None] for band in bands(n, lam, mu)), reality_tol
+    )
+    h = build(n, (lam, mu))
+    if failed:
+        with pytest.raises(NumericalError) as info:
+            spectrum_of(h, reality_tol)
+        assert type(info.value) is type(failed[0]), (n, lam, mu)
+        assert str(info.value) == str(failed[0]), (n, lam, mu)
+        return True
+    s = spectrum_of(h, reality_tol)
+    assert s.values.tobytes() == values[0].tobytes(), (n, lam, mu)
+    assert s.all_real is bool(all_real[0]), (n, lam, mu)
+    assert np.float64(s.min_gap).tobytes() == min_gap[0].tobytes(), (n, lam, mu)
+    return False
+
+
+# Couplings of the one-cell pin: inside the window, one rounding step from its
+# edge, on it, just past it, far outside and near the float range.
+PIN_COUPLINGS = [0.0] + [
+    sign * x
+    for x in (0.3, 1.0 - 2.0**-53, 1.0, 1.01, 2.5, 1e154, 1e300, 1.7e308)
+    for sign in (1.0, -1.0)
+]
+
+
+class TestOneCellRoute:
+    # spectrum_of solves a real-branch cell from its two boundary bond
+    # products, without the bands and outside `_solve`; it must give the
+    # core's answer bit for bit, and route every other cell to the core.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 33, 64])
+    def test_spectrum_of_matches_the_core_bit_for_bit(self, n):
+        cells = [(lam, mu) for lam in PIN_COUPLINGS for mu in PIN_COUPLINGS]
+        if n == 2:
+            # (1 + 1e200)(1e200 - 1) overflows to +inf: the general branch.
+            cells.append((-1e200, 1e200))
+        routed = [spectra._real_branch(*end_bonds(n, lam, mu)) for lam, mu in cells]
+        failed = [assert_one_cell_matches_the_core(n, lam, mu) for lam, mu in cells]
+        assert 0 < sum(routed) < len(cells)
+        # At n = 3 the middle row holds both boundary bonds, so near the float
+        # range its Gershgorin radius overflows and the cell fails.
+        assert any(failed) == (n == 3)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_a_failing_real_branch_cell_raises_what_the_core_records(self, n, monkeypatch):
+        svd = np.linalg.svd
+
+        def spoiled(a, *args, **kwargs):
+            v = svd(a, *args, **kwargs)
+            v[-1, 0] = np.nan
+            return v
+
+        for broken in (TestSolverFailures.fail, spoiled):
+            monkeypatch.setattr(np.linalg, "svd", broken)
+            assert assert_one_cell_matches_the_core(n, 0.3, -0.6)
+            monkeypatch.undo()
+
+    def test_a_real_branch_cell_needs_neither_the_core_nor_the_bands(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_solve", refuse)
+        monkeypatch.setattr(hamiltonian, "bands", refuse)
+        for n, lam, mu in ((2, 0.3, -0.6), (7, 0.98, -0.98), (64, 0.0, 0.5)):
+            assert spectrum_of(build(n, (lam, mu))).all_real
+        for n, lam, mu in ((2, 1.3, 1.6), (7, 0.98, 1.0), (2, -1e200, 1e200)):
+            with pytest.raises(AssertionError, match="off its route"):
+                spectrum_of(build(n, (lam, mu)))
+
+    def test_a_good_tolerance_leaves_a_real_branch_cell_as_it_is(self):
+        for n in (2, 3, 8):
+            for tol in (0.0, 1e-3):
+                assert_one_cell_matches_the_core(n, 0.3, -0.5, tol)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_the_end_bond_products_are_the_bands_first_and_last_bit_for_bit(self, n):
+        huge = (1e308, -1e308)
+        for lam, mu in ((0.0, 0.0), (0.4, -0.3), (-2.5, 0.27), (1.0, -1.0), (1.0 - 2.0**-53, 0.5),
+                        huge, huge[::-1], (1e308, 1e308), (-1e308, 0.2), (0.7, 1e308)):
+            _, sup, sub = bands(n, lam, mu)
+            with np.errstate(over="ignore"):
+                bonds = sup * sub
+            first, last = end_bonds(n, lam, mu)
+            assert type(first) is float and type(last) is float
+            assert np.float64(first).tobytes() == bonds[0].tobytes(), (n, lam, mu)
+            assert np.float64(last).tobytes() == bonds[-1].tobytes(), (n, lam, mu)
+            real = ((bonds > 0.0) & (bonds < np.inf)).all()
+            assert spectra._real_branch(first, last) is bool(real), (n, lam, mu)
+
+    def test_build_checks_the_size_and_couplings_without_deriving_bands(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "bands", refuse)
+        nan, inf = float("nan"), float("inf")
+        for n, pair in ((1, (0.1, 0.2)), (2.5, (0.1, 0.2)), (4, (nan, 0.0)), (4, (0.0, -inf))):
+            with pytest.raises(ValidationError):
+                build(n, pair)
+            with pytest.raises(ValidationError):
+                DiscreteHamiltonian(n, pair)
+        h = build(4, (0.1, 0.2))
+        monkeypatch.undo()
+        assert h.diag.shape == (4,)
+
+    def test_bands_are_derived_once_on_first_access(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bands(*args)
+
+        monkeypatch.setattr(hamiltonian, "bands", counted)
+        h = build(5, (0.3, -0.2))
+        assert calls == []
+        first = (h.sub, h.diag, h.super)
+        assert calls == [(5, 0.3, -0.2)]
+        assert all(a is b for a, b in zip(first, (h.sub, h.diag, h.super)))
+        assert h.bonds.tobytes() == (h.super * h.sub).tobytes() and len(calls) == 1
+        for got, want in zip((h.diag, h.super, h.sub), bands(5, 0.3, -0.2)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
 class TestHugeCouplings:
     def test_overflowing_intermediates_raise_no_warnings(self):
         # The bond products overflow here; the cells are answered without a
@@ -544,6 +671,27 @@ class TestHugeCouplings:
         v = v[np.argsort(v.imag)]
         assert (np.abs(v - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected))).all()
         assert scan_domain(5, [1e307], [1e300]).complex_pairs.tolist() == [2]
+
+    def test_an_infinite_bond_product_skips_the_cluster_expansion(self, monkeypatch):
+        # An infinite bond product times the running term makes every
+        # coefficient of the expansion non-finite, whatever the data, so the
+        # re-solve keeps LAPACK's values without building it.
+        cells = ((2, -1.7e308, 1e100), (5, 1e307, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, lam, mu in cells:
+                h = well(n, lam, mu)
+                assert np.isinf(h.bonds).any()
+                for c in (2.0, 2.5):
+                    assert not np.isfinite(spectra._taylor_charpoly(h.diag, h.super, h.sub, c, 3)).any()
+            monkeypatch.setattr(spectra, "_taylor_charpoly", refuse)
+            for n, lam, mu in cells:
+                h = well(n, lam, mu)
+                values = np.linalg.eigvals(dense(h))
+                gap = spectra.EP_CLUSTER_GAP * h.gershgorin_radius()
+                assert spectra._may_cluster(spectra._pairwise_gaps(values[None]), gap)[0]
+                again = spectra._resolve_real_clusters(values, h.diag, h.super, h.sub, gap)
+                assert again.tobytes() == values.tobytes(), (n, lam, mu)
+                assert eigen_general(h).all_real == (n == 2)
 
     def test_an_overflowing_gershgorin_radius_is_a_numerical_error(self):
         # The exact levels are 2 and 2 +/- i sqrt(2) 1e308, past the float
@@ -1055,13 +1203,14 @@ class TestRealityTolerance:
 
     def test_a_negative_or_non_finite_override_is_rejected(self):
         # n = 4 at lambda = 1.05 is real (its first EP is at sqrt(5)/2) but
-        # takes the general branch; lambda = 0.5 takes the real branch.
+        # takes the general branch; lambda = 0.5 takes the real branch, which
+        # spectrum_of solves outside `_solve`, at every size.
         for bad in (-1.0, -1e-300, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValidationError):
                 reality_tolerance(well(3, 0.0), bad)
-            for lam in (1.05, 0.5):
-                with pytest.raises(ValidationError):
-                    spectrum_of(well(4, lam), reality_tol=bad)
+            for n, lam in ((4, 1.05), (4, 0.5), (2, 0.5), (3, 0.5), (9, 0.5)):
+                with pytest.raises(ValidationError, match="reality tolerance"):
+                    spectrum_of(well(n, lam), reality_tol=bad)
             with pytest.raises(ValidationError):
                 scan_line(4, [0.5, 1.05], +1, reality_tol=bad)
 

@@ -16,6 +16,11 @@ Run it on two checkouts on one machine: equal digests mean that the core gives
 the same bits for every cell, and equal group digests show which groups kept
 their bits.
 
+A last line, kept out of the total, is a sha256 over the public one-cell
+route ``spectrum_of(build(n, (lam, mu)), reality_tol=tol)`` on every cell of
+the routed survey: per cell its values, ``all_real`` and ``min_gap``, or its
+error type and message.
+
 The survey holds, per size n, the cells of the acceptance sweeps
 (criterion 1: mu = lambda on a 0.01 grid in [-0.98, 0.98] and at +-1.01,
 +-1.2, +-1.11, +-1.13; criterion 2: mu = +-lambda at 50 points), the cells a
@@ -81,18 +86,34 @@ def records(spectra, bands, n, lam, mu, tol, general):
         ))
 
 
+def cell_records(spectra, errors, n, lam, mu, tol):
+    """One bytes record per cell: the answer or failure of `spectrum_of`."""
+    for la, m in zip(lam.tolist(), mu.tolist()):
+        try:
+            s = spectra.spectrum_of(spectra.build(n, (la, m)), reality_tol=tol)
+        except errors.NumericalError as exc:
+            yield f"{type(exc).__name__}:{exc};".encode()
+            continue
+        yield b"".join((
+            np.ascontiguousarray(s.values, dtype=complex).tobytes(),
+            np.asarray(s.all_real, dtype=bool).tobytes(),
+            np.asarray(s.min_gap, dtype=float).tobytes(),
+        ))
+
+
 def main(args):
     if len(args) != 1:
         print("usage: python tools/solve_digest.py SRC_DIR", file=sys.stderr)
         return 1
     sys.path.insert(0, os.path.abspath(args[0]))
-    from cptwell import spectra
+    from cptwell import errors, spectra
     from cptwell.hamiltonian import bands
 
     total = hashlib.sha256()
     groups = defaultdict(hashlib.sha256)
     cells = defaultdict(int)
     calls = 0
+    one_cell = hashlib.sha256()
     for general in (False, True):
         branch = "general" if general else "routed"
         for n in SIZES:
@@ -103,10 +124,15 @@ def main(args):
                         total.update(record)
                         groups[branch, n].update(record)
                         calls += 1
+                    if not general:
+                        for record in cell_records(spectra, errors, n, lam, mu, tol):
+                            one_cell.update(record)
     print(f"{sum(cells.values())} cells in {calls} calls sha256 {total.hexdigest()}")
     for branch, n in sorted(groups):
         digest = groups[branch, n].hexdigest()
         print(f"  {branch} n={n} {cells[branch, n]} cells sha256 {digest}")
+    routed = sum(count for (branch, _), count in cells.items() if branch == "routed")
+    print(f"spectrum_of on {routed} routed cells sha256 {one_cell.hexdigest()}")
     return 0
 
 
