@@ -18,8 +18,8 @@ Identical invocations produce byte-identical output: fixed key order, fixed
 row order, floats via shortest round-trip repr, booleans as lowercase
 true/false, and no timestamps.  JSON text is exactly what
 ``json.dumps(payload, indent=2)`` gives for the payload with every numpy
-array replaced by its ``tolist()``; the float arrays of one payload are
-rendered together, from one token table (see ``render``).
+array replaced by its ``tolist()``: json.dumps lays it out, except its float
+arrays, which are rendered together from one token table (see ``render``).
 """
 
 import argparse
@@ -350,18 +350,13 @@ _COMMANDS = {
 
 
 def _csv_cell(value):
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return value
 
 
 _INDENT = "  "
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 @functools.lru_cache(maxsize=64)
@@ -446,82 +441,46 @@ def _float_arrays(arrays):
     return rendered
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _key_token(key):
-    """A dict key's text and separator; non-str keys are stringified as json does."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = json.dumps(key)
-    return json.dumps(key) + ": "
-
-
-def _encode(obj, level, out, arrays):
-    """Append the text json.dumps(obj, indent=2) gives at nesting level to out.
-
-    Scalars follow json's own rules: float.__repr__ with json's non-finite
-    tokens, int.__repr__, true/false/null, json.dumps for strings.  A float
-    array with entries leaves a None in out and (array, level) in arrays, for
-    render to lay out with the payload's other float arrays; other arrays are
-    encoded via tolist().
-    """
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_NONFINITE.get(text, text))
-    elif obj is None or obj is True or obj is False:
-        out.append(_LITERALS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.size:
-            out.append(None)
-            arrays.append((obj, level))
-        else:
-            _encode(obj.tolist(), level, out, arrays)
-    elif isinstance(obj, (list, tuple, dict)):
-        if not obj:
-            out.append("{}" if isinstance(obj, dict) else "[]")
-            return
-        inner = "\n" + _INDENT * (level + 1)
-        if isinstance(obj, dict):
-            sep = "{" + inner
-            for key, value in obj.items():
-                out.append(sep + _key_token(key))
-                _encode(value, level + 1, out, arrays)
-                sep = "," + inner
-            out.append("\n" + _INDENT * level + "}")
-        else:
-            sep = "[" + inner
-            for value in obj:
-                out.append(sep)
-                _encode(value, level + 1, out, arrays)
-                sep = "," + inner
-            out.append("\n" + _INDENT * level + "]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+# render's stand-in for a float array; it refuses a payload that holds it.
+_PLACEHOLDER = "\x00cptwell float array\x00"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
 
 
 def render(payload, header, rows, fmt):
     """Serialize one subcommand result to its final output text.
 
-    JSON takes two passes: _encode walks the payload and leaves a placeholder
-    for each float array with entries, then _float_arrays renders all of
-    them from one token table, so a value shared by several arrays is
-    formatted once.  ``rows`` is an iterable of CSV records, consumed only
-    for CSV output.
+    JSON is ``json.dumps(payload, indent=2)``, whose ``default`` hook sets
+    each float array with ndim >= 1 and at least one entry aside behind a
+    placeholder string and gives any other numpy array its ``tolist()``.
+    _float_arrays then renders the set-aside arrays together, from one token
+    table, so a value shared by several arrays is formatted once, and their
+    texts replace the placeholders; an array's nesting level is the indent
+    of the line that holds its placeholder, over 2.  ``rows`` is an iterable
+    of CSV records, consumed only for CSV output.
     """
     if fmt == "json":
-        out, arrays = [], []
-        _encode(payload, 0, out, arrays)
+        arrays = []
+
+        def park(obj):
+            if not isinstance(obj, np.ndarray):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            if obj.dtype.kind == "f" and obj.ndim and obj.size:
+                arrays.append(obj)
+                return _PLACEHOLDER
+            return obj.tolist()
+
+        # Payloads are built fresh, without cycles: skip json's per-container check.
+        text = json.dumps(payload, indent=2, default=park, check_circular=False)
+        pieces = text.split(_PLACEHOLDER_TEXT)
+        if len(pieces) != len(arrays) + 1:
+            raise ValueError(f"a payload string collides with the placeholder {_PLACEHOLDER!r}")
         if arrays:
-            texts = iter(_float_arrays(arrays))
-            out = [next(texts) if piece is None else piece for piece in out]
-        out.append("\n")
-        return "".join(out)
+            lines = [before[before.rfind("\n") + 1:] for before in pieces[:-1]]
+            levels = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+            texts = _float_arrays(list(zip(arrays, levels)))
+            pieces = [piece for pair in zip(pieces, texts) for piece in pair] + pieces[-1:]
+        pieces.append("\n")
+        return "".join(pieces)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -119,7 +119,10 @@ def reality_tolerance(h, override=None):
 
 
 def _checked_override(override):
-    tol = float(override)
+    try:
+        tol = float(override)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan  # refused below, with the message of any other bad value
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"reality tolerance must be finite and >= 0, got {override!r}")
     return tol
@@ -190,6 +193,10 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+# Largest magnitude _two_prod can split: 134217729 * a overflows past it.
+_SPLIT_MAX = np.finfo(float).max / 134217729.0
+
+
 def _two_prod(a, b):
     # exact product as (hi, lo) via Dekker splitting
     p = a * b
@@ -253,10 +260,11 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
     the m roots of the double-double Taylor polynomial of det(H - E) about its
     centre, rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before
     rooting, unless that polynomial overflows the float range.  It always does
-    when a bond product is infinite, so such a row is returned unchanged,
-    without expanding.
+    when |sup|, |sub| or |sup * sub| exceeds _SPLIT_MAX, inf included: the
+    Dekker split in _two_prod then gives NaN.  Such a row is returned
+    unchanged, without expanding.
     """
-    if np.isinf(sup * sub).any():
+    if max(np.abs(sup).max(), np.abs(sub).max(), np.abs(sup * sub).max()) > _SPLIT_MAX:
         return values
     values = values.copy()
     near = np.nonzero(np.abs(values.imag) <= gap)[0]

@@ -559,6 +559,9 @@ class TestArrayEncoder:
             "text": "tab\t \"quote\" \u00e9 \U0001f600",
             "pairs": (1, (2.0, "x")),
             "nested": {"empty": {}, "list": [[], {}]},
+            "nul\x00key": "nul\x00value",
+            "\x00": ["\x00", "\x00cptwell float array", np.array([0.5, -2.0])],
+            "deep": [{"rows": [np.array([[1.5, -0.0], [nan, 3.0]])]}],
             7: "int key",
             2.5: "float key",
             None: "null key",
@@ -567,6 +570,25 @@ class TestArrayEncoder:
         assert cli.render(payload, (), (), "json") == reference_json(payload)
         assert cli.render({}, (), (), "json") == "{}\n"
         assert cli.render([], (), (), "json") == "[]\n"
+        for bare in (np.array(special), np.array([special, special[::-1]]), np.empty((2, 0))):
+            assert cli.render(bare, (), (), "json") == reference_json(bare)
+
+    def test_a_string_equal_to_the_placeholder_raises(self):
+        # json writes a float array's placeholder as it writes any string, so
+        # a payload string that encodes to the same text must not be replaced
+        # by an array's text, nor shift the arrays after it.
+        placeholder = cli._PLACEHOLDER
+        array = np.array([0.25, -1.0])
+        for payload in (
+            {"x": placeholder},
+            {"x": placeholder, "a": array},
+            {"a": array, "x": [placeholder]},
+            {placeholder: array},
+            {"x": 'quote"' + placeholder, "a": array},
+            [placeholder, array, array],
+        ):
+            with pytest.raises(ValueError, match="placeholder"):
+                cli.render(payload, (), (), "json")
 
     def test_unserializable_leaves_raise_type_error_like_json(self):
         for leaf in (object(), np.int64(3), {1, 2}, np.array([1 + 2j])):

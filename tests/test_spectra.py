@@ -673,14 +673,17 @@ class TestHugeCouplings:
         assert scan_domain(5, [1e307], [1e300]).complex_pairs.tolist() == [2]
 
     def test_an_infinite_bond_product_skips_the_cluster_expansion(self, monkeypatch):
-        # An infinite bond product times the running term makes every
+        # A bond, or a bond product, past the largest magnitude that the
+        # Dekker split can take (an infinite one included) makes every
         # coefficient of the expansion non-finite, whatever the data, so the
-        # re-solve keeps LAPACK's values without building it.
-        cells = ((2, -1.7e308, 1e100), (5, 1e307, 1e300))
+        # re-solve keeps LAPACK's values without building it.  At n = 64 and
+        # (1e154, 1e154) the bond products are -1e308 and finite.
+        cells = ((2, -1.7e308, 1e100), (5, 1e307, 1e300), (64, 1e154, 1e154))
         with np.errstate(over="ignore", invalid="ignore"):
             for n, lam, mu in cells:
                 h = well(n, lam, mu)
-                assert np.isinf(h.bonds).any()
+                magnitudes = np.abs(np.concatenate((h.super, h.sub, h.bonds)))
+                assert (magnitudes > np.finfo(float).max / 134217729.0).any()
                 for c in (2.0, 2.5):
                     assert not np.isfinite(spectra._taylor_charpoly(h.diag, h.super, h.sub, c, 3)).any()
             monkeypatch.setattr(spectra, "_taylor_charpoly", refuse)
@@ -1205,7 +1208,11 @@ class TestRealityTolerance:
         # n = 4 at lambda = 1.05 is real (its first EP is at sqrt(5)/2) but
         # takes the general branch; lambda = 0.5 takes the real branch, which
         # spectrum_of solves outside `_solve`, at every size.
-        for bad in (-1.0, -1e-300, float("nan"), float("inf"), float("-inf")):
+        # A value float() refuses is a ValidationError too, not a bare
+        # ValueError or TypeError.
+        bads = (-1.0, -1e-300, float("nan"), float("inf"), float("-inf"), "abc", [1e-3],
+                object())
+        for bad in bads:
             with pytest.raises(ValidationError):
                 reality_tolerance(well(3, 0.0), bad)
             for n, lam in ((4, 1.05), (4, 0.5), (2, 0.5), (3, 0.5), (9, 0.5)):
@@ -1213,6 +1220,10 @@ class TestRealityTolerance:
                     spectrum_of(well(n, lam), reality_tol=bad)
             with pytest.raises(ValidationError):
                 scan_line(4, [0.5, 1.05], +1, reality_tol=bad)
+            with pytest.raises(ValidationError, match="reality tolerance"):
+                eigen_general(well(3, 0.5), reality_tol=bad)
+            with pytest.raises(ValidationError, match="reality tolerance"):
+                scan_domain(3, [0.5, 1.05], [0.5], reality_tol=bad)
 
     def test_a_zero_override_is_accepted(self):
         assert reality_tolerance(well(3, 0.0), 0.0) == 0.0
