@@ -32,7 +32,10 @@ solution space, so the recurrence goes on from it.  Only a non-finite result
 
 The recurrence sits behind a degeneracy gate: a minimum eigenvalue gap at the
 DegenerateSpectrum threshold (at lambda = mu = 1, say) is refused.  Every
-basis then goes through the residual and independence certificates.
+basis then goes through the residual and independence certificates.  A plain
+run's independence is read in O(n) from its start rows, e_k / peak_k, which
+bound the smallest singular value of the stacked basis from below; a
+re-orthonormalized basis takes the SVD of the n^2 x n stack.
 
 Closed-form templates exist on the two structured coupling lines: the
 exchange matrix J (antidiagonal of ones) for mu = +lambda, and the
@@ -75,15 +78,18 @@ class PseudometricBasis:
 
     ``basis`` holds ``dimension`` symmetric (n, n) arrays, each scaled to unit
     max-abs entry with the largest-magnitude entry positive.  ``residuals``
-    are the per-element intertwining defects ``max|H^T X - X H|`` and
-    ``independence`` is the smallest singular value of the stacked basis, a
-    linear-independence certificate.
+    are the per-element intertwining defects ``max|H^T X - X H|``.
+    ``independence`` is a certified lower bound on the smallest singular value
+    of the stacked basis (n^2 x n), a linear-independence certificate: the
+    exact value when ``reorthonormalized`` (the recurrence's second pass ran),
+    otherwise min_k |1/peak_k| from the plain run's start rows.
     """
 
     n: int
     basis: list
     residuals: np.ndarray
     independence: float
+    reorthonormalized: bool
 
     @property
     def dimension(self):
@@ -110,15 +116,31 @@ def _entry_norm(a):
     return float(np.abs(a).max(initial=0.0))
 
 
+def _candidate(x, n, sized):
+    """``x`` as a finite real (n, n) float array, else a ValidationError.
+
+    ``sized`` names what n is the size of, for the shape message.  Complex
+    input is refused, not cast (which would drop the imaginary part), and so
+    are strings, objects and NaN or infinite entries.
+    """
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise ValidationError(f"candidate is not a matrix: {exc}") from None
+    if x.dtype.kind not in "biuf":
+        raise ValidationError(f"candidate must be a real matrix, not dtype {x.dtype}")
+    if x.shape != (n, n):
+        raise ValidationError(f"candidate shape {x.shape} does not match {sized} {n}")
+    if not np.isfinite(x).all():
+        raise ValidationError("candidate has a non-finite entry")
+    return x.astype(float, copy=False)
+
+
 def residual(h, x):
     """Intertwining defect max|H^T X - X H| of a candidate pseudometric."""
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("residual expects a DiscreteHamiltonian")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.n, h.n):
-        raise ValidationError(
-            f"candidate shape {x.shape} does not match operator size {h.n}"
-        )
+    x = _candidate(x, h.n, "operator size")
     hd = dense(h)
     return _entry_norm(hd.T @ x - x @ hd)
 
@@ -199,11 +221,13 @@ def _recurrence_route(h):
     (NumericalError) only when they are not finite (overflow, or a zero bond
     in both directions).  No element is zero: each has a unit entry in its
     first (upward: last) row, or is an invertible recombination of such.
+    Also returns the index of the start row (0 downward, n-1 upward) when
+    the plain run is kept, None after re-orthonormalization.
     """
     if np.abs(h.sub).min() >= np.abs(h.super).min():
-        bands = (h.super, h.sub, False)
+        bands, start = (h.super, h.sub, False), 0
     else:
-        bands = (h.sub[::-1], h.super[::-1], True)
+        bands, start = (h.sub[::-1], h.super[::-1], True), h.n - 1
     with np.errstate(all="ignore"):
         x = _recurrence_elements(*bands)
         peak = _peaks(x)
@@ -211,6 +235,7 @@ def _recurrence_route(h):
         if not np.abs(peak).max() <= RECURRENCE_GROWTH_MAX:
             x = _recurrence_elements(*bands, orthonormalize=True)
             peak = _peaks(x)
+            start = None
     # A NaN or infinite entry makes its element's peak NaN or infinite.
     if not np.isfinite(peak).all():
         raise NumericalError(
@@ -218,7 +243,7 @@ def _recurrence_route(h):
             f"lambda={h.couplings.lam}, mu={h.couplings.mu}"
         )
     x /= peak[:, None, None]
-    return x
+    return x, start
 
 
 def spectral_dyads(h):
@@ -243,7 +268,10 @@ def kernel_basis(h):
 
     Degenerate input is refused first (DegenerateSpectrum), so the dimension
     always equals n.  The basis comes from the first-row recurrence and must
-    pass the residual and independence certificates (NumericalError).
+    pass the residual and independence certificates (NumericalError).  The
+    independence is exact (an SVD) for a re-orthonormalized basis and an
+    O(n) lower bound from the start rows for a plain run, where it cannot
+    fall below INDEPENDENCE_FLOOR; ``reorthonormalized`` tells them apart.
 
     With every bond non-zero the solution space is n-dimensional whatever the
     gaps, so the gate refuses some cells that the recurrence answers.  It
@@ -255,11 +283,22 @@ def kernel_basis(h):
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("kernel_basis expects a DiscreteHamiltonian")
     _gap_gate(h, spectrum_of(h).min_gap)
-    return _certified_basis(h, _recurrence_route(h))
+    return _certified_basis(h, *_recurrence_route(h))
 
 
-def _certified_basis(h, basis):
-    """Check the residuals and independence of normalized (n, n, n) elements."""
+def _certified_basis(h, basis, start):
+    """Check the residuals and independence of normalized (n, n, n) elements.
+
+    ``start`` is a plain run's start row, or None after re-orthonormalization.
+    On a plain run, row ``start`` of element k holds a single non-zero entry,
+    1/peak_k, in a distinct column for each k.  Those n rows of the stacked
+    basis S form a permuted diagonal block B, and |Sv|^2 = |Bv|^2 +
+    |(rest)v|^2 >= |Bv|^2 for the stored floats, so min_k |1/peak_k| =
+    sigma_min(B) <= sigma_min(S) is a certified lower bound, read in O(n).
+    It is at least 1/RECURRENCE_GROWTH_MAX, above INDEPENDENCE_FLOOR, so that
+    check cannot fail there.  A re-orthonormalized basis has recombined start
+    rows, so its independence is the exact smallest singular value of S.
+    """
     hd = dense(h)
     defect = hd.T @ basis
     defect -= basis @ hd
@@ -269,25 +308,24 @@ def _certified_basis(h, basis):
         raise NumericalError(
             f"pseudometric residual {residuals.max():.3e} exceeds {bound:.3e}"
         )
-    stacked = basis.reshape(h.n, -1).T
-    independence = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    if start is None:
+        stacked = basis.reshape(h.n, -1).T
+        independence = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    else:
+        independence = float(np.abs(basis[:, start]).max(axis=1).min())
     if independence <= INDEPENDENCE_FLOOR:
         raise NumericalError(
             f"normalized basis is near-dependent (smallest singular value "
             f"{independence:.3e} <= {INDEPENDENCE_FLOOR})"
         )
-    return PseudometricBasis(h.n, list(basis), residuals, independence)
+    return PseudometricBasis(h.n, list(basis), residuals, independence, start is None)
 
 
 def span_residual(pm, x):
     """Relative max-abs distance from x to the span of a computed basis."""
     if not isinstance(pm, PseudometricBasis):
         raise ValidationError("span_residual expects a PseudometricBasis")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pm.n, pm.n):
-        raise ValidationError(
-            f"candidate shape {x.shape} does not match basis size {pm.n}"
-        )
+    x = _candidate(x, pm.n, "basis size")
     b = np.stack([e.reshape(-1) for e in pm.basis], axis=1)
     t = x.reshape(-1)
     scale = float(np.abs(t).max(initial=0.0))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cptwell.dieudonne import (
@@ -79,6 +79,50 @@ class TestResidual:
         x = x + x.T
         a = dense(h)
         assert residual(h, x) == pytest.approx(np.max(np.abs(a.T @ x - x @ a)), abs=0.0)
+
+
+class TestCandidateChecks:
+    """``residual`` and ``span_residual`` take only finite real (n, n) matrices."""
+
+    BAD = (
+        ("complex", 1j * np.eye(4), "real matrix"),
+        ("all NaN", np.full((4, 4), np.nan), "non-finite"),
+        ("one inf", np.diag([1.0, np.inf, 1.0, 1.0]), "non-finite"),
+        ("strings", np.full((4, 4), "a"), "real matrix"),
+        ("objects", [[None] * 4] * 4, "real matrix"),
+        ("ragged", [[1.0], [1.0, 2.0]], "not a matrix"),
+    )
+
+    @pytest.mark.parametrize("name, x, match", BAD, ids=[b[0] for b in BAD])
+    def test_residual_refuses_what_is_not_a_finite_real_matrix(self, name, x, match):
+        # Cast to float, the complex candidate read as an exact solution (0.0),
+        # with a ComplexWarning; the NaN one gave nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                residual(well(4, 0.3, -0.2), x)
+
+    @pytest.mark.parametrize("name, x, match", BAD, ids=[b[0] for b in BAD])
+    def test_span_residual_refuses_what_is_not_a_finite_real_matrix(self, name, x, match):
+        pm = kernel_basis(well(4, 0.3, -0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                span_residual(pm, x)
+
+    def test_integer_and_boolean_matrices_are_read_as_floats(self):
+        h = well(4, 0.3, -0.2)
+        pm = kernel_basis(h)
+        for x in (np.eye(4, dtype=int), np.eye(4, dtype=bool), np.eye(4).tolist()):
+            assert residual(h, x) == residual(h, np.eye(4))
+            assert span_residual(pm, x) == span_residual(pm, np.eye(4))
+
+    def test_a_wrong_shape_is_refused_by_both(self):
+        h = well(4, 0.3, -0.2)
+        with pytest.raises(ValidationError, match="operator size 4"):
+            residual(h, np.eye(3))
+        with pytest.raises(ValidationError, match="basis size 4"):
+            span_residual(kernel_basis(h), np.eye(3))
 
 
 class TestClosedForms:
@@ -261,7 +305,9 @@ class TestDefaultRoute:
         for n, lam, mu in cells:
             h = well(n, lam, mu)
             assert plain_growth(h) <= RECURRENCE_GROWTH_MAX, (n, lam, mu)
-            assert same_bits(kernel_basis(h), loop_recurrence_basis(h)), (n, lam, mu)
+            pm = kernel_basis(h)
+            assert not pm.reorthonormalized, (n, lam, mu)
+            assert same_bits(pm, loop_recurrence_basis(h)), (n, lam, mu)
 
     def test_growth_near_a_corner_is_reorthonormalized_onto_the_dyad_space(self):
         # Near the mu = -lambda corner the plain run divides by a small bond and
@@ -278,7 +324,7 @@ class TestDefaultRoute:
         with pytest.raises(DegenerateSpectrum, match="minimum eigenvalue gap"):
             kernel_basis(h)
         # Without the gate the upward recurrence would answer here.
-        assert _certified_basis(h, _recurrence_route(h)).dimension == 6
+        assert _certified_basis(h, *_recurrence_route(h)).dimension == 6
 
     def test_routes_span_the_same_space_at_the_window_edge(self):
         # The recurrence basis against the SVD null space, both ways.
@@ -411,7 +457,7 @@ class TestReferenceSpans:
                 # gate refuses both cells, so the basis is checked below it.
                 with pytest.raises(DegenerateSpectrum):
                     kernel_basis(h)
-                pm = _certified_basis(h, _recurrence_route(h))
+                pm = _certified_basis(h, *_recurrence_route(h))
             else:
                 pm = kernel_basis(h)
             assert span_gap(pm.basis, exact_span(h)) <= 1e-12, (n, lam, mu)
@@ -458,6 +504,44 @@ class TestReferenceSpans:
                 assert zeros.all() or not zeros.any(), (n, lam, mu)
 
 
+def stacked_sigma_min(pm):
+    """Oracle: the smallest singular value of the n^2 x n stacked basis."""
+    stacked = np.stack([x.reshape(-1) for x in pm.basis], axis=1)
+    return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+
+
+class TestIndependenceCertificate:
+    """``independence``: the exact SVD after re-orthonormalization, and the
+    start rows' O(n) lower bound on the plain run."""
+
+    def test_the_plain_run_bound_clears_the_floor(self):
+        # Every plain-run peak is at most RECURRENCE_GROWTH_MAX, so its bound
+        # 1/max|peak| cannot fail the independence check.
+        assert 1.0 / RECURRENCE_GROWTH_MAX > INDEPENDENCE_FLOOR
+
+    def test_grown_cells_keep_the_exact_smallest_singular_value(self):
+        for n, lam, mu in TestReferenceSpans.GROWN:
+            pm = kernel_basis(well(n, lam, mu))
+            assert pm.reorthonormalized, (n, lam, mu)
+            assert bits(pm.independence) == bits(stacked_sigma_min(pm)), (n, lam, mu)
+
+    def test_the_pass_flag_is_read_only(self):
+        pm = kernel_basis(well(5, 0.3, -0.2))
+        with pytest.raises(AttributeError):
+            pm.reorthonormalized = True
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 64), lam=st.floats(-3.0, 3.0), mu=st.floats(-3.0, 3.0))
+    def test_independence_is_a_lower_bound_above_the_floor(self, n, lam, mu):
+        try:
+            pm = kernel_basis(well(n, lam, mu))
+        except (DegenerateSpectrum, NumericalError):
+            assume(False)
+        assert INDEPENDENCE_FLOOR < pm.independence <= stacked_sigma_min(pm)
+        if not pm.reorthonormalized:
+            assert pm.independence >= 1.0 / RECURRENCE_GROWTH_MAX
+
+
 class TestRecurrenceRoute:
     RATIONAL_COUPLINGS = (
         (Fraction(1, 2), Fraction(-1, 3)),
@@ -501,7 +585,8 @@ class TestRecurrenceRoute:
         # Growth past the bound is answered, also without warnings.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(_recurrence_route(well(24, 2.5, 0.3))).all()
+            x, start = _recurrence_route(well(24, 2.5, 0.3))
+        assert np.isfinite(x).all() and start is None
 
     def test_the_edge_cell_the_dyads_refused_now_answers(self):
         assert kernel_basis(well(33, 0.41, 1.0 - 1e-12)).dimension == 33
@@ -512,7 +597,7 @@ class TestRecurrenceRoute:
         # At (2, 2) the recurrence passes the certificates, but the two edge
         # states are 7e-15 apart, so the degeneracy gate refuses it.
         h = well(64, 2.0, 2.0)
-        assert _certified_basis(h, _recurrence_route(h)).dimension == 64
+        assert _certified_basis(h, *_recurrence_route(h)).dimension == 64
         with pytest.raises(DegenerateSpectrum):
             kernel_basis(h)
 
@@ -541,11 +626,13 @@ class TestRecurrenceRoute:
 def loop_recurrence_basis(h):
     """Reference: the recurrence one element at a time over whole rows, made
     symmetric by the sum triu(X) + triu(X, 1)^T, normalized, checked through
-    public residual()."""
+    public residual().  Its independence is the smallest |start-row entry|
+    (1/peak) of the plain run, or the full SVD where the plain run grows past
+    RECURRENCE_GROWTH_MAX (the library re-orthonormalizes those)."""
     n = h.n
     down = np.abs(h.sub).min() >= np.abs(h.super).min()
     sup, sub = (h.super, h.sub) if down else (h.sub[::-1], h.super[::-1])
-    basis = []
+    basis, peaks, starts = [], [], []
     for k in range(n):
         x = np.zeros((n, n))
         x[0, k] = 1.0
@@ -559,8 +646,12 @@ def loop_recurrence_basis(h):
         if not down:
             x = x[::-1, ::-1]
         flat = x.reshape(-1)
-        basis.append(x / flat[int(np.abs(flat).argmax())])
+        peaks.append(flat[int(np.abs(flat).argmax())])
+        basis.append(x / peaks[-1])
+        starts.append(abs(basis[-1][0, k] if down else basis[-1][n - 1, n - 1 - k]))
     residuals = np.array([residual(h, x) for x in basis])
+    if max(map(abs, peaks)) <= RECURRENCE_GROWTH_MAX:
+        return basis, residuals, min(starts)
     stacked = np.stack([x.reshape(-1) for x in basis], axis=1)
     return basis, residuals, float(np.linalg.svd(stacked, compute_uv=False)[-1])
 
