@@ -250,7 +250,7 @@ def _cmd_metric(cfg):
     nu = quasihermitian.decompose_inverse_pseudometric(p, system)
     asm = quasihermitian.assemble_charge_spectral(system, nu)
     theta = p @ asm.c
-    smallest = float(np.linalg.eigvalsh(0.5 * (theta + theta.T))[0])
+    smallest = quasihermitian._smallest_eigenvalue(theta)
     payload = {
         "n": cfg.n,
         "lambda": cfg.lam,
@@ -282,9 +282,7 @@ def _cmd_charge(cfg):
         "n": cfg.n,
         "lambda": cfg.lam,
         "max_difference": dieudonne._entry_norm(asm.c - triple.c),
-        "residual_involution_closed": dieudonne._entry_norm(
-            triple.c @ triple.c - np.eye(cfg.n)
-        ),
+        "residual_involution_closed": quasihermitian._involution_defect(triple.c),
         "residual_involution_spectral": asm.involution,
         "c_spectral": asm.c,
         "c_closed": triple.c,
@@ -394,13 +392,13 @@ def _float_arrays(arrays):
     share one token table: one np.unique runs over the non-zero bit patterns
     of every array (+0.0 has a fixed token; -0.0 has its sign bit set and
     keeps its own), and float.__repr__ runs once per distinct value of the
-    payload.  The tokens are joined once to each separator that follows most
-    entries of some array (one per ndim and level); when there are several,
-    each is joined only to the tokens of its own arrays.  Each array is then
-    laid out by one gather from its slice of the shared codes, a fix-up of
-    the entries that close an axis, and one join, so only one array's pieces
-    exist at a time.  The texts come back as a list, not from a generator, so
-    the payload-wide codes are freed before render joins the output.
+    payload.  The whole token table is joined once to each separator that
+    follows most entries of some array (one per ndim and level).  Each array
+    is then laid out by one gather from its slice of the shared codes, a
+    fix-up of the entries that close an axis, and one join, so only one
+    array's pieces exist at a time.  The texts come back as a list, not from
+    a generator, so the payload-wide codes are freed before render joins the
+    output.
     """
     flat = [np.asarray(a, dtype=np.float64).reshape(-1) for a, _ in arrays]
     bits = np.concatenate(flat).view(np.int64)
@@ -417,21 +415,7 @@ def _float_arrays(arrays):
     layouts = [_layout(a.shape, level) for a, level in arrays]
     bounds = np.cumsum([0, *(a.size for a, _ in arrays)]).tolist()
     owns = [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    groups = {}
-    for (_, sep, _, _), own in zip(layouts, owns):
-        groups.setdefault(sep, []).append(own)
-    tables = {}
-    for sep, group in groups.items():
-        if len(groups) == 1:
-            tables[sep] = tokens + sep
-        else:
-            # Join each separator only to the tokens its own arrays use, so
-            # that no token is joined to a separator its arrays never need.
-            used = np.zeros(tokens.size, dtype=bool)
-            for own in group:
-                used[own] = True
-            tables[sep] = table = np.empty_like(tokens)
-            table[used] = tokens[used] + sep
+    tables = {sep: tokens + sep for sep in {layout[1] for layout in layouts}}
 
     rendered = []
     for (opening, sep, ends, end_seps), own in zip(layouts, owns):

@@ -116,21 +116,25 @@ def _entry_norm(a):
     return float(np.abs(a).max(initial=0.0))
 
 
-def _candidate(x, n, sized):
-    """``x`` as a finite real (n, n) float array, else a ValidationError.
+def _candidate(x, shape, sized):
+    """``x`` as a finite real float array of ``shape``, else a ValidationError.
 
-    ``sized`` names what n is the size of, for the shape message.  Complex
-    input is refused, not cast (which would drop the imaginary part), and so
-    are strings, objects and NaN or infinite entries.
+    The one input gate of the operator layer.  ``shape`` None asks for a
+    square matrix of any size.  ``sized`` ends the shape message: what
+    ``shape`` comes from, such as "operator size 4".  Complex input is
+    refused, not cast (which would drop the imaginary part), and so are
+    strings, objects and NaN or infinite entries.
     """
     try:
         x = np.asarray(x)
     except ValueError as exc:
-        raise ValidationError(f"candidate is not a matrix: {exc}") from None
+        raise ValidationError(f"candidate is not a matrix or vector: {exc}") from None
     if x.dtype.kind not in "biuf":
-        raise ValidationError(f"candidate must be a real matrix, not dtype {x.dtype}")
-    if x.shape != (n, n):
-        raise ValidationError(f"candidate shape {x.shape} does not match {sized} {n}")
+        raise ValidationError(f"candidate must be a real matrix or vector, not dtype {x.dtype}")
+    if shape is None:
+        shape = x.shape[:1] * 2 if x.ndim else None
+    if x.shape != shape:
+        raise ValidationError(f"candidate shape {x.shape} does not match {sized}")
     if not np.isfinite(x).all():
         raise ValidationError("candidate has a non-finite entry")
     return x.astype(float, copy=False)
@@ -140,7 +144,7 @@ def residual(h, x):
     """Intertwining defect max|H^T X - X H| of a candidate pseudometric."""
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("residual expects a DiscreteHamiltonian")
-    x = _candidate(x, h.n, "operator size")
+    x = _candidate(x, (h.n, h.n), f"operator size {h.n}")
     hd = dense(h)
     return _entry_norm(hd.T @ x - x @ hd)
 
@@ -325,7 +329,7 @@ def span_residual(pm, x):
     """Relative max-abs distance from x to the span of a computed basis."""
     if not isinstance(pm, PseudometricBasis):
         raise ValidationError("span_residual expects a PseudometricBasis")
-    x = _candidate(x, pm.n, "basis size")
+    x = _candidate(x, (pm.n, pm.n), f"basis size {pm.n}")
     b = np.stack([e.reshape(-1) for e in pm.basis], axis=1)
     t = x.reshape(-1)
     scale = float(np.abs(t).max(initial=0.0))

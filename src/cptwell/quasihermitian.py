@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dieudonne import PseudometricBasis, _entry_norm, _gap_gate, closed_form, residual
+from .dieudonne import PseudometricBasis, closed_form, residual
+from .dieudonne import _candidate, _entry_norm, _gap_gate
 from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -78,10 +79,10 @@ class ChargeAssembly:
     """Spectral charge C = sum_n omega_n r_n l_n^T and its coefficient set.
 
     ``nu`` expands the inverse pseudometric over right dyads, ``signs`` is
-    eps = sign(nu), ``omega`` = eps/mu, and ``kappa_sq`` = omega/(mu nu) > 0
-    are the metric weights; the two coefficient identities
-    omega = mu nu kappa_sq and mu omega^2 = 1/mu hold by construction.
-    ``involution`` is the defect max|C^2 - I| of the assembled charge.
+    eps = sign(nu), ``omega`` = eps/mu, and ``kappa_sq`` = omega/(mu nu) =
+    1/(mu^2 |nu|) are the metric weights, so omega = mu nu kappa_sq and
+    mu omega^2 = 1/mu up to rounding.  ``involution`` is the defect
+    max|C^2 - I| of the assembled charge, its certificate.
     """
 
     nu: np.ndarray
@@ -138,12 +139,14 @@ class SymmetryReport:
     theta_min_eig: float
 
 
-def _finite(a, what):
-    """``a`` as a float array; a NaN or infinite entry is a ValidationError."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} has a non-finite entry")
-    return a
+def _involution_defect(c):
+    """max|C^2 - I|, the involution residual of a charge."""
+    return _entry_norm(c @ c - np.eye(c.shape[0]))
+
+
+def _smallest_eigenvalue(theta):
+    """Smallest eigenvalue of the symmetric part of a metric."""
+    return float(np.linalg.eigvalsh(0.5 * (theta + theta.T))[0])
 
 
 def biorthogonalize(h):
@@ -194,10 +197,7 @@ def decompose_inverse_pseudometric(p, system):
     """
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
-    n = system.n
-    p = _finite(p, "pseudometric")
-    if p.shape != (n, n):
-        raise ValidationError(f"pseudometric shape {p.shape} does not match n={n}")
+    p = _candidate(p, (system.n, system.n), f"operator size {system.n}")
     try:
         p_inv = np.linalg.inv(p)
     except np.linalg.LinAlgError as exc:
@@ -220,13 +220,12 @@ def assemble_charge_spectral(system, nu):
 
     The sign vector eps = sign(nu) is the unique choice making every metric
     weight kappa_n^2 = omega_n/(mu_n nu_n) positive, with omega_n = eps_n/mu_n
-    forced by the involution constraint C^2 = I.
+    forced by the involution constraint C^2 = I.  max|C^2 - I| at most
+    IDENTITY_TOL is the result's one certificate (NumericalError otherwise).
     """
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
-    nu = _finite(nu, "nu")
-    if nu.shape != (system.n,):
-        raise ValidationError(f"nu length {nu.shape} does not match n={system.n}")
+    nu = _candidate(nu, (system.n,), f"operator size {system.n}")
     floor = OVERLAP_FLOOR * max(1.0, float(np.abs(nu).max()))
     if float(np.abs(nu).min()) <= floor:
         raise InadmissiblePseudometric(
@@ -236,18 +235,8 @@ def assemble_charge_spectral(system, nu):
     signs = np.sign(nu)
     omega = signs / system.overlaps
     kappa_sq = omega / (system.overlaps * nu)
-    if kappa_sq.min() <= 0.0:
-        raise NumericalError("metric weights kappa^2 are not all positive")
-    defect_omega = float(np.abs(omega - system.overlaps * nu * kappa_sq).max())
-    defect_inv = float(
-        np.abs(system.overlaps * omega**2 - 1.0 / system.overlaps).max()
-    )
-    if max(defect_omega, defect_inv) > IDENTITY_TOL:
-        raise NumericalError(
-            f"coefficient identities violated ({defect_omega:.3e}, {defect_inv:.3e})"
-        )
     c = (system.right * omega[None, :]) @ system.left.T
-    involution = _entry_norm(c @ c - np.eye(system.n))
+    involution = _involution_defect(c)
     if involution > IDENTITY_TOL:
         raise NumericalError(f"charge involution defect {involution:.3e}")
     return ChargeAssembly(nu, omega, kappa_sq, signs, c, involution)
@@ -261,28 +250,23 @@ def metric_from_ansatz(basis, coeffs):
     coefficients alone and is reported, never raised.
     """
     if isinstance(basis, PseudometricBasis):
-        mats = basis.basis
-        residuals = np.asarray(basis.residuals, dtype=float)
+        mats, residuals = basis.basis, basis.residuals
     else:
-        mats = [_finite(x, "basis element") for x in basis]
+        mats = list(basis)
+        if not mats:
+            raise ValidationError("empty basis")
+        # The first element, if square, fixes the size of all.
+        sized = "basis elements, which must be square and of one size"
+        shape = _candidate(mats[0], None, sized).shape
+        mats = [_candidate(x, shape, sized) for x in mats]
         residuals = np.zeros(len(mats))
-        shapes = sorted({x.shape for x in mats})
-        if len(shapes) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
-            raise ValidationError(f"basis elements must be square and of one size, got {shapes}")
-    coeffs = _finite(coeffs, "coefficients")
-    if coeffs.shape != (len(mats),):
-        raise ValidationError(
-            f"expected {len(mats)} coefficients, got shape {coeffs.shape}"
-        )
-    if len(mats) == 0:
-        raise ValidationError("empty basis")
+    coeffs = _candidate(coeffs, (len(mats),), f"basis size {len(mats)}")
     theta = np.zeros_like(mats[0])
     for c, x in zip(coeffs, mats):
         theta = theta + c * x
-    sym_theta = 0.5 * (theta + theta.T)
-    smallest = float(np.linalg.eigvalsh(sym_theta)[0])
+    smallest = _smallest_eigenvalue(theta)
     try:
-        np.linalg.cholesky(sym_theta)
+        np.linalg.cholesky(0.5 * (theta + theta.T))
         positive = True
     except np.linalg.LinAlgError:
         positive = smallest > CONSTRUCTION_TOL * max(1.0, _entry_norm(theta))
@@ -334,11 +318,7 @@ def omega_factorize(h, theta):
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("omega_factorize expects a DiscreteHamiltonian")
-    theta = _finite(theta, "metric")
-    if theta.shape != (h.n, h.n):
-        raise ValidationError(
-            f"metric shape {theta.shape} does not match operator size {h.n}"
-        )
+    theta = _candidate(theta, (h.n, h.n), f"operator size {h.n}")
     if _entry_norm(theta - theta.T) > CONSTRUCTION_TOL * max(1.0, _entry_norm(theta)):
         raise FactorizationError("metric is not symmetric")
     try:
@@ -365,13 +345,12 @@ def symmetry_report(h, triple):
         )
     hd = dense(h)
     p, c, theta = triple.p, triple.c, triple.theta
-    sym_theta = 0.5 * (theta + theta.T)
     return SymmetryReport(
         residual_p=residual(h, p),
         residual_theta=residual(h, theta),
         residual_commutator=_entry_norm(c @ hd - hd @ c),
-        residual_involution=_entry_norm(c @ c - np.eye(h.n)),
-        theta_min_eig=float(np.linalg.eigvalsh(sym_theta)[0]),
+        residual_involution=_involution_defect(c),
+        theta_min_eig=_smallest_eigenvalue(theta),
     )
 
 

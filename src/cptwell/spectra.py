@@ -435,23 +435,18 @@ def _solve(diag, sup, sub, reality_tol=None, general=False):
     return values, all_real, complex_pairs, min_gap, failed
 
 
-def _spectrum(h, reality_tol, general):
-    """One cell through `_solve`; a failure is raised."""
-    values, all_real, _, min_gap, failed = _solve(h.diag[None], h.super[None], h.sub[None],
-                                                   reality_tol, general)
-    if failed:
-        raise failed[0]
-    return Spectrum(values[0], bool(all_real[0]), float(min_gap[0]))
-
-
 def eigen_general(h, reality_tol=None):
     """All n complex eigenvalues of H for arbitrary couplings.
 
     LAPACK's values, with groups that coalesce at an exceptional point
     re-solved in double-double arithmetic (`_resolve_real_clusters`), whether
-    or not H symmetrizes.
+    or not H symmetrizes.  One cell through `_solve`; a failure is raised.
     """
-    return _spectrum(h, reality_tol, general=True)
+    values, all_real, _, min_gap, failed = _solve(h.diag[None], h.super[None], h.sub[None],
+                                                   reality_tol, general=True)
+    if failed:
+        raise failed[0]
+    return Spectrum(values[0], bool(all_real[0]), float(min_gap[0]))
 
 
 def spectrum_of(h, reality_tol=None):
@@ -459,11 +454,12 @@ def spectrum_of(h, reality_tol=None):
 
     A real-branch cell is solved here from its two boundary bond products,
     with `_solve`'s rule and `_chiral_levels`, so with `_solve`'s bits; any
-    other cell goes through `_solve`.
+    other cell goes to `eigen_general`, the branch `_solve` would give it
+    from the same two products.
     """
     first, last = end_bonds(h.n, h.couplings.lam, h.couplings.mu)
     if not _real_branch(first, last):
-        return _spectrum(h, reality_tol, general=False)
+        return eigen_general(h, reality_tol)
     if reality_tol is not None:
         _checked_override(reality_tol)
     failed = {}

@@ -264,6 +264,22 @@ class TestChargeCommand:
         assert rc == 2 and out == ""
         assert err.startswith("cptwell: computation failed:")
 
+    @pytest.mark.parametrize("argv", [
+        ("metric", "-N", "3", "--lambda=0.9999999999999", "--mu=-0.9999999999999"),
+        ("metric", "-N", "48", "--lambda=0.99999999"),
+        ("charge", "-N", "48", "--lambda=0.99999999"),
+    ])
+    def test_near_the_exceptional_point_only_the_involution_can_refuse(self, argv):
+        # Each exited 2 on "coefficient identities violated", a check that
+        # measured only the rounding of the charge's coefficients.
+        rc, out, err = run(*argv)
+        if rc == 0:
+            payload = json.loads(out)
+            assert payload.get("positive", True) is True
+        else:
+            assert rc == 2 and out == ""
+            assert err.startswith("cptwell: computation failed: charge involution defect")
+
 
 class TestVerifyCommand:
     def test_clean_report_on_the_matched_line(self):

@@ -10,6 +10,8 @@ Oracles:
   invariance of the spectrum under Omega.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,12 @@ from cptwell.errors import (
     InadmissiblePseudometric,
     NotDyadRepresentable,
     NotSymmetrizable,
+    NumericalError,
     ValidationError,
 )
 from cptwell.hamiltonian import CouplingPair, build, dense, symmetrize
 from cptwell.quasihermitian import (
+    IDENTITY_TOL,
     assemble_charge_spectral,
     biorthogonalize,
     closed_form_operators,
@@ -41,6 +45,23 @@ def well(n, lam, mu=None):
 
 def flip(n):
     return np.fliplr(np.eye(n))
+
+
+def not_real(good):
+    """Inputs shaped like ``good`` that are not real arrays: a complex array,
+    a list holding 1j, a list of strings and an object().  A cast to float
+    would drop the first one's imaginary part with a ComplexWarning and fail
+    on the others with a bare TypeError or ValueError."""
+    tilted = np.asarray(good) + 0j
+    tilted.flat[1] = 1j
+    return tilted, tilted.tolist(), np.full(tilted.shape, "a").tolist(), object()
+
+
+def refuses_without_warning(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call(bad)
 
 
 class TestBiorthogonalize:
@@ -157,6 +178,8 @@ class TestDecomposeInversePseudometric:
         for bad in (np.full((4, 4), np.nan), corner):
             with pytest.raises(ValidationError, match="non-finite"):
                 decompose_inverse_pseudometric(bad, system)
+        for bad in not_real(flip(4)):
+            refuses_without_warning(lambda p: decompose_inverse_pseudometric(p, system), bad)
 
 
 class TestAssembleChargeSpectral:
@@ -222,6 +245,22 @@ class TestAssembleChargeSpectral:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValidationError, match="non-finite"):
                 assemble_charge_spectral(system, np.where(np.arange(4) == 2, bad, nu))
+        for bad in not_real(nu):
+            refuses_without_warning(lambda v: assemble_charge_spectral(system, v), bad)
+
+    @pytest.mark.parametrize("n, x", [(3, 0.999999), (16, 0.9999999)])
+    def test_near_the_exceptional_point_only_the_involution_can_refuse(self, n, x):
+        # The coefficient identities omega = mu nu kappa^2 and mu omega^2 = 1/mu
+        # hold up to rounding; checked against an absolute 1e-10 they refused
+        # both cells (defects 1.2e-10 and 1.9e-9).
+        system = biorthogonalize(well(n, x))
+        try:
+            asm = assemble_charge_spectral(system, np.ones(n))
+        except NumericalError as exc:
+            assert str(exc).startswith("charge involution defect")
+        else:
+            assert asm.involution == np.abs(asm.c @ asm.c - np.eye(n)).max()
+            assert asm.involution <= IDENTITY_TOL
 
 
 class TestMetricFromAnsatz:
@@ -265,6 +304,13 @@ class TestMetricFromAnsatz:
                 metric_from_ansatz(pm, [1.0, bad, 0.0])
         with pytest.raises(ValidationError, match="non-finite"):
             metric_from_ansatz([np.eye(2), np.full((2, 2), np.nan)], [1.0, 1.0])
+        # Cast to float, the complex coefficients [1, 1j, 0] gave the metric
+        # of [1, 0, 0].
+        for bad in not_real([1.0, 0.0, 0.0]):
+            refuses_without_warning(lambda c: metric_from_ansatz(pm, c), bad)
+        for bad in not_real(np.eye(2)):
+            refuses_without_warning(lambda x: metric_from_ansatz([x, np.eye(2)], [1, 1]), bad)
+            refuses_without_warning(lambda x: metric_from_ansatz([np.eye(2), x], [1, 1]), bad)
 
     def test_elements_of_different_sizes_are_rejected(self):
         with pytest.raises(ValidationError, match="square and of one size"):
@@ -443,6 +489,8 @@ class TestOmegaFactorize:
             poisoned[1, 1] = bad
             with pytest.raises(ValidationError, match="non-finite"):
                 omega_factorize(well(3, 0.5), poisoned)
+        for bad in not_real(theta):
+            refuses_without_warning(lambda t: omega_factorize(well(3, 0.5), t), bad)
 
 
 class TestSymmetryReport:
