@@ -9,18 +9,14 @@ model: all pseudometrics X solving H^T X = X H, the involutive charge C, the
 positive metric Theta = P C, and the hermitizing map Omega with
 Omega^T Omega = Theta, together with continuum-limit convergence checks and a
 deterministic command-line interface.
+
+``import cptwell`` loads the spectrum core (errors, hamiltonian, kernels,
+spectra).  The operator layer (continuum, dieudonne, quasihermitian) loads
+when one of its names or modules is first accessed through the package.
 """
 
-from .continuum import ConvergenceStudy, convergence_study, scaled_spectrum
-from .dieudonne import (
-    ClosedFormPseudometric,
-    PseudometricBasis,
-    closed_form,
-    kernel_basis,
-    residual,
-    span_residual,
-    spectral_dyads,
-)
+import importlib
+
 from .errors import (
     ConvergenceError,
     CptwellError,
@@ -40,21 +36,6 @@ from .hamiltonian import (
     dense,
     symmetrize,
 )
-from .quasihermitian import (
-    AnsatzMetric,
-    BiorthogonalSystem,
-    ChargeAssembly,
-    OperatorTriple,
-    SymmetryReport,
-    assemble_charge_spectral,
-    biorthogonalize,
-    closed_form_operators,
-    decompose_inverse_pseudometric,
-    metric_from_ansatz,
-    omega_factorize,
-    symmetry_report,
-    theta_adjoint,
-)
 from .spectra import (
     DomainScan,
     Spectrum,
@@ -66,6 +47,56 @@ from .spectra import (
     scan_line,
     spectrum_of,
 )
+
+# The operator layer, imported on first use: spectra and scans never need it.
+_OPERATOR_NAMES = {
+    "continuum": ("ConvergenceStudy", "convergence_study", "scaled_spectrum"),
+    "dieudonne": (
+        "ClosedFormPseudometric",
+        "PseudometricBasis",
+        "closed_form",
+        "kernel_basis",
+        "residual",
+        "span_residual",
+        "spectral_dyads",
+    ),
+    "quasihermitian": (
+        "AnsatzMetric",
+        "BiorthogonalSystem",
+        "ChargeAssembly",
+        "OperatorTriple",
+        "SymmetryReport",
+        "assemble_charge_spectral",
+        "biorthogonalize",
+        "closed_form_operators",
+        "decompose_inverse_pseudometric",
+        "metric_from_ansatz",
+        "omega_factorize",
+        "symmetry_report",
+        "theta_adjoint",
+    ),
+}
+_OPERATOR_HOME = {name: module for module, names in _OPERATOR_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    """An operator-layer module or public name, importing its module (PEP 562).
+
+    A name is looked up in its module on every access, never stored here, so
+    that a name rebound in its module (as a tracer does) is seen through the
+    package too.
+    """
+    if name in _OPERATOR_NAMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _OPERATOR_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_OPERATOR_NAMES, *_OPERATOR_HOME})
+
 
 __version__ = "0.1.0"
 

@@ -32,7 +32,9 @@ import sys
 
 import numpy as np
 
-from . import continuum, dieudonne, quasihermitian, spectra
+# continuum, dieudonne and quasihermitian are imported inside the subcommands
+# that use them, so that `spectrum` and `scan` start without loading them.
+from . import spectra
 from .errors import CptwellError, ValidationError
 from .hamiltonian import CouplingPair, build
 
@@ -209,6 +211,8 @@ def _cmd_scan(cfg):
 
 
 def _cmd_pseudometrics(cfg):
+    from . import dieudonne
+
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
     basis = dieudonne.kernel_basis(h)
     residuals = basis.residuals.tolist()
@@ -243,6 +247,8 @@ def _require_line(cfg, allow_weighted):
 
 
 def _cmd_metric(cfg):
+    from . import dieudonne, quasihermitian
+
     variant = _require_line(cfg, allow_weighted=True)
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
     p = dieudonne.closed_form(cfg.n, cfg.lam, variant).matrix
@@ -272,6 +278,8 @@ def _cmd_metric(cfg):
 
 
 def _cmd_charge(cfg):
+    from . import dieudonne, quasihermitian
+
     _require_line(cfg, allow_weighted=False)
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
@@ -296,6 +304,8 @@ def _cmd_charge(cfg):
 
 
 def _cmd_verify(cfg):
+    from . import quasihermitian
+
     _require_line(cfg, allow_weighted=False)
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
@@ -306,6 +316,8 @@ def _cmd_verify(cfg):
 
 
 def _cmd_continuum(cfg):
+    from . import continuum
+
     if cfg.n % 8 != 0 or cfg.n < 16:
         raise ValidationError(
             f"continuum needs a ladder top divisible by 8 and at least 16, got {cfg.n}"

@@ -339,12 +339,9 @@ def symmetry_report(h, triple):
         raise ValidationError("symmetry_report expects a DiscreteHamiltonian")
     if not isinstance(triple, OperatorTriple):
         raise ValidationError("symmetry_report expects an OperatorTriple")
-    if triple.p.shape != (h.n, h.n):
-        raise ValidationError(
-            f"triple size {triple.p.shape} does not match operator size {h.n}"
-        )
+    shape, sized = (h.n, h.n), f"operator size {h.n}"
+    p, c, theta = (_candidate(x, shape, sized) for x in (triple.p, triple.c, triple.theta))
     hd = dense(h)
-    p, c, theta = triple.p, triple.c, triple.theta
     return SymmetryReport(
         residual_p=residual(h, p),
         residual_theta=residual(h, theta),

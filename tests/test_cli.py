@@ -281,6 +281,13 @@ class TestChargeCommand:
             assert err.startswith("cptwell: computation failed: charge involution defect")
 
 
+    @pytest.mark.parametrize("command", ["metric", "charge"])
+    def test_a_vanishing_overlap_fails_as_a_computation_error(self, command):
+        rc, out, err = run(command, "-N", "5", "--lambda", "0.999999999999")
+        assert rc == 2 and out == ""
+        assert err.startswith("cptwell: computation failed: vanishing overlap 1.000e-12")
+
+
 class TestVerifyCommand:
     def test_clean_report_on_the_matched_line(self):
         rc, out, _ = run("verify", "-N", "6", "--lambda", "0.7", "--format", "csv")

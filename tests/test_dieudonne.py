@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cptwell.dieudonne import (
@@ -504,6 +504,12 @@ class TestReferenceSpans:
                 assert zeros.all() or not zeros.any(), (n, lam, mu)
 
 
+def permuted_diagonal(block):
+    """Whether each row and each column of a square block has one non-zero entry."""
+    nonzero = block != 0
+    return bool((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all())
+
+
 def stacked_sigma_min(pm):
     """Oracle: the smallest singular value of the n^2 x n stacked basis."""
     stacked = np.stack([x.reshape(-1) for x in pm.basis], axis=1)
@@ -530,6 +536,11 @@ class TestIndependenceCertificate:
         with pytest.raises(AttributeError):
             pm.reorthonormalized = True
 
+    # Plain runs whose start rows form the identity: the bound is exactly 1,
+    # and the oracle's SVD reads 0.9999999999999999.
+    @example(n=13, lam=-1.0, mu=0.0)
+    @example(n=9, lam=-1.0, mu=0.0)
+    @example(n=21, lam=-1.0, mu=-0.5)
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 64), lam=st.floats(-3.0, 3.0), mu=st.floats(-3.0, 3.0))
     def test_independence_is_a_lower_bound_above_the_floor(self, n, lam, mu):
@@ -537,9 +548,22 @@ class TestIndependenceCertificate:
             pm = kernel_basis(well(n, lam, mu))
         except (DegenerateSpectrum, NumericalError):
             assume(False)
-        assert INDEPENDENCE_FLOOR < pm.independence <= stacked_sigma_min(pm)
+        stacked = np.stack([x.reshape(-1) for x in pm.basis], axis=1)
+        sigma = np.linalg.svd(stacked, compute_uv=False)
+        # A backward-stable SVD moves each singular value by up to about
+        # n * eps * sigma_max, so the oracle is compared with that allowance.
+        allowance = n * np.finfo(float).eps * sigma[0]
+        assert INDEPENDENCE_FLOOR < pm.independence <= sigma[-1] + allowance
         if not pm.reorthonormalized:
             assert pm.independence >= 1.0 / RECURRENCE_GROWTH_MAX
+            # The exact fact the bound rests on: the start row (first
+            # downward, last upward) of the elements is a permuted diagonal
+            # block of the stack, and independence is its smallest entry.
+            blocks = [np.stack([x[row] for x in pm.basis]) for row in (0, n - 1)]
+            assert any(
+                permuted_diagonal(b) and bits(pm.independence) == bits(np.abs(b).max(axis=1).min())
+                for b in blocks
+            ), (n, lam, mu)
 
 
 class TestRecurrenceRoute:

@@ -27,6 +27,7 @@ from cptwell.errors import (
 from cptwell.hamiltonian import CouplingPair, build, dense, symmetrize
 from cptwell.quasihermitian import (
     IDENTITY_TOL,
+    OperatorTriple,
     assemble_charge_spectral,
     biorthogonalize,
     closed_form_operators,
@@ -128,6 +129,12 @@ class TestBiorthogonalize:
     def test_dead_bond_is_rejected(self):
         with pytest.raises(NotSymmetrizable):
             biorthogonalize(well(5, 1.0))
+
+    def test_a_vanishing_overlap_is_refused(self):
+        # One ulp-scale step from the exceptional point at |lambda| = 1 the
+        # separately normalized right and left vectors overlap by 1e-12.
+        with pytest.raises(NumericalError, match="vanishing overlap 1.000e-12"):
+            biorthogonalize(well(5, 1.0 - 1e-12))
 
 
 class TestDecomposeInversePseudometric:
@@ -517,6 +524,33 @@ class TestSymmetryReport:
         rep = symmetry_report(well(3, 0.5, -0.5), closed_form_operators(3, 0.5))
         assert rep.residual_p == 1.0
         assert all(type(value) is float for value in vars(rep).values())
+
+    @staticmethod
+    def with_field(triple, name, value):
+        return OperatorTriple(**{**vars(triple), name: value})
+
+    def test_an_operator_of_another_size_is_refused(self):
+        trip = closed_form_operators(4, 0.3)
+        for name in ("p", "c", "theta"):
+            bad = self.with_field(trip, name, np.eye(3))
+            with pytest.raises(ValidationError, match=r"shape \(3, 3\) does not match operator size 4"):
+                symmetry_report(well(4, 0.3), bad)
+
+    def test_a_non_finite_operator_is_refused(self):
+        trip = closed_form_operators(4, 0.3)
+        for name in ("p", "c", "theta"):
+            poisoned = getattr(trip, name).copy()
+            poisoned[1, 2] = np.nan
+            with pytest.raises(ValidationError, match="non-finite"):
+                symmetry_report(well(4, 0.3), self.with_field(trip, name, poisoned))
+
+    def test_a_complex_operator_is_refused(self):
+        trip = closed_form_operators(4, 0.3)
+        for name in ("p", "c", "theta"):
+            for bad in not_real(getattr(trip, name)):
+                refuses_without_warning(
+                    lambda x: symmetry_report(well(4, 0.3), self.with_field(trip, name, x)), bad
+                )
 
 
 class TestThetaAdjoint:
