@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import CouplingPair, as_int, build, dimension
+from .hamiltonian import CouplingPair, as_int, as_real, build, dimension
 from .spectra import spectrum_of
 
 PI_SQ = float(np.pi) ** 2
@@ -63,7 +63,7 @@ def scaled_spectrum(n, lam, levels):
     """The K lowest levels of H(lam, lam) scaled by (n+1)^2 / pi^2."""
     n = dimension(n)
     levels = as_int(levels, "levels")
-    lam = float(lam)
+    lam = as_real(lam, "coupling")
     if not -1.0 < lam < 1.0:
         raise ValidationError(
             f"coupling {lam} is outside the open interval (-1, 1); the scaled "

@@ -43,8 +43,9 @@ class CouplingPair:
     mu: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        mu = float(self.mu)
+        lam, mu = self.lam, self.mu
+        if type(lam) is not float or type(mu) is not float:
+            lam, mu = as_real(lam, "couplings"), as_real(mu, "couplings")
         if not (math.isfinite(lam) and math.isfinite(mu)):
             raise ValidationError(f"couplings must be finite, got ({self.lam}, {self.mu})")
         object.__setattr__(self, "lam", lam)
@@ -66,7 +67,13 @@ class DiscreteHamiltonian:
     def __post_init__(self):
         couplings = self.couplings
         if not isinstance(couplings, CouplingPair):
-            couplings = CouplingPair(*couplings)
+            try:
+                lam, mu = couplings
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"couplings must be a (lambda, mu) pair, got {couplings!r}"
+                ) from None
+            couplings = CouplingPair(lam, mu)
         # Frozen fields are written past the dataclass's __setattr__.
         vars(self).update(n=dimension(self.n), couplings=couplings)
 
@@ -116,6 +123,24 @@ class SymmetrizedForm:
 def _freeze(a):
     a.flags.writeable = False
     return a
+
+
+def as_real(x, what, array=False):
+    """``x`` as a Python float, or with ``array`` as a new float array (ndim >= 1).
+
+    The one check that input is real.  Complex values are refused, not cast
+    (which would drop the imaginary part with a ComplexWarning), and so is
+    anything float() refuses: each is a ValidationError.  Finiteness is left
+    to the caller.
+    """
+    try:
+        if not np.iscomplexobj(x):
+            return np.array(x, dtype=float, ndmin=1) if array else float(x)
+        reason = "complex values are not accepted"
+    except (TypeError, ValueError, OverflowError) as exc:
+        reason = str(exc)
+    got = "" if array else f", got {x!r}"
+    raise ValidationError(f"{what} must be real{got}: {reason}")
 
 
 def as_int(x, what):

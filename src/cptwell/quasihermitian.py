@@ -352,11 +352,12 @@ def symmetry_report(h, triple):
 
 
 def theta_adjoint(theta, psi):
-    """Metric-adjoint row vector of a ket: conj(psi)^T Theta."""
-    theta = np.asarray(theta)
+    """Metric-adjoint row vector of a ket: conj(psi)^T Theta.
+
+    Theta must be a finite real square matrix; psi may be complex.
+    """
+    theta = _candidate(theta, None, "the metric, which must be a square matrix")
     psi = np.asarray(psi)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValidationError(f"metric must be a square matrix, got shape {theta.shape}")
     if psi.shape != (theta.shape[0],):
         raise ValidationError(
             f"vector shape {psi.shape} does not match metric {theta.shape}"

@@ -22,9 +22,10 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
   the complex values of a real matrix as exact conjugate pairs.  Values that
   coalesce near the real axis (an exceptional point within a few ulps) are
-  re-solved from a double-double Taylor expansion of det(H - E), only on the
-  cells whose smallest pairwise gap shows that this could change something
-  and whose bond products are all finite.
+  re-solved from the exact Taylor coefficients of det(H - E), taken in integer
+  arithmetic, only on the cells whose smallest pairwise gap shows that this
+  could change something and whose bonds and bond products stay below
+  about 1.3e300 (`_RESOLVE_MAX`).
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
@@ -37,6 +38,7 @@ or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
 ``min_gap`` is the smallest pairwise distance between the values.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,6 +49,7 @@ from . import kernels
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .hamiltonian import (  # noqa: F401 (build stays importable from this module)
     SymmetrizedForm,
+    as_real,
     bands,
     build,
     dense_bands,
@@ -119,11 +122,8 @@ def reality_tolerance(h, override=None):
 
 
 def _checked_override(override):
-    try:
-        tol = float(override)
-    except (TypeError, ValueError, OverflowError):
-        tol = math.nan  # refused below, with the message of any other bad value
-    if not (np.isfinite(tol) and tol >= 0.0):
+    tol = as_real(override, "reality tolerance")
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"reality tolerance must be finite and >= 0, got {override!r}")
     return tol
 
@@ -174,10 +174,16 @@ def _lapack(solver, a):
 def char_poly(h, e):
     """det(H - e*I) via the three-term recurrence (complex-capable).
 
-    A determinant past the float range raises `NumericalError` carrying its
-    natural log-magnitude.
+    ``e`` must be a finite (real or complex) number.  A determinant past the
+    float range raises `NumericalError` carrying its natural log-magnitude.
     """
-    p, nscale = kernels.charpoly_terms(h.diag, h.bonds, complex(e))
+    try:
+        z = complex(e)
+    except (TypeError, ValueError, OverflowError):
+        z = complex(math.nan)  # refused below, with the message of any other bad point
+    if not cmath.isfinite(z):
+        raise ValidationError(f"char_poly point must be a finite number, got {e!r}")
+    p, nscale = kernels.charpoly_terms(h.diag, h.bonds, z)
     try:
         return complex(math.ldexp(p.real, 512 * nscale), math.ldexp(p.imag, 512 * nscale))
     except OverflowError:
@@ -187,69 +193,45 @@ def char_poly(h, e):
         ) from None
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+# Rows with a bond, or a bond product, past this magnitude (an infinite product
+# included) keep LAPACK's values and build no expansion: an infinite bond has
+# no exact one, and moving the bound would change the answers of the finite
+# rows past it (the huge couplings of tools/solve_digest.py).
+_RESOLVE_MAX = np.finfo(float).max / 134217729.0
 
 
-# Largest magnitude _two_prod can split: 134217729 * a overflows past it.
-_SPLIT_MAX = np.finfo(float).max / 134217729.0
-
-
-def _two_prod(a, b):
-    # exact product as (hi, lo) via Dekker splitting
-    p = a * b
-    t = 134217729.0 * a
-    a1 = t - (t - a)
-    a2 = a - a1
-    t = 134217729.0 * b
-    b1 = t - (t - b)
-    b2 = b - b1
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _two_sum(p, e + (xh * yl + xl * yh))
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _two_sum(s, e + (xl + yl))
+def _dyadic(xs):
+    """(numerators, D): the floats as exact integers over D, their least common power of two."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return [a * (den // d) for a, d in ratios], den
 
 
 def _taylor_charpoly(diag, sup, sub, c, m):
     """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m.
 
-    The three-term recurrence runs on truncated polynomials in t, in
-    double-double arithmetic with every bond product formed exactly, so the
-    coefficients carry about 2**-104 relative error in the running terms.
-    Running terms are rescaled together by 2**-512 when they outgrow 1e150,
-    which leaves the roots unchanged.
+    The three-term recurrence runs on truncated polynomials in t over the
+    Python integers: with every input an integer over one power of two D, the
+    k-th running term is an integer polynomial over D**k, exact.  The result
+    is divided by the power of two that brings its largest coefficient into
+    [0.5, 1), which leaves the roots unchanged, and each coefficient is
+    rounded once.
     """
-    zero = np.zeros(m + 1)
-    p2h, p2l = zero.copy(), zero.copy()
-    p2h[0] = 1.0
-    ah, al = _two_sum(diag[0], -c)
-    p1h, p1l = zero.copy(), zero.copy()
-    p1h[0], p1l[0], p1h[1] = ah, al, -1.0
-    for k in range(1, diag.shape[0]):
-        ah, al = _two_sum(diag[k], -c)
-        bh, bl = _two_prod(sup[k - 1], sub[k - 1])
-        th, tl = _dd_mul(ah, al, p1h, p1l)
-        # minus t * p1: an exact shift up one degree, truncated at degree m
-        th, tl = _dd_add(th, tl, -np.r_[0.0, p1h[:-1]], -np.r_[0.0, p1l[:-1]])
-        uh, ul = _dd_mul(bh, bl, p2h, p2l)
-        p2h, p2l = p1h, p1l
-        p1h, p1l = _dd_add(th, tl, -uh, -ul)
-        if np.abs(p1h).max() > 1e150:
-            p1h, p1l, p2h, p2l = (x * 2.0**-512 for x in (p1h, p1l, p2h, p2l))
-    return p1h + p1l
+    n = diag.shape[0]
+    ints, den = _dyadic([c, *diag.tolist(), *sup.tolist(), *sub.tolist()])
+    c, d, su, sb = ints[0], ints[1 : n + 1], ints[n + 1 : 2 * n], ints[2 * n :]
+    p2 = [1] + [0] * m
+    p1 = [d[0] - c, -den] + [0] * (m - 1)
+    for k in range(1, n):
+        a, b = d[k] - c, su[k - 1] * sb[k - 1]
+        # minus t * p1: a shift up one degree, truncated at degree m
+        p2, p1 = p1, [a * x - den * y - b * z for x, y, z in zip(p1, [0] + p1, p2)]
+    scale = 1 << max(abs(x) for x in p1).bit_length()
+    return np.array([x / scale for x in p1])
 
 
 def _resolve_real_clusters(values, diag, sup, sub, gap):
-    """Re-solve near-multiple roots close to the real axis in extended precision.
+    """Re-solve near-multiple roots close to the real axis from exact coefficients.
 
     LAPACK fixes a k-fold root only to about eps**(1/k) of the matrix norm, so
     within a few ulps of an exceptional point a coalescing group can come out
@@ -257,14 +239,13 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
     mirror pair E, 4 - E complex and the other real.  Values within
     ``gap`` of the real axis are grouped by real part; a group of
     m >= 2 that lies at least 100 gaps from every other value is replaced by
-    the m roots of the double-double Taylor polynomial of det(H - E) about its
-    centre, rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before
-    rooting, unless that polynomial overflows the float range.  It always does
-    when |sup|, |sub| or |sup * sub| exceeds _SPLIT_MAX, inf included: the
-    Dekker split in _two_prod then gives NaN.  Such a row is returned
-    unchanged, without expanding.
+    the m roots of the Taylor polynomial of det(H - E) about its centre
+    (`_taylor_charpoly`), rescaled by the root bound
+    max_j |c_j / c_m|**(1 / (m - j)) before rooting.  A row with |sup|, |sub|
+    or |sup * sub| past _RESOLVE_MAX, inf included, is returned unchanged,
+    without expanding.
     """
-    if max(np.abs(sup).max(), np.abs(sub).max(), np.abs(sup * sub).max()) > _SPLIT_MAX:
+    if max(np.abs(sup).max(), np.abs(sub).max(), np.abs(sup * sub).max()) > _RESOLVE_MAX:
         return values
     values = values.copy()
     near = np.nonzero(np.abs(values.imag) <= gap)[0]
@@ -278,8 +259,6 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
         if others.size and np.abs(others - c).min() < 100.0 * gap:
             continue
         co = _taylor_charpoly(diag, sup, sub, c, m)
-        if not np.isfinite(co).all():
-            continue  # the expansion overflows; LAPACK's values stand
         r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
         values[idx] = c + r * np.roots((co * r ** np.arange(m + 1))[::-1]) if r > 0.0 else c
     return values
@@ -369,9 +348,9 @@ def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
 
 
 # Couplings near the float range overflow in intermediate products (the bond
-# products, the Gershgorin radii, the double-double Taylor terms); a cell with a
-# non-finite value or radius fails, and numpy's RuntimeWarnings about them,
-# which carry the path of the installed source, are not raised.
+# products, the Gershgorin radii); a cell with a non-finite value or radius
+# fails, and numpy's RuntimeWarnings about them, which carry the path of the
+# installed source, are not raised.
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(diag, sup, sub, reality_tol=None, general=False):
     """Eigenvalues and reality classification of m stacked tridiagonals.
@@ -439,7 +418,7 @@ def eigen_general(h, reality_tol=None):
     """All n complex eigenvalues of H for arbitrary couplings.
 
     LAPACK's values, with groups that coalesce at an exceptional point
-    re-solved in double-double arithmetic (`_resolve_real_clusters`), whether
+    re-solved from exact coefficients (`_resolve_real_clusters`), whether
     or not H symmetrizes.  One cell through `_solve`; a failure is raised.
     """
     values, all_real, _, min_gap, failed = _solve(h.diag[None], h.super[None], h.sub[None],
@@ -471,10 +450,7 @@ def spectrum_of(h, reality_tol=None):
 
 def _grid(values, what):
     """A scan axis as a new non-empty 1-D array of finite floats."""
-    try:
-        axis = np.array(values, dtype=float, ndmin=1)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+    axis = as_real(values, what, array=True)
     if axis.ndim != 1:
         raise ValidationError(f"{what} must be one-dimensional, got shape {axis.shape}")
     if axis.size == 0:

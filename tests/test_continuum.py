@@ -12,6 +12,8 @@ Oracles:
   L(h) = 1 + 8 lambda^2/(1 + lambda^2) h + O(h^2) for the ground level.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ class TestScaledSpectrum:
             scaled_spectrum(8, 0.3, "2")
         assert scaled_spectrum(8, 0.3, 2.0).tolist() == scaled_spectrum(8, 0.3, 2).tolist()
         assert convergence_study([4, 8, 16], 0.3, np.int64(2)).scaled_levels.shape == (3, 2)
+
+    def test_a_coupling_that_is_not_a_real_number_is_refused(self):
+        # float() would raise a bare ValueError or TypeError for the first
+        # two and drop the imaginary part of the last with a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ("a", None, np.complex128(0.3 + 0.1j)):
+                with pytest.raises(ValidationError, match="coupling must be real"):
+                    scaled_spectrum(8, bad, 1)
+                with pytest.raises(ValidationError, match="coupling must be real"):
+                    convergence_study([4, 8, 16], bad)
 
     def test_window_endpoint_grid_is_all_real_for_powers_of_two(self):
         for n in (8, 16, 32, 64):

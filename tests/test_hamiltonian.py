@@ -8,6 +8,8 @@ Oracles used here:
 * Gershgorin interval arithmetic recomputed inline.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,37 @@ class TestBuild:
             r = h.gershgorin_radius()
             ev = np.linalg.eigvals(dense(h))
             assert np.all(np.abs(ev - 2.0) <= r + 1e-12)
+
+    def test_a_complex_coupling_is_refused_without_a_warning(self):
+        # float() would keep 0.3 and drop the imaginary part with numpy's
+        # ComplexWarning; a complex type is refused even with a zero one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.complex128(0.3 + 0.1j), np.complex64(0.3 + 0.1j), 0.3 + 0.1j,
+                        np.array(0.3 + 0.1j), np.complex128(0.3)):
+                for pair in ((bad, 0.0), (0.0, bad)):
+                    with pytest.raises(ValidationError, match="complex"):
+                        build(4, pair)
+                    with pytest.raises(ValidationError, match="complex"):
+                        CouplingPair(*pair)
+
+    def test_a_coupling_float_refuses_is_a_validation_error(self):
+        for bad in ("a", None, [0.3], object(), 10**400):
+            for pair in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(ValidationError, match="couplings must be real"):
+                    build(4, pair)
+
+    def test_couplings_that_are_not_a_pair_are_a_validation_error(self):
+        for bad in (0.3, None, (0.1, 0.2, 0.3), (0.1,), ()):
+            with pytest.raises(ValidationError, match=r"\(lambda, mu\) pair"):
+                build(4, bad)
+
+    def test_real_couplings_of_other_types_are_still_accepted(self):
+        for pair in (("0.3", "-0.2"), (np.float32(0.3), np.int64(0)), (True, 0),
+                     (np.array(0.3), np.float64(-0.2)), [0.3, -0.2], np.array([0.3, -0.2])):
+            c = build(4, pair).couplings
+            assert (type(c.lam), type(c.mu)) == (float, float)
+            assert (c.lam, c.mu) == (float(pair[0]), float(pair[1]))
 
     def test_band_arrays_are_read_only(self):
         h = well(4, 0.2)

@@ -408,6 +408,13 @@ class TestClosedFormOperators:
         with pytest.raises(ValidationError):
             closed_form_operators(3, -1.0)
 
+    def test_a_coupling_that_is_not_a_real_number_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (None, "a", np.complex128(0.3 + 0.1j)):
+                with pytest.raises(ValidationError, match="couplings must be real"):
+                    closed_form_operators(4, bad)
+
     def test_two_site_outside_the_window_has_no_real_square_roots(self):
         with pytest.raises(ValidationError):
             closed_form_operators(2, 1.5)
@@ -574,3 +581,20 @@ class TestThetaAdjoint:
     def test_a_ket_that_does_not_match_the_metric_is_rejected(self):
         with pytest.raises(ValidationError, match="does not match"):
             theta_adjoint(np.eye(3), np.ones(2))
+
+    def test_a_non_finite_metric_is_rejected(self):
+        # Without the gate, a NaN metric gives a NaN row.
+        for bad in (np.nan, np.inf):
+            theta = np.eye(2)
+            theta[0, 1] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                theta_adjoint(theta, np.ones(2))
+
+    def test_a_complex_metric_is_rejected(self):
+        with pytest.raises(ValidationError, match="real"):
+            theta_adjoint(1j * np.eye(2), np.ones(2))
+
+    def test_a_metric_that_is_not_numeric_is_rejected(self):
+        # Without the gate, numpy's UFuncTypeError escapes from the product.
+        with pytest.raises(ValidationError, match="real"):
+            theta_adjoint([["a"]], np.ones(1))

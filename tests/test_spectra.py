@@ -10,13 +10,14 @@ Independent oracles frozen into this file:
   rooted by numpy's companion-matrix solver.
 """
 
+import math
 import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cptwell import hamiltonian, kernels, spectra
@@ -282,6 +283,18 @@ class TestCharPoly:
             assert abs(diff.real) <= 1e-12 * ref.real, (n, z)
             assert abs(turns - round(turns)) <= 1e-12 * n, (n, z)
 
+    def test_a_point_that_is_not_a_finite_number_is_refused(self):
+        # Without the gate, inf and NaN give nan+nanj with RuntimeWarnings and
+        # None a bare TypeError.
+        h = well(4, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (float("inf"), -np.inf, float("nan"), complex(1.0, np.inf),
+                        complex(np.nan, 0.0), None, "x", 10**400):
+                with pytest.raises(ValidationError, match="finite number"):
+                    char_poly(h, bad)
+            assert char_poly(h, 1.5 + 0.25j) == char_poly(h, np.complex128(1.5 + 0.25j))
+
     def test_a_determinant_past_the_float_range_is_a_numerical_error(self):
         ref = np.sum(np.log(np.abs(dirichlet_levels(400) - 10.0)))
         with pytest.raises(NumericalError, match=r"log\|det\| = ") as info:
@@ -313,6 +326,60 @@ class TestExactPolynomialOracle:
         coeffs = exact_charpoly_coeffs(h)
         assert coeffs[-1] == 1  # monic up to the (-1)^n sign convention
         assert float(coeffs[0]) == pytest.approx(np.linalg.det(dense(h)), rel=1e-12)
+
+
+def exact_taylor_coeffs(h, c, m):
+    """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m, as Fractions.
+
+    The three-term recurrence of `exact_charpoly_coeffs` with the diagonal
+    shifted by c, truncated at degree m.
+    """
+    c = Fraction(c)
+    diag = [Fraction(x) - c for x in h.diag.tolist()]
+    bonds = [Fraction(a) * Fraction(b) for a, b in zip(h.super.tolist(), h.sub.tolist())]
+    pm2 = [Fraction(1)] + [Fraction(0)] * m
+    pm1 = ([diag[0], Fraction(-1)] + [Fraction(0)] * m)[: m + 1]
+    for k in range(1, h.n):
+        shifted = [Fraction(0)] + pm1[:-1]
+        pm2, pm1 = pm1, [diag[k] * x - y - bonds[k - 1] * z for x, y, z in zip(pm1, shifted, pm2)]
+    return pm1
+
+
+near_unit = st.builds(lambda sign, k: sign * (1.0 + k * np.spacing(1.0)),
+                      st.sampled_from([1.0, -1.0]), st.integers(-6, 6))
+
+
+@st.composite
+def taylor_cells(draw):
+    """(n, lambda, mu, c, m): c the real part of one of the cell's LAPACK values."""
+    n = draw(st.integers(2, 64))
+    coupling = st.one_of(near_unit, st.floats(-3.0, 3.0))
+    lam, mu = draw(coupling), draw(coupling)
+    values = np.linalg.eigvals(dense(well(n, lam, mu)))
+    c = float(values[draw(st.integers(0, n - 1))].real)
+    return n, lam, mu, c, draw(st.integers(1, 4))
+
+
+class TestExactTaylorCoefficients:
+    @settings(max_examples=200, deadline=None)
+    @given(cell=taylor_cells())
+    # The exact constant coefficient rounds to -2.7961990761020457e-16 here;
+    # a double-double expansion gives -2.796199076102045e-16, one ulp off.
+    @example(cell=(6, 0.7242650100834385, 0.5231691446602884, 0.9447979977322342, 2))
+    def test_coefficients_are_the_rounded_exact_ones_up_to_a_power_of_two(self, cell):
+        n, lam, mu, c, m = cell
+        h = well(n, lam, mu)
+        got = spectra._taylor_charpoly(h.diag, h.super, h.sub, c, m)
+        exact = exact_taylor_coeffs(h, c, m)
+        assert got.shape == (m + 1,)
+        top = max(range(m + 1), key=lambda j: abs(exact[j]))
+        if exact[top] == 0:
+            assert not got.any()
+            return
+        # got[top] is exact[top] * 2**s rounded, so the ratio is 2**s to 53 bits.
+        ratio = Fraction(float(got[top])) / exact[top]
+        s = round(math.log2(ratio.numerator) - math.log2(ratio.denominator))
+        assert got.tolist() == [float(x * Fraction(2) ** s) for x in exact], cell
 
 
 class TestSpectralSymmetries:
@@ -655,8 +722,8 @@ class TestHugeCouplings:
 
     def test_an_overflowing_cluster_expansion_keeps_lapacks_values(self):
         # Both levels 2 -/+ sqrt(1.7e308 * (1e100 - 1)) lie within the cluster
-        # gap 1e-5 * 1.7e308 of each other, but the double-double expansion
-        # about their centre overflows; re-solving from it would give 0, 0.
+        # gap 1e-5 * 1.7e308 of each other, but the bonds are too large to be
+        # re-solved; re-solving from an overflowed expansion would give 0, 0.
         levels = np.sqrt(1.7e308) * np.sqrt(1e100) * np.array([-1.0, 1.0])
         for solve in (spectrum_of, eigen_general):
             s = solve(well(2, -1.7e308, 1e100))
@@ -673,19 +740,16 @@ class TestHugeCouplings:
         assert scan_domain(5, [1e307], [1e300]).complex_pairs.tolist() == [2]
 
     def test_an_infinite_bond_product_skips_the_cluster_expansion(self, monkeypatch):
-        # A bond, or a bond product, past the largest magnitude that the
-        # Dekker split can take (an infinite one included) makes every
-        # coefficient of the expansion non-finite, whatever the data, so the
-        # re-solve keeps LAPACK's values without building it.  At n = 64 and
-        # (1e154, 1e154) the bond products are -1e308 and finite.
+        # A bond, or a bond product, past max / (2**27 + 1) (an infinite one
+        # included) keeps the re-solve from expanding: the row keeps LAPACK's
+        # values.  At n = 64 and (1e154, 1e154) the bond products are -1e308
+        # and finite.
         cells = ((2, -1.7e308, 1e100), (5, 1e307, 1e300), (64, 1e154, 1e154))
         with np.errstate(over="ignore", invalid="ignore"):
             for n, lam, mu in cells:
                 h = well(n, lam, mu)
                 magnitudes = np.abs(np.concatenate((h.super, h.sub, h.bonds)))
                 assert (magnitudes > np.finfo(float).max / 134217729.0).any()
-                for c in (2.0, 2.5):
-                    assert not np.isfinite(spectra._taylor_charpoly(h.diag, h.super, h.sub, c, 3)).any()
             monkeypatch.setattr(spectra, "_taylor_charpoly", refuse)
             for n, lam, mu in cells:
                 h = well(n, lam, mu)
@@ -856,6 +920,22 @@ class TestScans:
         for grid in ([[0.1, 0.2]], ["x"], [0.1, None]):
             with pytest.raises(ValidationError):
                 scan_line(4, grid, +1)
+
+    def test_a_complex_grid_is_refused_without_a_warning(self):
+        # np.array(..., dtype=float) would scan lambda = 0.3 with a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in (np.array([0.3 + 0.1j]), [0.3, 0.2 + 0j], np.complex128(0.3)):
+                with pytest.raises(ValidationError, match="complex"):
+                    scan_domain(4, grid, [0.2])
+                with pytest.raises(ValidationError, match="complex"):
+                    scan_domain(4, [0.2], grid)
+                with pytest.raises(ValidationError, match="complex"):
+                    scan_line(4, grid, +1)
+
+    def test_a_grid_value_past_the_float_range_is_an_invalid_request(self):
+        with pytest.raises(ValidationError, match="real"):
+            scan_domain(4, [10**400], [0.2])
 
     def test_a_non_finite_grid_value_is_an_invalid_request(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -1222,6 +1302,19 @@ class TestRealityTolerance:
                 scan_line(4, [0.5, 1.05], +1, reality_tol=bad)
             with pytest.raises(ValidationError, match="reality tolerance"):
                 eigen_general(well(3, 0.5), reality_tol=bad)
+            with pytest.raises(ValidationError, match="reality tolerance"):
+                scan_domain(3, [0.5, 1.05], [0.5], reality_tol=bad)
+
+    def test_a_complex_override_is_refused_without_a_warning(self):
+        # float() would keep the real part 1e-3 with a ComplexWarning.
+        bad = np.complex128(1e-3 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="reality tolerance"):
+                reality_tolerance(well(3, 0.0), bad)
+            for n, lam in ((4, 1.05), (4, 0.5)):
+                with pytest.raises(ValidationError, match="reality tolerance"):
+                    spectrum_of(well(n, lam), reality_tol=bad)
             with pytest.raises(ValidationError, match="reality tolerance"):
                 scan_domain(3, [0.5, 1.05], [0.5], reality_tol=bad)
 
