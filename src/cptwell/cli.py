@@ -5,7 +5,7 @@ Subcommands:
 * ``spectrum``      eigenvalues and reality classification of one H(lambda, mu)
 * ``scan``          reality domain over a coupling grid (line or product grid)
 * ``pseudometrics`` basis of all symmetric solutions of H^T X = X H
-* ``metric``        spectrally assembled metric Theta on the mu = +/-lambda lines
+* ``metric``        closed-form metric Theta on the mu = +/-lambda lines, |lambda| < 1
 * ``charge``        spectral charge vs closed form on the mu = +lambda line
 * ``verify``        residual report of the closed-form operator triple
 * ``continuum``     scaled-level convergence study over a size ladder
@@ -35,7 +35,7 @@ import numpy as np
 # continuum, dieudonne and quasihermitian are imported inside the subcommands
 # that use them, so that `spectrum` and `scan` start without loading them.
 from . import spectra
-from .errors import CptwellError, ValidationError
+from .errors import CptwellError, NumericalError, ValidationError
 from .hamiltonian import CouplingPair, build
 
 FORMATS = ("json", "csv")
@@ -130,7 +130,7 @@ def _build_parser():
     p = sub.add_parser("pseudometrics", help="basis of solutions of H^T X = X H")
     common(p)
 
-    p = sub.add_parser("metric", help="spectrally assembled metric Theta")
+    p = sub.add_parser("metric", help="closed-form metric Theta on mu = +/-lambda")
     common(p)
 
     p = sub.add_parser("charge", help="spectral charge vs closed form")
@@ -251,19 +251,15 @@ def _cmd_metric(cfg):
 
     variant = _require_line(cfg, allow_weighted=True)
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
-    p = dieudonne.closed_form(cfg.n, cfg.lam, variant).matrix
-    system = quasihermitian.biorthogonalize(h)
-    nu = quasihermitian.decompose_inverse_pseudometric(p, system)
-    asm = quasihermitian.assemble_charge_spectral(system, nu)
-    theta = p @ asm.c
+    if not abs(cfg.lam) < 1.0:
+        raise NumericalError(f"no positive metric at lambda={cfg.lam}, outside |lambda| < 1")
+    theta = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant).theta
     smallest = quasihermitian._smallest_eigenvalue(theta)
     payload = {
         "n": cfg.n,
         "lambda": cfg.lam,
         "mu": cfg.mu,
         "pseudometric": variant,
-        "nu": asm.nu,
-        "kappa_sq": asm.kappa_sq,
         "theta": theta,
         "smallest_eigenvalue": smallest,
         "positive": bool(smallest > 0.0),
@@ -292,6 +288,8 @@ def _cmd_charge(cfg):
         "max_difference": dieudonne._entry_norm(asm.c - triple.c),
         "residual_involution_closed": quasihermitian._involution_defect(triple.c),
         "residual_involution_spectral": asm.involution,
+        "nu": asm.nu,
+        "kappa_sq": asm.kappa_sq,
         "c_spectral": asm.c,
         "c_closed": triple.c,
     }

@@ -116,28 +116,30 @@ def _entry_norm(a):
     return float(np.abs(a).max(initial=0.0))
 
 
-def _candidate(x, shape, sized):
-    """``x`` as a finite real float array of ``shape``, else a ValidationError.
+def _candidate(x, shape, sized, complex_ok=False):
+    """``x`` as a finite float array of ``shape``, else a ValidationError.
 
     The one input gate of the operator layer.  ``shape`` None asks for a
     square matrix of any size.  ``sized`` ends the shape message: what
     ``shape`` comes from, such as "operator size 4".  Complex input is
-    refused, not cast (which would drop the imaginary part), and so are
-    strings, objects and NaN or infinite entries.
+    refused, not cast (which would drop the imaginary part), unless
+    ``complex_ok``, which keeps it complex; strings, objects and NaN or
+    infinite entries are always refused.
     """
     try:
         x = np.asarray(x)
     except ValueError as exc:
         raise ValidationError(f"candidate is not a matrix or vector: {exc}") from None
-    if x.dtype.kind not in "biuf":
-        raise ValidationError(f"candidate must be a real matrix or vector, not dtype {x.dtype}")
+    if x.dtype.kind not in ("biufc" if complex_ok else "biuf"):
+        kind = "numeric" if complex_ok else "real"
+        raise ValidationError(f"candidate must be a {kind} matrix or vector, not dtype {x.dtype}")
     if shape is None:
         shape = x.shape[:1] * 2 if x.ndim else None
     if x.shape != shape:
         raise ValidationError(f"candidate shape {x.shape} does not match {sized}")
     if not np.isfinite(x).all():
         raise ValidationError("candidate has a non-finite entry")
-    return x.astype(float, copy=False)
+    return x.astype(complex if x.dtype.kind == "c" else float, copy=False)
 
 
 def residual(h, x):

@@ -216,7 +216,8 @@ def symmetrize(h):
 
     Requires every bond product super[i]*sub[i] > 0.  The weights follow
     d[i+1] = d[i]*sqrt(sub[i]/super[i]) with d[0] = 1, which gives the
-    symmetric off-diagonal s_off[i] = -sqrt(super[i]*sub[i]).  Right
+    symmetric off-diagonal s_off[i] = super[i]*d[i+1]/d[i], that is
+    sqrt(super[i]*sub[i]) with the sign of super[i].  Right
     eigenvectors of H are D w and left eigenvectors (of H^T) are D^-1 w for w
     an eigenvector of S.
     """
@@ -228,7 +229,7 @@ def symmetrize(h):
     d[0] = 1.0
     ratios = np.sqrt(h.sub / h.super)
     np.cumprod(ratios, out=d[1:])
-    s_off = -np.sqrt(products)
+    s_off = np.copysign(np.sqrt(products), h.super)
     return SymmetrizedForm(_freeze(h.diag.copy()), _freeze(s_off), _freeze(d))
 
 

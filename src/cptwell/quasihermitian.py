@@ -19,10 +19,13 @@ physical inner product of the well:
 * hermitizer Omega with Omega^T Omega = Theta, mapping H to the explicitly
   symmetric Omega H Omega^-1.
 
-Closed forms on the mu = +lambda line use alpha = (1 - lambda)/(1 + lambda):
-P = J, C antidiagonal with corners 1/alpha and alpha (square roots of those
-corners at n = 2, where the two boundary weights merge), and Theta = P C
-diagonal.  Everything degenerates at |lambda| = 1, the exceptional point.
+Closed forms on both coupling lines use alpha = (1 - lambda)/(1 + lambda).
+On mu = +lambda: P = J, C antidiagonal with corners 1/alpha and alpha (square
+roots of those corners at n = 2, where the two boundary weights merge), and
+Theta = P C = diag(alpha, 1, ..., 1, 1/alpha).  On mu = -lambda: P the
+antidiagonal template with corners alpha, C = J, and Theta = P C =
+diag(alpha, 1, ..., 1, alpha), or alpha I at n = 2.  Everything degenerates
+at |lambda| = 1, the exceptional point.
 
 Conventions: eigenvectors unit Euclidean norm with first significant
 component positive; matrix norms are max-abs-entry; order Theta = P times C.
@@ -274,15 +277,22 @@ def metric_from_ansatz(basis, coeffs):
     return AnsatzMetric(theta, positive, smallest, residual_bound)
 
 
-def closed_form_operators(n, lam):
-    """Exact antidiagonal triple (P, C, Theta) for H(lam, lam).
+def closed_form_operators(n, lam, variant="exchange"):
+    """Exact triple (P, C, Theta) on a coupling line, with P from `closed_form`.
 
-    P = J; C is antidiagonal with corners (1+lam)/(1-lam) top-right and
-    alpha = (1-lam)/(1+lam) bottom-left and ones between, so Theta = P C =
-    diag(alpha, 1, ..., 1, 1/alpha), which is built as that diagonal.  At
-    n = 2 the two boundary weights merge and the corners become the square
-    roots of those values.  The construction is singular at |lam| = 1 where
-    the corners vanish or diverge.
+    With alpha = (1-lam)/(1+lam) and beta = (1+lam)/(1-lam):
+
+    * ``exchange``, H(lam, lam): P = J; C is antidiagonal with corners beta
+      top-right and alpha bottom-left and ones between, so Theta = P C =
+      diag(alpha, 1, ..., 1, beta).  At n = 2 the two boundary weights merge
+      and the corners become the square roots of those values.
+    * ``weighted``, H(lam, -lam): P is the weighted template (corners alpha),
+      C = J, and Theta = P C = diag(alpha, 1, ..., 1, alpha), or alpha I at
+      n = 2.
+
+    Theta is built as that diagonal, not as the product, so its off-diagonal
+    entries are exactly zero.  The construction is singular at |lam| = 1
+    where the corners vanish or diverge.
     """
     lam = CouplingPair(lam, lam).lam
     n = dimension(n)
@@ -290,21 +300,25 @@ def closed_form_operators(n, lam):
         raise ValidationError(
             f"closed forms are singular at the exceptional point lambda={lam}"
         )
+    p = closed_form(n, lam, variant).matrix
     alpha = (1.0 - lam) / (1.0 + lam)
-    beta = (1.0 + lam) / (1.0 - lam)
-    if n == 2:
-        if alpha <= 0.0:
-            raise ValidationError(
-                "no real closed form at n=2 outside |lambda| < 1 "
-                f"(alpha={alpha:.3e} is not positive)"
-            )
-        low, high = np.sqrt(alpha), np.sqrt(beta)
+    if variant == "weighted":
+        low = high = alpha
+        c = closed_form(n, lam, "exchange").matrix
     else:
-        low, high = alpha, beta
-    p = closed_form(n, lam, "exchange").matrix
-    c = p.copy()
-    c[0, n - 1] = high
-    c[n - 1, 0] = low
+        beta = (1.0 + lam) / (1.0 - lam)
+        if n == 2:
+            if alpha <= 0.0:
+                raise ValidationError(
+                    "no real closed form at n=2 outside |lambda| < 1 "
+                    f"(alpha={alpha:.3e} is not positive)"
+                )
+            low, high = np.sqrt(alpha), np.sqrt(beta)
+        else:
+            low, high = alpha, beta
+        c = p.copy()
+        c[0, n - 1] = high
+        c[n - 1, 0] = low
     theta = np.diag(np.r_[low, np.ones(n - 2), high])
     return OperatorTriple(p, c, theta)
 
@@ -354,12 +368,9 @@ def symmetry_report(h, triple):
 def theta_adjoint(theta, psi):
     """Metric-adjoint row vector of a ket: conj(psi)^T Theta.
 
-    Theta must be a finite real square matrix; psi may be complex.
+    Theta must be a finite real square matrix; psi a finite vector of
+    matching length, which may be complex.
     """
     theta = _candidate(theta, None, "the metric, which must be a square matrix")
-    psi = np.asarray(psi)
-    if psi.shape != (theta.shape[0],):
-        raise ValidationError(
-            f"vector shape {psi.shape} does not match metric {theta.shape}"
-        )
+    psi = _candidate(psi, theta.shape[:1], f"metric {theta.shape}", complex_ok=True)
     return np.conj(psi) @ theta

@@ -243,6 +243,97 @@ class TestMetricCommand:
         assert rc == 1
         assert "mu = +lambda or mu = -lambda" in err
 
+    # Both lines, sizes with n = 2 and n = 3 special, and couplings up to
+    # within 1e-3 of the exceptional points.
+    LINES = (("exchange", 1.0), ("weighted", -1.0))
+    SIZES = (2, 3, 4, 5, 8, 24, 64)
+    COUPLINGS = (-0.999, -0.9, -0.5, -0.1, 0.0, 0.3, 0.7, 0.95, 0.999)
+
+    @staticmethod
+    def printed_theta(n, lam, mu):
+        rc, out, err = run("metric", "-N", str(n), f"--lambda={lam!r}", f"--mu={mu!r}")
+        assert rc == 0 and err == "", (n, lam, mu, err)
+        payload = json.loads(out)
+        assert payload["positive"] is True
+        return np.array(payload["theta"])
+
+    def test_the_printed_theta_agrees_with_the_spectral_chain(self):
+        # The spectral chain P -> nu -> C of the library, Theta = P C, to
+        # rounding wherever it answers.
+        from cptwell import quasihermitian
+        from cptwell.dieudonne import closed_form
+        from cptwell.errors import NumericalError
+        from cptwell.hamiltonian import build
+
+        answered = 0
+        for variant, sign in self.LINES:
+            for n in self.SIZES:
+                for lam in self.COUPLINGS:
+                    theta = self.printed_theta(n, lam, sign * lam)
+                    p = closed_form(n, lam, variant).matrix
+                    try:
+                        system = quasihermitian.biorthogonalize(build(n, (lam, sign * lam)))
+                        nu = quasihermitian.decompose_inverse_pseudometric(p, system)
+                        c = quasihermitian.assemble_charge_spectral(system, nu).c
+                    except NumericalError:
+                        continue
+                    spectral = p @ c
+                    defect = np.max(np.abs(theta - spectral)) / np.max(np.abs(spectral))
+                    assert defect <= 1e-12, (variant, n, lam, defect)
+                    answered += 1
+        assert answered >= len(self.LINES) * len(self.SIZES) * (len(self.COUPLINGS) - 2)
+
+    def test_the_printed_theta_is_exactly_the_closed_form_diagonal(self):
+        for variant, sign in self.LINES:
+            for n in self.SIZES:
+                for lam in self.COUPLINGS:
+                    theta = self.printed_theta(n, lam, sign * lam)
+                    off = theta - np.diag(np.diag(theta))
+                    assert np.count_nonzero(off) == 0, (variant, n, lam)
+                    alpha = (1 - lam) / (1 + lam)
+                    last = alpha if variant == "weighted" else (1 + lam) / (1 - lam)
+                    if n == 2 and variant == "exchange":
+                        expect = [np.sqrt(alpha), np.sqrt(last)]
+                    else:
+                        expect = [alpha] + [1.0] * (n - 2) + [last]
+                    assert np.diag(theta).tolist() == expect, (variant, n, lam)
+
+    @pytest.mark.parametrize("n", ["3", "64", "160"])
+    @pytest.mark.parametrize("lam", ["0.999999", "0.999999999999"])
+    def test_the_exceptional_point_corners_answer_exactly(self, n, lam):
+        # The spectral chain refused these: NotDyadRepresentable, a vanishing
+        # overlap or a degenerate gap.
+        for mu in (lam, "-" + lam):
+            theta = self.printed_theta(int(n), float(lam), float(mu))
+            assert np.count_nonzero(theta - np.diag(np.diag(theta))) == 0
+            assert theta[0, 0] == (1 - float(lam)) / (1 + float(lam))
+
+    def test_metric_does_not_pair_eigenvectors(self, monkeypatch):
+        from cptwell import quasihermitian
+
+        def refuse(*args):
+            raise AssertionError("metric ran the spectral chain")
+
+        for name in ("biorthogonalize", "decompose_inverse_pseudometric",
+                     "assemble_charge_spectral", "eigen_real"):
+            monkeypatch.setattr(quasihermitian, name, refuse)
+        for mu in ("0.4", "-0.4"):
+            rc, _, err = run("metric", "-N", "16", "--lambda", "0.4", "--mu", mu)
+            assert rc == 0 and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("-N", "8", "--lambda", "1.2"),
+        ("-N", "8", "--lambda", "-1", "--mu", "1"),
+        ("-N", "2", "--lambda", "1.2", "--mu", "-1.2"),
+        ("-N", "2", "--lambda", "1", "--mu", "-1"),
+    ])
+    def test_couplings_outside_the_open_square_are_refused(self, argv):
+        # At n = 2 on mu = -lambda H is symmetric, but Theta = alpha I is negative.
+        rc, out, err = run("metric", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("cptwell: computation failed: no positive metric at lambda=")
+        assert err.rstrip("\n").endswith(", outside |lambda| < 1")
+
 
 class TestChargeCommand:
     def test_spectral_and_closed_routes_agree(self):
@@ -283,9 +374,29 @@ class TestChargeCommand:
 
     @pytest.mark.parametrize("command", ["metric", "charge"])
     def test_a_vanishing_overlap_fails_as_a_computation_error(self, command):
+        # Only charge still pairs eigenvectors; metric's closed form needs no
+        # overlaps and answers.
         rc, out, err = run(command, "-N", "5", "--lambda", "0.999999999999")
+        if command == "metric":
+            assert rc == 0 and err == ""
+            assert json.loads(out)["positive"] is True
+            return
         assert rc == 2 and out == ""
         assert err.startswith("cptwell: computation failed: vanishing overlap 1.000e-12")
+
+    def test_charge_prints_the_spectral_coefficients(self):
+        from cptwell import quasihermitian
+        from cptwell.hamiltonian import build
+
+        for n, lam in ((2, 0.5), (5, -0.4), (8, 0.9), (24, 0.3)):
+            rc, out, _ = run("charge", "-N", str(n), f"--lambda={lam!r}")
+            assert rc == 0
+            payload = json.loads(out)
+            system = quasihermitian.biorthogonalize(build(n, (lam, lam)))
+            nu = quasihermitian.decompose_inverse_pseudometric(np.fliplr(np.eye(n)), system)
+            asm = quasihermitian.assemble_charge_spectral(system, nu)
+            assert payload["nu"] == asm.nu.tolist(), (n, lam)
+            assert payload["kappa_sq"] == asm.kappa_sq.tolist(), (n, lam)
 
 
 class TestVerifyCommand:
@@ -346,14 +457,14 @@ class TestPayloadSchema:
         ),
         "metric": (
             ("-N", "4", "--lambda", "0.5", "--mu", "-0.5"),
-            ["n", "lambda", "mu", "pseudometric", "nu", "kappa_sq", "theta",
+            ["n", "lambda", "mu", "pseudometric", "theta",
              "smallest_eigenvalue", "positive", "residual_theta"],
             "row,col,value",
         ),
         "charge": (
             ("-N", "4", "--lambda", "0.6"),
             ["n", "lambda", "max_difference", "residual_involution_closed",
-             "residual_involution_spectral", "c_spectral", "c_closed"],
+             "residual_involution_spectral", "nu", "kappa_sq", "c_spectral", "c_closed"],
             "row,col,spectral,closed",
         ),
         "verify": (

@@ -227,6 +227,25 @@ class TestSymmetrize:
             rebuilt = np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d)
             assert np.max(np.abs(rebuilt - sym_dense(s))) <= 1e-14
 
+    def test_positive_bond_entries_keep_a_positive_off_diagonal(self):
+        # n = 2 with lambda < -1 < 1 < mu: super and sub are both positive, so
+        # D^-1 H D has +sqrt(super*sub) where -sqrt gave a different matrix.
+        h = well(2, -2.5, 2.5)
+        s = symmetrize(h)
+        assert s.s_off.tolist() == [1.5]
+        assert np.array_equal(np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d), sym_dense(s))
+        for n, lam, mu in ((2, -3.0, 1.5), (2, -1.25, 4.0)):
+            h = well(n, lam, mu)
+            s = symmetrize(h)
+            assert s.s_off[0] > 0.0
+            rebuilt = np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d)
+            assert np.max(np.abs(rebuilt - sym_dense(s))) <= 4e-16 * np.max(np.abs(dense(h)))
+
+    def test_negative_bond_entries_keep_their_bits(self):
+        for n, lam, mu in ((2, 0.5, 0.5), (5, -0.7, 0.2), (9, 0.9, -0.9), (64, 0.3, 0.8)):
+            h = well(n, lam, mu)
+            assert np.array_equal(symmetrize(h).s_off, -np.sqrt(h.super * h.sub))
+
     def test_symmetrized_spectrum_matches_the_general_eigenvalues(self):
         for n, lam, mu in ((6, 0.6, -0.6), (11, -0.85, 0.1)):
             h = well(n, lam, mu)

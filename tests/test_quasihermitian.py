@@ -103,6 +103,16 @@ class TestBiorthogonalize:
                 np.max(np.abs(system.left[:, k] + v)),
             ) <= 1e-12
 
+    def test_a_cell_with_positive_bond_entries_answers(self):
+        # At n = 2 with lambda < -1 < 1 < mu both entries of the bond are
+        # positive; a negative symmetrized off-diagonal made the residual 2.1.
+        h = well(2, -2.5, 2.5)
+        system = biorthogonalize(h)
+        assert system.values.tolist() == pytest.approx([0.5, 3.5], abs=1e-14)
+        hd = dense(h)
+        assert np.max(np.abs(hd @ system.right - system.right * system.values)) <= 1e-14
+        assert np.all(system.overlaps > 0.0)
+
     def test_overlaps_are_positive_and_at_most_one(self):
         system = biorthogonalize(well(3, 0.2))
         assert system.n == 3 and system.values.shape == system.overlaps.shape == (3,)
@@ -419,6 +429,29 @@ class TestClosedFormOperators:
         with pytest.raises(ValidationError):
             closed_form_operators(2, 1.5)
 
+    def test_the_weighted_triple_passes_the_symmetry_report(self):
+        # On mu = -lambda the charge is J, whose square is I exactly.
+        for n in range(2, 9):
+            for lam in (-0.9, -0.3, 0.0, 0.4, 0.95):
+                trip = closed_form_operators(n, lam, "weighted")
+                alpha = (1 - lam) / (1 + lam)
+                assert np.array_equal(trip.p, closed_form(n, lam, "weighted").matrix)
+                assert np.array_equal(trip.c, flip(n))
+                assert np.array_equal(trip.theta, np.diag([alpha] + [1.0] * (n - 2) + [alpha]))
+                rep = symmetry_report(well(n, lam, -lam), trip)
+                assert rep.residual_involution == 0.0 and rep.residual_commutator == 0.0
+                assert rep.residual_p <= 1e-15 and rep.residual_theta <= 1e-15, (n, lam)
+                assert rep.theta_min_eig == (alpha if n == 2 else min(alpha, 1.0)), (n, lam)
+
+    def test_the_weighted_metric_is_the_product_of_its_template_and_charge(self):
+        for n, lam in ((2, 0.5), (3, -0.7), (6, 0.25)):
+            trip = closed_form_operators(n, lam, "weighted")
+            assert np.array_equal(trip.theta, trip.p @ trip.c)
+
+    def test_an_unknown_line_is_refused(self):
+        with pytest.raises(ValidationError, match="unknown variant"):
+            closed_form_operators(4, 0.3, "diagonal")
+
 
 class TestSpectralAgainstClosedForms:
     def test_flip_seeded_assembly_matches_the_templates(self):
@@ -598,3 +631,25 @@ class TestThetaAdjoint:
         # Without the gate, numpy's UFuncTypeError escapes from the product.
         with pytest.raises(ValidationError, match="real"):
             theta_adjoint([["a"]], np.ones(1))
+
+    def test_a_ket_that_is_not_numeric_is_rejected(self):
+        # Without the gate, numpy's TypeError escapes from the conjugate.
+        for bad in (["a"], [None]):
+            refuses_without_warning(lambda psi: theta_adjoint(np.eye(1), psi), bad)
+
+    def test_a_non_finite_ket_is_rejected(self):
+        # Without the gate, a NaN ket gives a NaN row.
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [complex(1.0, np.nan), 0.0]):
+            with pytest.raises(ValidationError, match="non-finite"):
+                theta_adjoint(np.eye(2), bad)
+
+    def test_a_ket_that_is_not_a_vector_is_rejected(self):
+        for bad in (np.ones((2, 1)), np.ones((1, 2)), 1.0, [[1.0], [1.0, 2.0]]):
+            with pytest.raises(ValidationError):
+                theta_adjoint(np.eye(2), bad)
+
+    def test_a_complex_ket_stays_complex(self):
+        psi = np.array([1.0 + 2.0j, -1.0j], dtype=np.complex64)
+        got = theta_adjoint(np.diag([2.0, 3.0]), psi)
+        assert got.dtype == np.complex128
+        assert got.tolist() == [2.0 - 4.0j, 3.0j]
