@@ -6,8 +6,8 @@ Subcommands:
 * ``scan``          reality domain over a coupling grid (line or product grid)
 * ``pseudometrics`` basis of all symmetric solutions of H^T X = X H
 * ``metric``        closed-form metric Theta on the mu = +/-lambda lines, |lambda| < 1
-* ``charge``        spectral charge vs closed form on the mu = +lambda line
-* ``verify``        residual report of the closed-form operator triple
+* ``charge``        spectral charge vs closed form on the mu = +/-lambda lines, |lambda| < 1
+* ``verify``        residual report of the closed-form triple on the mu = +/-lambda lines
 * ``continuum``     scaled-level convergence study over a size ladder
 
 Exit status: 0 success; 1 validation/usage error; 2 numerical failure.
@@ -133,10 +133,10 @@ def _build_parser():
     p = sub.add_parser("metric", help="closed-form metric Theta on mu = +/-lambda")
     common(p)
 
-    p = sub.add_parser("charge", help="spectral charge vs closed form")
+    p = sub.add_parser("charge", help="spectral charge vs closed form on mu = +/-lambda")
     common(p)
 
-    p = sub.add_parser("verify", help="closed-form triple residual report")
+    p = sub.add_parser("verify", help="closed-form triple residual report on mu = +/-lambda")
     common(p)
 
     p = sub.add_parser("continuum", help="scaled-level convergence study")
@@ -235,24 +235,29 @@ def _cmd_pseudometrics(cfg):
     return payload, ("element", "row", "col", "value", "residual"), rows
 
 
-def _require_line(cfg, allow_weighted):
+def _require_line(cfg):
+    """The closed form's variant: ``exchange`` on mu = lambda, ``weighted`` on mu = -lambda."""
     if cfg.mu == cfg.lam:
         return "exchange"
-    if allow_weighted and cfg.mu == -cfg.lam:
+    if cfg.mu == -cfg.lam:
         return "weighted"
-    allowed = "mu = +lambda or mu = -lambda" if allow_weighted else "mu = lambda"
     raise ValidationError(
-        f"this subcommand needs {allowed}; got lambda={cfg.lam}, mu={cfg.mu}"
+        f"this subcommand needs mu = +lambda or mu = -lambda; got lambda={cfg.lam}, mu={cfg.mu}"
     )
+
+
+def _require_window(cfg):
+    """Refuse |lambda| >= 1, where no positive metric exists, as a NumericalError."""
+    if not abs(cfg.lam) < 1.0:
+        raise NumericalError(f"no positive metric at lambda={cfg.lam}, outside |lambda| < 1")
 
 
 def _cmd_metric(cfg):
     from . import dieudonne, quasihermitian
 
-    variant = _require_line(cfg, allow_weighted=True)
+    variant = _require_line(cfg)
     h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
-    if not abs(cfg.lam) < 1.0:
-        raise NumericalError(f"no positive metric at lambda={cfg.lam}, outside |lambda| < 1")
+    _require_window(cfg)
     theta = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant).theta
     smallest = quasihermitian._smallest_eigenvalue(theta)
     payload = {
@@ -276,15 +281,17 @@ def _cmd_metric(cfg):
 def _cmd_charge(cfg):
     from . import dieudonne, quasihermitian
 
-    _require_line(cfg, allow_weighted=False)
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
-    triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
+    variant = _require_line(cfg)
+    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    _require_window(cfg)
+    triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant)
     system = quasihermitian.biorthogonalize(h)
     nu = quasihermitian.decompose_inverse_pseudometric(triple.p, system)
     asm = quasihermitian.assemble_charge_spectral(system, nu)
     payload = {
         "n": cfg.n,
         "lambda": cfg.lam,
+        "mu": cfg.mu,
         "max_difference": dieudonne._entry_norm(asm.c - triple.c),
         "residual_involution_closed": quasihermitian._involution_defect(triple.c),
         "residual_involution_spectral": asm.involution,
@@ -304,12 +311,12 @@ def _cmd_charge(cfg):
 def _cmd_verify(cfg):
     from . import quasihermitian
 
-    _require_line(cfg, allow_weighted=False)
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.lam))
-    triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam)
+    variant = _require_line(cfg)
+    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant)
     report = quasihermitian.symmetry_report(h, triple)
     fields = {name: float(value) for name, value in vars(report).items()}
-    payload = {"n": cfg.n, "lambda": cfg.lam, **fields}
+    payload = {"n": cfg.n, "lambda": cfg.lam, "mu": cfg.mu, **fields}
     return payload, ("quantity", "value"), fields.items()
 
 
@@ -395,20 +402,21 @@ def _layout(shape, level):
     return opening[0], seps[0], ends, end_seps
 
 
-def _float_arrays(arrays):
-    """The texts json.dumps(a.tolist(), indent=2) gives, for (a, level) in arrays.
+def _float_arrays(arrays, skeleton):
+    """The pieces of the JSON text: ``skeleton``'s texts, with the arrays between.
 
-    For float arrays with at least one entry, all from one payload, which
-    share one token table: one np.unique runs over the non-zero bit patterns
-    of every array (+0.0 has a fixed token; -0.0 has its sign bit set and
-    keeps its own), and float.__repr__ runs once per distinct value of the
-    payload.  The whole token table is joined once to each separator that
-    follows most entries of some array (one per ndim and level).  Each array
-    is then laid out by one gather from its slice of the shared codes, a
-    fix-up of the entries that close an axis, and one join, so only one
-    array's pieces exist at a time.  The texts come back as a list, not from
-    a generator, so the payload-wide codes are freed before render joins the
-    output.
+    Each (a, level) in ``arrays`` is rendered between two consecutive
+    skeleton texts as json.dumps(a.tolist(), indent=2) renders it at that
+    nesting level.  For float arrays with at least one entry, all from one
+    payload, which share one token table: one np.unique runs over the
+    non-zero bit patterns of every array (+0.0 has a fixed token; -0.0 has
+    its sign bit set and keeps its own), and float.__repr__ runs once per
+    distinct value of the payload.  The whole token table is joined once to
+    each separator that follows most entries of some array (one per ndim and
+    level).  Each array is then laid out by one gather from its slice of the
+    shared codes and a fix-up of the entries that close an axis.  The pieces
+    come back as one list, so the payload-wide codes are freed before render
+    joins the output, once.
     """
     flat = [np.asarray(a, dtype=np.float64).reshape(-1) for a, _ in arrays]
     bits = np.concatenate(flat).view(np.int64)
@@ -427,12 +435,14 @@ def _float_arrays(arrays):
     owns = [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     tables = {sep: tokens + sep for sep in {layout[1] for layout in layouts}}
 
-    rendered = []
-    for (opening, sep, ends, end_seps), own in zip(layouts, owns):
+    out = []
+    for before, (opening, sep, ends, end_seps), own in zip(skeleton, layouts, owns):
         pieces = tables[sep][own]
         pieces[ends] = tokens[own[ends]] + end_seps
-        rendered.append(opening + "".join(pieces.tolist()))
-    return rendered
+        out += (before, opening)
+        out += pieces.tolist()
+    out.append(skeleton[-1])
+    return out
 
 
 # render's stand-in for a float array; it refuses a payload that holds it.
@@ -447,10 +457,11 @@ def render(payload, header, rows, fmt):
     each float array with ndim >= 1 and at least one entry aside behind a
     placeholder string and gives any other numpy array its ``tolist()``.
     _float_arrays then renders the set-aside arrays together, from one token
-    table, so a value shared by several arrays is formatted once, and their
-    texts replace the placeholders; an array's nesting level is the indent
-    of the line that holds its placeholder, over 2.  ``rows`` is an iterable
-    of CSV records, consumed only for CSV output.
+    table, so a value shared by several arrays is formatted once, and puts
+    their pieces in place of the placeholders, so that the output is joined
+    once; an array's nesting level is the indent of the line that holds its
+    placeholder, over 2.  ``rows`` is an iterable of CSV records, consumed
+    only for CSV output.
     """
     if fmt == "json":
         arrays = []
@@ -471,8 +482,7 @@ def render(payload, header, rows, fmt):
         if arrays:
             lines = [before[before.rfind("\n") + 1:] for before in pieces[:-1]]
             levels = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
-            texts = _float_arrays(list(zip(arrays, levels)))
-            pieces = [piece for pair in zip(pieces, texts) for piece in pair] + pieces[-1:]
+            pieces = _float_arrays(list(zip(arrays, levels)), pieces)
         pieces.append("\n")
         return "".join(pieces)
     buf = io.StringIO()

@@ -1,7 +1,7 @@
 """Eigenvalues, eigenvectors, and reality-domain scans.
 
-Eigenvalues come from one solver core (`_solve`) that works on stacked bands,
-m cells of n sites each: `eigen_general` runs it on one cell, the scans on
+Eigenvalues come from one solver core (`_solve`) that works on the couplings
+of m cells of n sites each: `eigen_general` runs it on one cell, the scans on
 blocks of at most ``BLOCK_ENTRIES`` matrix entries, and `spectrum_of` on one
 cell off the real branch.  Two solver branches cover the whole coupling plane:
 
@@ -15,12 +15,13 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   matrix.  B is the uncoupled chain's block with its two boundary entries
   set.  `spectrum_of` takes a real-branch cell's levels from `_chiral_levels`
   directly, with the same rule and the same bits as `_solve`, but without
-  the bands or the stacked bookkeeping.  `_chiral_levels` is the only route
-  to real levels; `eigen_real` is for eigenvectors, which it takes with their
-  values from ``np.linalg.eigh``.
+  the stacked bookkeeping.  `_chiral_levels` is the only route to real
+  levels; `eigen_real` is for eigenvectors, which it takes with their values
+  from ``np.linalg.eigh``.
 * general branch: elsewhere, the eigenvalues come from one stacked
-  ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which returns
-  the complex values of a real matrix as exact conjugate pairs.  Values that
+  ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which `_solve`
+  builds from the `bands` of these cells only.  It returns the complex values
+  of a real matrix as exact conjugate pairs.  Values that
   coalesce near the real axis (an exceptional point within a few ulps) are
   re-solved from the exact Taylor coefficients of det(H - E), taken in integer
   arithmetic, only on the cells whose smallest pairwise gap shows that this
@@ -352,38 +353,37 @@ def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
 # fails, and numpy's RuntimeWarnings about them, which carry the path of the
 # installed source, are not raised.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve(diag, sup, sub, reality_tol=None, general=False):
-    """Eigenvalues and reality classification of m stacked tridiagonals.
+def _solve(n, lam, mu, reality_tol=None, general=False):
+    """Eigenvalues and reality classification of the m cells H(lam[i], mu[i]).
 
-    Takes the bands (diag, super, sub) with shapes (m, n), (m, n - 1) and
-    (m, n - 1), which must be the model's (`bands`).  Cells whose bond
-    products are all positive and finite (`_real_branch`) take the real
-    branch, unless ``general`` is set.  Returns (values, all_real, complex_pairs,
-    min_gap, failed): the values (m, n) sorted by real part, then imaginary
-    part; per cell the classification and the smallest pairwise gap; and a
-    dict row -> NumericalError of the failed cells, whose values and gap are
-    NaN, with all_real false and complex_pairs -1.
+    Takes a size n from `dimension` and two float arrays of m finite
+    couplings.  Cells whose first and last bond products (`end_bonds`) are
+    positive and finite (`_real_branch`) take the real branch, unless
+    ``general`` is set.  Returns (values, all_real, complex_pairs, min_gap,
+    failed): the values (m, n) sorted by real part, then imaginary part; per
+    cell the classification and the smallest pairwise gap; and a dict row ->
+    NumericalError of the failed cells, whose values and gap are NaN, with
+    all_real false and complex_pairs -1.
     """
-    m, n = diag.shape
+    m = lam.shape[0]
     override = None if reality_tol is None else _checked_override(reality_tol)
     failed = {}
-    bonds = sup * sub
-    real = np.zeros(m, dtype=bool) if general else _real_branch(bonds[:, 0], bonds[:, -1])
+    first, last = end_bonds(n, lam, mu)
+    real = np.zeros(m, dtype=bool) if general else _real_branch(first, last)
     values, min_gap = np.empty((m, n), dtype=complex), np.empty(m)
     all_real, complex_pairs = real.copy(), np.zeros(m, dtype=np.int64)
 
     rows = real.nonzero()[0]
     if rows.size:
         sel = slice(None) if rows.size == m else rows
-        s = np.sqrt(bonds[sel])
-        v = _chiral_levels(n, s[:, 0], s[:, -1], rows, failed)
+        v = _chiral_levels(n, np.sqrt(first[sel]), np.sqrt(last[sel]), rows, failed)
         values[sel] = v
         min_gap[sel] = _adjacent_gaps(v)
 
     rows = (~real).nonzero()[0]
     if rows.size:
         sel = slice(None) if rows.size == m else rows
-        d, su, sb = diag[sel], sup[sel], sub[sel]
+        d, su, sb = bands(n, lam[sel], mu[sel])
         scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
         gap = EP_CLUSTER_GAP * scale
         v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed, complex)
@@ -421,8 +421,8 @@ def eigen_general(h, reality_tol=None):
     re-solved from exact coefficients (`_resolve_real_clusters`), whether
     or not H symmetrizes.  One cell through `_solve`; a failure is raised.
     """
-    values, all_real, _, min_gap, failed = _solve(h.diag[None], h.super[None], h.sub[None],
-                                                   reality_tol, general=True)
+    lam, mu = np.array([h.couplings.lam]), np.array([h.couplings.mu])
+    values, all_real, _, min_gap, failed = _solve(h.n, lam, mu, reality_tol, general=True)
     if failed:
         raise failed[0]
     return Spectrum(values[0], bool(all_real[0]), float(min_gap[0]))
@@ -490,7 +490,7 @@ def _scan(n, lam, mu, reality_tol):
     for start in range(0, m, step):
         block = slice(start, start + step)
         _, all_real[block], complex_pairs[block], min_gap[block], failed = _solve(
-            *bands(n, lam[block], mu[block]), reality_tol
+            n, lam[block], mu[block], reality_tol
         )
         for row, exc in sorted(failed.items()):
             i = start + row

@@ -399,6 +399,34 @@ class TestChargeCommand:
             assert payload["kappa_sq"] == asm.kappa_sq.tolist(), (n, lam)
 
 
+    # The opposite line: the closed form's C is the exchange matrix J.
+    OPPOSITE_SIZES = (2, 3, 4, 5, 8, 24, 64)
+    OPPOSITE_GRID = np.linspace(-0.99, 0.99, 11).tolist()
+
+    def test_the_opposite_line_answers_with_the_exchange_charge(self):
+        for n in self.OPPOSITE_SIZES:
+            exchange = np.fliplr(np.eye(n)).tolist()
+            for lam in self.OPPOSITE_GRID:
+                rc, out, err = run("charge", "-N", str(n), f"--lambda={lam!r}", f"--mu={-lam!r}")
+                assert rc == 0 and err == "", (n, lam, err)
+                payload = json.loads(out)
+                assert payload["mu"] == -lam
+                assert payload["c_closed"] == exchange, (n, lam)
+                assert payload["max_difference"] <= 1e-9, (n, lam)
+
+    @pytest.mark.parametrize("n", ["2", "3", "8"])
+    @pytest.mark.parametrize("lam", ["1", "-1", "1.2", "-2.5"])
+    @pytest.mark.parametrize("line", ["mu=lambda", "mu=-lambda"])
+    def test_couplings_outside_the_open_square_are_refused(self, n, lam, line):
+        # At n = 2, H(lambda, -lambda) is symmetric for every lambda, so the
+        # spectral chain would answer there with another involution than J.
+        mu = lam if line == "mu=lambda" else lam[1:] if lam.startswith("-") else "-" + lam
+        rc, out, err = run("charge", "-N", n, "--lambda", lam, "--mu", mu)
+        assert rc == 2 and out == ""
+        assert err == f"cptwell: computation failed: no positive metric at lambda={float(lam)}, " \
+                      "outside |lambda| < 1\n"
+
+
 class TestVerifyCommand:
     def test_clean_report_on_the_matched_line(self):
         rc, out, _ = run("verify", "-N", "6", "--lambda", "0.7", "--format", "csv")
@@ -411,6 +439,34 @@ class TestVerifyCommand:
         assert float(table["residual_commutator"]) <= 1e-12
         assert float(table["residual_involution"]) <= 1e-12
         assert float(table["theta_min_eig"]) == pytest.approx(3.0 / 17.0, abs=1e-12)
+
+
+    def test_the_opposite_line_commutes_and_squares_to_one_exactly(self):
+        for n in (2, 3, 4, 5, 8, 24, 64):
+            for lam in (-0.99, -0.5, 0.3, 0.9, 1.2, -2.5):
+                rc, out, err = run("verify", "-N", str(n), f"--lambda={lam!r}", f"--mu={-lam!r}")
+                assert rc == 0 and err == "", (n, lam, err)
+                payload = json.loads(out)
+                assert payload["mu"] == -lam
+                assert payload["residual_commutator"] == 0.0, (n, lam)
+                assert payload["residual_involution"] == 0.0, (n, lam)
+
+    @pytest.mark.parametrize("lam", ["1", "-1"])
+    def test_the_exceptional_points_have_no_closed_form(self, lam):
+        for mu in (lam, lam[1:] if lam.startswith("-") else "-" + lam):
+            rc, out, err = run("verify", "-N", "4", "--lambda", lam, "--mu", mu)
+            assert rc == 1 and out == ""
+            assert "closed forms are singular at the exceptional point" in err
+
+
+class TestCouplingLines:
+    @pytest.mark.parametrize("command", ["metric", "charge", "verify"])
+    def test_off_both_lines_is_one_invalid_request(self, command):
+        for lam, mu in (("0.5", "0.3"), ("0.5", "-0.3"), ("1.2", "0.27")):
+            rc, out, err = run(command, "-N", "4", "--lambda", lam, "--mu", mu)
+            assert rc == 1 and out == ""
+            assert err == ("cptwell: invalid request: this subcommand needs mu = +lambda or "
+                           f"mu = -lambda; got lambda={float(lam)}, mu={float(mu)}\n")
 
 
 class TestContinuumCommand:
@@ -463,13 +519,13 @@ class TestPayloadSchema:
         ),
         "charge": (
             ("-N", "4", "--lambda", "0.6"),
-            ["n", "lambda", "max_difference", "residual_involution_closed",
+            ["n", "lambda", "mu", "max_difference", "residual_involution_closed",
              "residual_involution_spectral", "nu", "kappa_sq", "c_spectral", "c_closed"],
             "row,col,spectral,closed",
         ),
         "verify": (
             ("-N", "4", "--lambda", "0.7"),
-            ["n", "lambda", "residual_p", "residual_theta", "residual_commutator",
+            ["n", "lambda", "mu", "residual_p", "residual_theta", "residual_commutator",
              "residual_involution", "theta_min_eig"],
             "quantity,value",
         ),
@@ -609,7 +665,7 @@ def reference_rows(command, p):
             for j, (s, c) in enumerate(zip(rs, rc))
         ]
     if command == "verify":
-        return [(k, v) for k, v in p.items() if k not in ("n", "lambda")]
+        return [(k, v) for k, v in p.items() if k not in ("n", "lambda", "mu")]
     assert command == "continuum"
     levels = len(p["scaled_levels"][0])
     return [

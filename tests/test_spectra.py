@@ -478,6 +478,24 @@ class TestExactInvariantProperties:
         assert np.array_equal(sorted_c(v), sorted_c(v.conj())), cell
 
     @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.lists(st.tuples(WINDOW, WINDOW), min_size=1, max_size=6),
+           st.sampled_from(["lambda", "mu"]))
+    def test_the_core_answers_orbit_images_bit_for_bit(self, n, cells, image):
+        # For n >= 3 a sign flip of either coupling leaves both end bond
+        # products' bits alone; at n = 2 the single bond (1 + lambda)(1 - mu)
+        # keeps them under (lambda, mu) -> (-mu, -lambda).
+        lam, mu = np.array(cells).T
+        if n == 2:
+            lam2, mu2 = -mu, -lam
+        else:
+            lam2, mu2 = (-lam, mu) if image == "lambda" else (lam, -mu)
+        ref = spectra._solve(n, lam, mu)
+        got = spectra._solve(n, lam2, mu2)
+        assert not ref[4] and not got[4]
+        for a, b in zip(ref[:4], got[:4]):
+            assert a.tobytes() == b.tobytes(), (n, cells, image)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
            st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
     def test_two_sites_break_the_sign_invariants(self, a, b, sa, sb):
@@ -567,13 +585,13 @@ def refuse(*args, **kwargs):
 
 
 def assert_one_cell_matches_the_core(n, lam, mu, reality_tol=None):
-    """`spectrum_of(build(n, (lam, mu)))` against row 0 of `_solve` on the cell's bands.
+    """`spectrum_of(build(n, (lam, mu)))` against row 0 of `_solve` on the cell's couplings.
 
     The values, all_real and min_gap must be equal bit for bit, or both must
     fail with the same error type and message.  Returns whether they failed.
     """
     values, all_real, _, min_gap, failed = spectra._solve(
-        *(band[None] for band in bands(n, lam, mu)), reality_tol
+        n, np.array([lam]), np.array([mu]), reality_tol
     )
     h = build(n, (lam, mu))
     if failed:
@@ -829,7 +847,8 @@ class TestSpectrumType:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvals", lambda a: raw.copy())
             mp.setattr(spectra, "_resolve_real_clusters", lambda values, *rest: values)
-            values = spectra._solve(*bands(4, np.full(len(rows), 1.5), 1.5), general=True)[0]
+            cells = np.full(len(rows), 1.5)
+            values = spectra._solve(4, cells, cells, general=True)[0]
         order = np.lexsort((raw.imag, raw.real), axis=-1)
         expect = np.take_along_axis(raw, order, axis=-1)
         assert values.tobytes() == expect.tobytes(), raw
@@ -1080,9 +1099,9 @@ class TestBatchedScanAgainstCellLoop:
         blocks = []
         solve = spectra._solve
 
-        def recorded(diag, *args):
-            blocks.append(diag.shape)
-            return solve(diag, *args)
+        def recorded(n, lam, *args):
+            blocks.append((lam.shape[0], n))
+            return solve(n, lam, *args)
 
         monkeypatch.setattr(spectra, "_solve", recorded)
         scan = scan_line(n, np.linspace(-1.3, 1.3, cells), -1)
@@ -1090,6 +1109,33 @@ class TestBatchedScanAgainstCellLoop:
         assert len(blocks) == 3
         assert all(m * k * k <= BLOCK_ENTRIES for m, k in blocks)
         assert sum(m for m, _ in blocks) == cells
+        assert_scan_matches_cell_loop(scan, n)
+
+    def test_an_in_window_scan_builds_no_bands(self, monkeypatch):
+        # Real-branch cells are solved from their two end bond products.
+        monkeypatch.setattr(spectra, "bands", refuse)
+        grid = np.linspace(-0.99, 0.99, 9)
+        for n in (2, 3, 8, 24):
+            assert scan_domain(n, grid, grid[::-1]).all_real.all()
+            assert scan_line(n, grid, -1).all_real.all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_a_mixed_scan_builds_bands_for_its_general_rows_only(self, n, monkeypatch):
+        calls = []
+
+        def recorded(size, lam, mu):
+            calls.append((size, lam.copy(), mu.copy()))
+            return bands(size, lam, mu)
+
+        monkeypatch.setattr(spectra, "bands", recorded)
+        grid = np.array([-2.5, -1.2, -0.6, 0.0, 0.3, 0.99, 1.01, 1.7])
+        scan = scan_domain(n, grid, grid)
+        monkeypatch.undo()
+        general = ~spectra._real_branch(*end_bonds(n, scan.lam, scan.mu))
+        assert 0 < general.sum() < general.size
+        assert [size for size, _, _ in calls] == [n]
+        assert np.array_equal(calls[0][1], scan.lam[general])
+        assert np.array_equal(calls[0][2], scan.mu[general])
         assert_scan_matches_cell_loop(scan, n)
 
     @staticmethod

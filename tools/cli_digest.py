@@ -65,8 +65,8 @@ def invocations():
         *_requests("spectrum", ("2", "3", "4", "8", "33", "160"), (None, "neg", OFF_LINE_MU)),
         *_requests("pseudometrics", ("2", "3", "5", "8", "17", "40"), (None, OFF_LINE_MU)),
         *_requests("metric", SIZES, (None, "neg", OFF_LINE_MU)),
-        *_requests("charge", SIZES, (None, OFF_LINE_MU)),
-        *_requests("verify", SIZES, (None, OFF_LINE_MU)),
+        *_requests("charge", SIZES, (None, "neg", OFF_LINE_MU)),
+        *_requests("verify", SIZES, (None, "neg", OFF_LINE_MU)),
     ]
     grids = ("-1.2:1.2:0.4", "0:1.2:0.3", "0.999999:1.000001:0.000001",
              "1e300:1e300:1", "-1e308:1e308:1e308")

@@ -67,12 +67,12 @@ def survey(n):
     return parts
 
 
-def records(spectra, bands, n, lam, mu, tol, general):
+def records(spectra, n, lam, mu, tol, general):
     """One bytes record per block of cells: its answers and failures."""
     for start in range(0, lam.size, BLOCK):
         block = slice(start, start + BLOCK)
         values, all_real, pairs, gaps, failed = spectra._solve(
-            *bands(n, lam[block], mu[block]), reality_tol=tol, general=general
+            n, lam[block], mu[block], reality_tol=tol, general=general
         )
         failures = "".join(
             f"{row}:{type(exc).__name__}:{exc};" for row, exc in sorted(failed.items())
@@ -107,7 +107,6 @@ def main(args):
         return 1
     sys.path.insert(0, os.path.abspath(args[0]))
     from cptwell import errors, spectra
-    from cptwell.hamiltonian import bands
 
     total = hashlib.sha256()
     groups = defaultdict(hashlib.sha256)
@@ -120,7 +119,7 @@ def main(args):
             for part, (lam, mu) in survey(n).items():
                 for tol in (None, 1e-3) if part == "grid" else (None,):
                     cells[branch, n] += lam.size
-                    for record in records(spectra, bands, n, lam, mu, tol, general):
+                    for record in records(spectra, n, lam, mu, tol, general):
                         total.update(record)
                         groups[branch, n].update(record)
                         calls += 1
