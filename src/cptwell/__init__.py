@@ -10,12 +10,13 @@ positive metric Theta = P C, and the hermitizing map Omega with
 Omega^T Omega = Theta, together with continuum-limit convergence checks and a
 deterministic command-line interface.
 
-``import cptwell`` loads the spectrum core (errors, hamiltonian, kernels,
-spectra).  The operator layer (continuum, dieudonne, quasihermitian) loads
-when one of its names or modules is first accessed through the package.
+``import cptwell`` loads the spectrum core (errors, hamiltonian, spectra).
+The operator layer (continuum, dieudonne, quasihermitian) loads when one of
+its names or modules is first accessed through the package.
 """
 
 import importlib
+import types
 
 from .errors import (
     ConvergenceError,
@@ -100,53 +101,9 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnsatzMetric",
-    "BiorthogonalSystem",
-    "ChargeAssembly",
-    "ClosedFormPseudometric",
-    "ConvergenceError",
-    "ConvergenceStudy",
-    "CouplingPair",
-    "CptwellError",
-    "DegenerateSpectrum",
-    "DiscreteHamiltonian",
-    "DomainScan",
-    "FactorizationError",
-    "InadmissiblePseudometric",
-    "NotDyadRepresentable",
-    "NotSymmetrizable",
-    "NumericalError",
-    "OperatorTriple",
-    "PseudometricBasis",
-    "Spectrum",
-    "SymmetrizedForm",
-    "SymmetryReport",
-    "ValidationError",
-    "assemble_charge_spectral",
-    "biorthogonalize",
-    "build",
-    "char_poly",
-    "closed_form",
-    "closed_form_operators",
-    "convergence_study",
-    "decompose_inverse_pseudometric",
-    "dense",
-    "eigen_general",
-    "eigen_real",
-    "kernel_basis",
-    "metric_from_ansatz",
-    "omega_factorize",
-    "reality_tolerance",
-    "residual",
-    "scaled_spectrum",
-    "scan_domain",
-    "scan_line",
-    "span_residual",
-    "spectral_dyads",
-    "spectrum_of",
-    "symmetrize",
-    "symmetry_report",
-    "theta_adjoint",
-    "__version__",
-]
+# Every public name bound above (modules aside) and every operator-layer name.
+__all__ = sorted(
+    {name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    | _OPERATOR_HOME.keys()
+) + ["__version__"]

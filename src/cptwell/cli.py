@@ -494,15 +494,9 @@ def render(payload, header, rows, fmt):
 
 
 def dispatch(cfg):
-    """Run one validated config and return the rendered output text.
-
-    Couplings near the float range overflow in intermediate products inside
-    the solvers.  numpy's RuntimeWarnings about that are silenced: they would
-    reach stderr carrying the path of the installed source files.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        payload, header, rows = _COMMANDS[cfg.command](cfg)
-        return render(payload, header, rows, cfg.fmt)
+    """Run one validated config and return the rendered output text."""
+    payload, header, rows = _COMMANDS[cfg.command](cfg)
+    return render(payload, header, rows, cfg.fmt)
 
 
 # Options whose value may start with '-'.  argparse takes only '-1' or '-.5'

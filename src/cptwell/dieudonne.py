@@ -38,9 +38,9 @@ bound the smallest singular value of the stacked basis from below; a
 re-orthonormalized basis takes the SVD of the n^2 x n stack.
 
 Closed-form templates exist on the two structured coupling lines: the
-exchange matrix J (antidiagonal of ones) for mu = +lambda, and the
-corner-weighted antidiagonal with alpha = (1 - lambda)/(1 + lambda) for
-mu = -lambda.
+exchange matrix J (antidiagonal of ones) for mu = +lambda, and Theta_D J for
+mu = -lambda, with Theta_D = diag(alpha_lambda, 1, ..., 1, 1/alpha_mu) and
+alpha_x = (1 - x)/(1 + x) the closed-form metric.
 
 Conventions: norms are max-abs-entry; every computed basis element is scaled
 so its largest-magnitude entry equals +1.
@@ -101,7 +101,7 @@ class ClosedFormPseudometric:
     """Antidiagonal pseudometric template for one structured coupling line.
 
     ``exchange`` is the antidiagonal of ones J, intertwining H(lam, +lam);
-    ``weighted`` keeps antidiagonal ones but sets both corners to
+    ``weighted`` is Theta_D J, antidiagonal ones with both corners
     alpha = (1 - lam)/(1 + lam), intertwining H(lam, -lam).
     """
 
@@ -341,28 +341,31 @@ def span_residual(pm, x):
     return float(np.abs(t - b @ coef).max() / scale)
 
 
+def _theta_diagonal(n, lam, mu):
+    """The diagonal (alpha_lam, 1, ..., 1, 1/alpha_mu) of Theta_D, alpha_x = (1 - x)/(1 + x).
+
+    For n >= 3, Theta_D solves H^T X = X H for H(lam, mu) at every
+    lam, mu != +-1.  The caller refuses lam = -1 and mu = 1 first.
+    """
+    return np.r_[(1.0 - lam) / (1.0 + lam), np.ones(n - 2), (1.0 + mu) / (1.0 - mu)]
+
+
 def closed_form(n, lam, variant):
     """Antidiagonal pseudometric template on a structured coupling line.
 
-    ``exchange`` returns J for H(lam, +lam); ``weighted`` returns antidiagonal
-    ones with both corners alpha = (1 - lam)/(1 + lam) for H(lam, -lam).  The
-    weighted template degenerates at lam = -1 where alpha diverges.
+    ``exchange`` returns J for H(lam, +lam); ``weighted`` returns Theta_D J
+    (`_theta_diagonal` at mu = -lam: antidiagonal ones with both corners
+    alpha = (1 - lam)/(1 + lam)) for H(lam, -lam).  The weighted template
+    degenerates at lam = -1 where alpha diverges.
     """
     n = dimension(n)
     lam = CouplingPair(lam, lam).lam
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    matrix = np.zeros((n, n))
-    idx = np.arange(n)
-    matrix[idx, n - 1 - idx] = 1.0
-    if variant == "weighted":
-        if lam == -1.0:
-            raise ValidationError(
-                "weighted closed form is singular at lambda = -1 (alpha diverges)"
-            )
-        alpha = (1.0 - lam) / (1.0 + lam)
-        matrix[0, n - 1] = alpha
-        matrix[n - 1, 0] = alpha
-    else:
-        alpha = 1.0
-    return ClosedFormPseudometric(n, variant, alpha, matrix)
+    if variant == "exchange":
+        return ClosedFormPseudometric(n, variant, 1.0, np.eye(n)[::-1].copy())
+    if lam == -1.0:
+        raise ValidationError("weighted closed form is singular at lambda = -1 (alpha diverges)")
+    diagonal = _theta_diagonal(n, lam, -lam)
+    matrix = np.diag(diagonal)[:, ::-1].copy()
+    return ClosedFormPseudometric(n, variant, float(diagonal[0]), matrix)

@@ -19,13 +19,11 @@ physical inner product of the well:
 * hermitizer Omega with Omega^T Omega = Theta, mapping H to the explicitly
   symmetric Omega H Omega^-1.
 
-Closed forms on both coupling lines use alpha = (1 - lambda)/(1 + lambda).
-On mu = +lambda: P = J, C antidiagonal with corners 1/alpha and alpha (square
-roots of those corners at n = 2, where the two boundary weights merge), and
-Theta = P C = diag(alpha, 1, ..., 1, 1/alpha).  On mu = -lambda: P the
-antidiagonal template with corners alpha, C = J, and Theta = P C =
-diag(alpha, 1, ..., 1, alpha), or alpha I at n = 2.  Everything degenerates
-at |lambda| = 1, the exceptional point.
+Closed forms on both coupling lines start from the diagonal metric
+Theta = diag(alpha_lambda, 1, ..., 1, 1/alpha_mu), alpha_x = (1 - x)/(1 + x),
+and the exchange matrix J: on mu = +lambda, P = J and C = J Theta; on
+mu = -lambda, P = Theta J and C = J.  Everything degenerates at
+|lambda| = 1, the exceptional point.
 
 Conventions: eigenvectors unit Euclidean norm with first significant
 component positive; matrix norms are max-abs-entry; order Theta = P times C.
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dieudonne import PseudometricBasis, closed_form, residual
-from .dieudonne import _candidate, _entry_norm, _gap_gate
+from .dieudonne import _candidate, _entry_norm, _gap_gate, _theta_diagonal
 from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -229,10 +227,12 @@ def assemble_charge_spectral(system, nu):
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
     nu = _candidate(nu, (system.n,), f"operator size {system.n}")
-    floor = OVERLAP_FLOOR * max(1.0, float(np.abs(nu).max()))
-    if float(np.abs(nu).min()) <= floor:
+    low, high = float(np.abs(nu).min()), float(np.abs(nu).max())
+    floor = OVERLAP_FLOOR * max(1.0, high)
+    if low <= floor:
         raise InadmissiblePseudometric(
-            f"vanishing dyad coefficient nu_min={float(np.abs(nu).min()):.3e}; "
+            f"dyad coefficient vanishes relative to the largest: min|nu|={low:.3e} "
+            f"<= {floor:.3e} = {OVERLAP_FLOOR:g} * max(1, max|nu|={high:.3e}); "
             "this pseudometric cannot support an involutive charge"
         )
     signs = np.sign(nu)
@@ -280,19 +280,16 @@ def metric_from_ansatz(basis, coeffs):
 def closed_form_operators(n, lam, variant="exchange"):
     """Exact triple (P, C, Theta) on a coupling line, with P from `closed_form`.
 
-    With alpha = (1-lam)/(1+lam) and beta = (1+lam)/(1-lam):
+    Theta is the diagonal Theta_D = diag(alpha_lam, 1, ..., 1, 1/alpha_mu),
+    alpha_x = (1 - x)/(1 + x), on the line's mu, and J is the exchange matrix:
 
-    * ``exchange``, H(lam, lam): P = J; C is antidiagonal with corners beta
-      top-right and alpha bottom-left and ones between, so Theta = P C =
-      diag(alpha, 1, ..., 1, beta).  At n = 2 the two boundary weights merge
-      and the corners become the square roots of those values.
-    * ``weighted``, H(lam, -lam): P is the weighted template (corners alpha),
-      C = J, and Theta = P C = diag(alpha, 1, ..., 1, alpha), or alpha I at
-      n = 2.
+    * ``exchange``, H(lam, lam): P = J and C = J Theta.  At n = 2, where the
+      two boundary weights merge, Theta takes the square roots of Theta_D.
+    * ``weighted``, H(lam, -lam): P = Theta J (the weighted template) and
+      C = J.
 
-    Theta is built as that diagonal, not as the product, so its off-diagonal
-    entries are exactly zero.  The construction is singular at |lam| = 1
-    where the corners vanish or diverge.
+    Theta is built as a diagonal, not as a product, so its off-diagonal
+    entries are exactly zero.  The construction is singular at |lam| = 1.
     """
     lam = CouplingPair(lam, lam).lam
     n = dimension(n)
@@ -301,26 +298,19 @@ def closed_form_operators(n, lam, variant="exchange"):
             f"closed forms are singular at the exceptional point lambda={lam}"
         )
     p = closed_form(n, lam, variant).matrix
-    alpha = (1.0 - lam) / (1.0 + lam)
     if variant == "weighted":
-        low = high = alpha
-        c = closed_form(n, lam, "exchange").matrix
-    else:
-        beta = (1.0 + lam) / (1.0 - lam)
-        if n == 2:
-            if alpha <= 0.0:
-                raise ValidationError(
-                    "no real closed form at n=2 outside |lambda| < 1 "
-                    f"(alpha={alpha:.3e} is not positive)"
-                )
-            low, high = np.sqrt(alpha), np.sqrt(beta)
-        else:
-            low, high = alpha, beta
-        c = p.copy()
-        c[0, n - 1] = high
-        c[n - 1, 0] = low
-    theta = np.diag(np.r_[low, np.ones(n - 2), high])
-    return OperatorTriple(p, c, theta)
+        # P = Theta J, so Theta is P with its columns reversed.
+        return OperatorTriple(p, np.eye(n)[::-1].copy(), p[:, ::-1].copy())
+    diagonal = _theta_diagonal(n, lam, lam)
+    if n == 2:
+        if diagonal[0] <= 0.0:
+            raise ValidationError(
+                "no real closed form at n=2 outside |lambda| < 1 "
+                f"(alpha={diagonal[0]:.3e} is not positive)"
+            )
+        diagonal = np.sqrt(diagonal)
+    theta = np.diag(diagonal)
+    return OperatorTriple(p, theta[::-1].copy(), theta)
 
 
 def omega_factorize(h, theta):

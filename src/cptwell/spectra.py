@@ -46,7 +46,6 @@ from functools import partial
 
 import numpy as np
 
-from . import kernels
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .hamiltonian import (  # noqa: F401 (build stays importable from this module)
     SymmetrizedForm,
@@ -155,7 +154,7 @@ def eigen_real(s):
     product that overflows to +inf, say) raises `NumericalError`.
     """
     if not isinstance(s, SymmetrizedForm):
-        raise TypeError("eigen_real expects a SymmetrizedForm")
+        raise ValidationError("eigen_real expects a SymmetrizedForm")
     evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_diag, s.s_off, s.s_off))
     if not np.isfinite(evals).all():
         raise NumericalError(_NON_FINITE_VALUE)
@@ -175,8 +174,11 @@ def _lapack(solver, a):
 def char_poly(h, e):
     """det(H - e*I) via the three-term recurrence (complex-capable).
 
-    ``e`` must be a finite (real or complex) number.  A determinant past the
-    float range raises `NumericalError` carrying its natural log-magnitude.
+    p_k = (diag_k - e) p_{k-1} - bonds_{k-1} p_{k-2}, with both running terms
+    rescaled together by the exact power 2**-512 whenever they grow past
+    1e150.  ``e`` must be a finite (real or complex) number.  A determinant
+    past the float range raises `NumericalError` carrying its natural
+    log-magnitude.
     """
     try:
         z = complex(e)
@@ -184,7 +186,15 @@ def char_poly(h, e):
         z = complex(math.nan)  # refused below, with the message of any other bad point
     if not cmath.isfinite(z):
         raise ValidationError(f"char_poly point must be a finite number, got {e!r}")
-    p, nscale = kernels.charpoly_terms(h.diag, h.bonds, z)
+    diag, bonds = h.diag, h.bonds
+    pm2, p = 1.0 + 0.0j, diag[0] - z
+    nscale = 0
+    for k in range(1, h.n):
+        pm2, p = p, (diag[k] - z) * p - bonds[k - 1] * pm2
+        if abs(p.real) + abs(p.imag) > 1e150:
+            pm2 *= 2.0**-512
+            p *= 2.0**-512
+            nscale += 1
     try:
         return complex(math.ldexp(p.real, 512 * nscale), math.ldexp(p.imag, 512 * nscale))
     except OverflowError:

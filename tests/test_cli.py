@@ -51,6 +51,11 @@ class TestParseGrid:
             with pytest.raises(ValidationError):
                 parse_grid(spec)
 
+    def test_non_finite_bounds_are_rejected(self):
+        for spec in ("0:inf:1", "-inf:0:1", "nan:1:0.5", "0:1:inf", "0:1e309:1"):
+            with pytest.raises(ValidationError, match="grid bounds must be finite"):
+                parse_grid(spec)
+
     def test_point_count_is_bounded(self):
         assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         for spec in (f"0:{MAX_GRID_POINTS}:1", "0:1e9:1e-9", "-1e308:1e308:1e-300"):
@@ -615,17 +620,29 @@ class TestTopLevelBehaviour:
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         env = dict(os.environ, PYTHONPATH=path)
-        for argv in (
-            ["spectrum", "-N", "2", "--lambda", "1e308"],
-            ["scan", "-N", "3", "--grid", "1e300:1e300:1"],
+        # dispatch sets no floating-point error state: each layer silences
+        # its own overflow, so a warning that leaks from one shows here.
+        huge = ["-N", "8", "--lambda", "1e308"]
+        for argv, code in (
+            (["spectrum", "-N", "2", "--lambda", "1e308"], 0),
+            (["scan", "-N", "3", "--grid", "1e300:1e300:1"], 0),
+            (["pseudometrics", *huge], 2),
+            (["metric", *huge], 2),
+            (["charge", *huge], 2),
+            (["verify", *huge], 0),
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "cptwell.cli", *argv],
                 env=env, capture_output=True, text=True,
             )
-            assert proc.returncode == 0, argv
-            assert proc.stderr == "", argv
-            assert proc.stdout, argv
+            assert proc.returncode == code, argv
+            if code:
+                assert proc.stdout == "", argv
+                assert proc.stderr.startswith("cptwell: computation failed: "), argv
+                assert proc.stderr.count("\n") == 1, argv
+            else:
+                assert proc.stderr == "", argv
+                assert proc.stdout, argv
 
 
 def list_form(obj):

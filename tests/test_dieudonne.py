@@ -117,12 +117,47 @@ class TestCandidateChecks:
             assert residual(h, x) == residual(h, np.eye(4))
             assert span_residual(pm, x) == span_residual(pm, np.eye(4))
 
+    def test_the_zero_matrix_is_in_every_span(self):
+        assert span_residual(kernel_basis(well(4, 0.3, -0.2)), np.zeros((4, 4))) == 0.0
+
     def test_a_wrong_shape_is_refused_by_both(self):
         h = well(4, 0.3, -0.2)
         with pytest.raises(ValidationError, match="operator size 4"):
             residual(h, np.eye(3))
         with pytest.raises(ValidationError, match="basis size 4"):
             span_residual(kernel_basis(h), np.eye(3))
+
+
+class TestArgumentTypes:
+    def test_each_entry_point_refuses_an_argument_of_another_type(self):
+        h = well(4, 0.3, -0.2)
+        pm = kernel_basis(h)
+        for call, name in (
+            (lambda: residual(dense(h), np.eye(4)), "residual"),
+            (lambda: spectral_dyads((4, (0.3, -0.2))), "spectral_dyads"),
+            (lambda: kernel_basis(h.couplings), "kernel_basis"),
+        ):
+            with pytest.raises(ValidationError, match=f"{name} expects a DiscreteHamiltonian"):
+                call()
+        with pytest.raises(ValidationError, match="span_residual expects a PseudometricBasis"):
+            span_residual(pm.basis, np.eye(4))
+
+
+class TestCertificates:
+    # Corrupted bases that the recurrence never gives, to reach both refusals.
+    def test_an_element_off_the_solution_space_fails_the_residual_certificate(self):
+        h = well(6, 0.3, -0.2)
+        basis, start = _recurrence_route(h)
+        basis[2] = np.eye(6)  # H^T - H is not zero off the line mu = lambda
+        with pytest.raises(NumericalError, match="pseudometric residual"):
+            _certified_basis(h, basis, start)
+
+    def test_a_repeated_element_fails_the_independence_certificate(self):
+        h = well(6, 0.3, -0.2)
+        basis, _ = _recurrence_route(h)
+        basis[3] = basis[2]
+        with pytest.raises(NumericalError, match="near-dependent"):
+            _certified_basis(h, basis, None)
 
 
 class TestClosedForms:

@@ -6,7 +6,9 @@ the package's module-level ``__getattr__``.  Oracles: ``sys.modules`` of a
 fresh interpreter, and each public name's defining module.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import sys
 import cptwell
 
 OPERATOR_MODULES = ("cptwell.continuum", "cptwell.dieudonne", "cptwell.quasihermitian")
+SPECTRUM_CORE = {"cptwell", "cptwell.errors", "cptwell.hamiltonian", "cptwell.spectra"}
 
 
 def fresh_modules(statement):
@@ -34,6 +37,18 @@ class TestImportFootprint:
         assert {"cptwell", "cptwell.cli", "cptwell.spectra"} <= loaded
         assert loaded.isdisjoint(OPERATOR_MODULES)
 
+    def test_the_package_loads_exactly_the_spectrum_core(self):
+        assert fresh_modules("import cptwell") == SPECTRUM_CORE
+
+    def test_the_package_and_the_cli_do_not_load_the_kernels_module(self):
+        # kernels.py holds only a flag for the benchmark harness.
+        assert "cptwell.kernels" not in fresh_modules("import cptwell, cptwell.cli")
+
+    def test_an_operator_module_loads_on_first_access(self):
+        loaded = fresh_modules("import cptwell\nassert cptwell.continuum.convergence_study")
+        assert "cptwell.continuum" in loaded
+        assert loaded.isdisjoint({"cptwell.dieudonne", "cptwell.quasihermitian"})
+
     def test_an_operator_name_loads_its_module_on_first_access(self):
         loaded = fresh_modules("import cptwell\ncptwell.kernel_basis")
         assert "cptwell.dieudonne" in loaded
@@ -41,6 +56,19 @@ class TestImportFootprint:
 
 
 class TestPublicNames:
+    def test_all_is_the_sorted_imported_and_operator_names_with_the_version_last(self):
+        # The oracle reads the package source: the names its imports bind.
+        tree = ast.parse(inspect.getsource(cptwell))
+        eager = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        lazy = {name for names in cptwell._OPERATOR_NAMES.values() for name in names}
+        assert cptwell.__all__ == sorted(eager | lazy) + ["__version__"]
+        assert len(cptwell.__all__) == len(set(cptwell.__all__)) == 48
+
     def test_every_public_name_is_its_defining_module_s_object(self):
         for name in cptwell.__all__:
             if name == "__version__":

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cptwell import quasihermitian
 from cptwell.dieudonne import closed_form, kernel_basis, residual
 from cptwell.errors import (
     FactorizationError,
@@ -37,7 +38,7 @@ from cptwell.quasihermitian import (
     symmetry_report,
     theta_adjoint,
 )
-from cptwell.spectra import spectrum_of
+from cptwell.spectra import eigen_real, spectrum_of
 
 
 def well(n, lam, mu=None):
@@ -139,6 +140,31 @@ class TestBiorthogonalize:
     def test_dead_bond_is_rejected(self):
         with pytest.raises(NotSymmetrizable):
             biorthogonalize(well(5, 1.0))
+
+    @staticmethod
+    def tilted(monkeypatch, angle):
+        """Make eigen_real return its lowest eigenvector tilted towards the next by ``angle``."""
+
+        def tilt(s):
+            spec, w = eigen_real(s)
+            w = w.copy()
+            w[:, 0] = np.cos(angle) * w[:, 0] + np.sin(angle) * w[:, 1]
+            return spec, w
+
+        monkeypatch.setattr(quasihermitian, "eigen_real", tilt)
+
+    def test_a_vector_off_its_eigenspace_fails_the_residual_check(self, monkeypatch):
+        self.tilted(monkeypatch, 1e-3)
+        with pytest.raises(NumericalError, match="eigenvector residual"):
+            biorthogonalize(well(40, 0.0))
+
+    def test_a_non_orthogonal_pair_fails_the_biorthogonality_check(self, monkeypatch):
+        # At n = 40 the two lowest levels lie 0.018 apart, so a tilt of 1e-8
+        # leaves a residual of about 1e-10 * 0.018, under the residual bound,
+        # and a cross overlap of 1e-8, over IDENTITY_TOL.
+        self.tilted(monkeypatch, 1e-8)
+        with pytest.raises(NumericalError, match="biorthogonality defect 1.000e-08"):
+            biorthogonalize(well(40, 0.0))
 
     def test_a_vanishing_overlap_is_refused(self):
         # One ulp-scale step from the exceptional point at |lambda| = 1 the
@@ -246,6 +272,24 @@ class TestAssembleChargeSpectral:
         with pytest.raises(InadmissiblePseudometric):
             assemble_charge_spectral(system, np.array([1.0, 0.0, 1.0]))
 
+    def test_the_refusal_names_the_floor_relative_to_the_largest_coefficient(self):
+        # No coefficient is small here; the smallest falls under
+        # OVERLAP_FLOOR * max(1, max|nu|) = 2.
+        system = biorthogonalize(well(3, 0.2))
+        with pytest.raises(InadmissiblePseudometric) as info:
+            assemble_charge_spectral(system, np.array([1.0, 2e12, 1.5]))
+        expected = "min|nu|=1.000e+00 <= 2.000e+00 = 1e-12 * max(1, max|nu|=2.000e+12)"
+        assert expected in str(info.value)
+
+    def test_near_the_opposite_line_s_corner_the_refusal_is_relative(self):
+        n, lam = 7, 0.999999999999
+        system = biorthogonalize(well(n, lam, -lam))
+        nu = decompose_inverse_pseudometric(closed_form(n, lam, "weighted").matrix, system)
+        low, high = np.abs(nu).min(), np.abs(nu).max()
+        assert low > 1.0 and low <= 1e-12 * high
+        with pytest.raises(InadmissiblePseudometric, match=r"min\|nu\|=.* <= .*max\|nu\|="):
+            assemble_charge_spectral(system, nu)
+
     def test_assembly_is_deterministic(self):
         h = well(7, 0.25)
         runs = []
@@ -308,6 +352,11 @@ class TestMetricFromAnsatz:
     def test_plain_matrix_lists_are_accepted(self):
         am = metric_from_ansatz([np.eye(3)], [2.0])
         assert am.positive and am.smallest_eigenvalue == pytest.approx(2.0, abs=0.0)
+
+    def test_an_empty_basis_is_rejected(self):
+        for empty in ([], ()):
+            with pytest.raises(ValidationError, match="empty basis"):
+                metric_from_ansatz(empty, [])
 
     def test_coefficient_length_mismatch_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -451,6 +500,45 @@ class TestClosedFormOperators:
     def test_an_unknown_line_is_refused(self):
         with pytest.raises(ValidationError, match="unknown variant"):
             closed_form_operators(4, 0.3, "diagonal")
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 33])
+    def test_p_and_c_are_theta_with_rows_or_columns_reversed(self, n):
+        # exchange: P = J and C = J Theta; weighted: P = Theta J and C = J.
+        # Bit for bit, in fresh arrays, inside and outside the window.
+        for lam in (0.0, 0.3, -0.41, 0.999999, -0.999999, 1.2, -2.5, 1e308):
+            for variant in ("exchange", "weighted"):
+                if variant == "exchange" and n == 2 and abs(lam) > 1.0:
+                    continue  # refused: no real square roots
+                trip = closed_form_operators(n, lam, variant)
+                if variant == "exchange":
+                    assert trip.p.tobytes() == flip(n).tobytes()
+                    assert trip.c.tobytes() == trip.theta[::-1].tobytes(), (n, lam)
+                else:
+                    assert trip.c.tobytes() == flip(n).tobytes()
+                    assert trip.p.tobytes() == trip.theta[:, ::-1].tobytes(), (n, lam)
+                    assert trip.p.tobytes() == closed_form(n, lam, variant).matrix.tobytes()
+                arrays = (trip.p, trip.c, trip.theta)
+                assert all(a.flags.c_contiguous for a in arrays)
+                pairs = zip(arrays, arrays[1:] + arrays[:1])
+                assert not any(np.shares_memory(a, b) for a, b in pairs)
+
+
+class TestArgumentTypes:
+    def test_each_entry_point_refuses_an_argument_of_another_type(self):
+        h = well(4, 0.3)
+        system = biorthogonalize(h)
+        trip = closed_form_operators(4, 0.3)
+        hamiltonian = "expects a DiscreteHamiltonian"
+        for call, message in (
+            (lambda: biorthogonalize(dense(h)), f"biorthogonalize {hamiltonian}"),
+            (lambda: decompose_inverse_pseudometric(trip.p, h), "expected a BiorthogonalSystem"),
+            (lambda: assemble_charge_spectral(h, np.ones(4)), "expected a BiorthogonalSystem"),
+            (lambda: omega_factorize(dense(h), trip.theta), f"omega_factorize {hamiltonian}"),
+            (lambda: symmetry_report(dense(h), trip), f"symmetry_report {hamiltonian}"),
+            (lambda: symmetry_report(h, system), "symmetry_report expects an OperatorTriple"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
 
 class TestSpectralAgainstClosedForms:

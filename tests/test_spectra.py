@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cptwell import hamiltonian, kernels, spectra
+from cptwell import hamiltonian, spectra
 from cptwell.dieudonne import kernel_basis
 from cptwell.errors import ConvergenceError, NotSymmetrizable, NumericalError, ValidationError
 from cptwell.hamiltonian import (
@@ -157,6 +157,12 @@ class TestEigenReal:
         a[idx + 1, idx] = s.s_off
         assert np.max(np.abs(spec.values.real - np.linalg.eigvalsh(a))) <= 1e-12
 
+    def test_anything_but_a_symmetrized_form_is_an_invalid_argument(self):
+        h = well(4, 0.3)
+        for bad in (h, dense(h), None):
+            with pytest.raises(ValidationError, match="expects a SymmetrizedForm"):
+                eigen_real(bad)
+
     def test_an_overflowing_bond_product_is_a_numerical_error(self):
         # At n = 2 the single bond carries -1 - lam and -1 + mu, so on
         # mu = -lam its product overflows to +inf and the form is not finite.
@@ -275,7 +281,6 @@ class TestCharPoly:
         # below the float maximum; the logs agree up to a multiple of 2 pi i.
         for n, z in ((342, 10.0 + 0.0j), (330, 10.0 - 3.0j), (337, -6.0 + 2.0j)):
             h = well(n, 0.0)
-            assert kernels.charpoly_terms(h.diag, h.bonds, z)[1] == 2
             got = char_poly(h, z)
             ref = np.sum(np.log(dirichlet_levels(n) - z))
             diff = np.log(got) - ref
@@ -380,6 +385,36 @@ class TestExactTaylorCoefficients:
         ratio = Fraction(float(got[top])) / exact[top]
         s = round(math.log2(ratio.numerator) - math.log2(ratio.denominator))
         assert got.tolist() == [float(x * Fraction(2) ** s) for x in exact], cell
+
+
+class TestClusterIsolation:
+    # A near-real group is re-solved only when no other value lies within 100
+    # gaps of its centre; the values here are set by hand.
+    GAP = 1e-6
+
+    def resolve(self, third, monkeypatch):
+        centres = []
+
+        def taylor(diag, sup, sub, c, m):
+            centres.append(c)
+            return np.array([-1.0, 0.0, 1.0])  # roots +-1, scaled by r = 1
+
+        monkeypatch.setattr(spectra, "_taylor_charpoly", taylor)
+        h = well(3, 0.5)
+        values = np.array([1.0, 1.0 + 1e-7, third], dtype=complex)
+        got = spectra._resolve_real_clusters(values, h.diag, h.super, h.sub, self.GAP)
+        return values, got, centres
+
+    def test_a_group_with_a_value_within_100_gaps_keeps_lapack_s_values(self, monkeypatch):
+        values, got, centres = self.resolve(1.0 + 50 * self.GAP, monkeypatch)
+        assert centres == []
+        assert got.tobytes() == values.tobytes()
+
+    def test_an_isolated_group_is_re_solved(self, monkeypatch):
+        values, got, centres = self.resolve(1.0 + 200 * self.GAP, monkeypatch)
+        assert centres == [float(values[:2].real.mean())]
+        assert sorted(got[:2].real.tolist()) == [centres[0] - 1.0, centres[0] + 1.0]
+        assert got[2] == values[2]
 
 
 class TestSpectralSymmetries:
