@@ -53,9 +53,7 @@ from .spectra import (
 _OPERATOR_NAMES = {
     "continuum": ("ConvergenceStudy", "convergence_study", "scaled_spectrum"),
     "dieudonne": (
-        "ClosedFormPseudometric",
         "PseudometricBasis",
-        "closed_form",
         "kernel_basis",
         "residual",
         "span_residual",

@@ -23,9 +23,7 @@ arrays, which are rendered together from one token table (see ``render``).
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -364,12 +362,6 @@ _COMMANDS = {
 }
 
 
-def _csv_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
-
-
 _INDENT = "  "
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -485,12 +477,15 @@ def render(payload, header, rows, fmt):
             pieces = _float_arrays(list(zip(arrays, levels)), pieces)
         pieces.append("\n")
         return "".join(pieces)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    # No CSV field needs quoting: each is a number, a bool, None or a fixed name.
+    lines = [",".join(header)]
     for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
+        lines.append(",".join(
+            ("true" if v else "false") if type(v) is bool else "" if v is None else str(v)
+            for v in row
+        ))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def dispatch(cfg):

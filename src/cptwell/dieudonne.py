@@ -37,10 +37,8 @@ run's independence is read in O(n) from its start rows, e_k / peak_k, which
 bound the smallest singular value of the stacked basis from below; a
 re-orthonormalized basis takes the SVD of the n^2 x n stack.
 
-Closed-form templates exist on the two structured coupling lines: the
-exchange matrix J (antidiagonal of ones) for mu = +lambda, and Theta_D J for
-mu = -lambda, with Theta_D = diag(alpha_lambda, 1, ..., 1, 1/alpha_mu) and
-alpha_x = (1 - x)/(1 + x) the closed-form metric.
+The closed forms on the two coupling lines mu = +-lambda are not here: the
+quasihermitian module owns them, with the charge and metric they belong to.
 
 Conventions: norms are max-abs-entry; every computed basis element is scaled
 so its largest-magnitude entry equals +1.
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NumericalError, ValidationError
-from .hamiltonian import CouplingPair, DiscreteHamiltonian, dense, dimension, symmetrize
+from .hamiltonian import DiscreteHamiltonian, dense, symmetrize
 from .spectra import DEGENERACY_THRESHOLD, eigen_real, spectrum_of
 
 # Unused by the library: only bench/tracing.py reads it, to label kernel_basis
@@ -68,8 +66,6 @@ RESIDUAL_FACTOR = 1e-10
 RECURRENCE_GROWTH_MAX = 1e6
 # In that second run, a new row larger than this re-orthonormalizes the stack.
 _REORTHONORMALIZE_AT = 10.0
-
-VARIANTS = ("exchange", "weighted")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +90,6 @@ class PseudometricBasis:
     @property
     def dimension(self):
         return len(self.basis)
-
-
-@dataclass(frozen=True, eq=False)
-class ClosedFormPseudometric:
-    """Antidiagonal pseudometric template for one structured coupling line.
-
-    ``exchange`` is the antidiagonal of ones J, intertwining H(lam, +lam);
-    ``weighted`` is Theta_D J, antidiagonal ones with both corners
-    alpha = (1 - lam)/(1 + lam), intertwining H(lam, -lam).
-    """
-
-    n: int
-    variant: str
-    alpha: float
-    matrix: np.ndarray
 
 
 def _entry_norm(a):
@@ -339,33 +320,3 @@ def span_residual(pm, x):
         return 0.0
     coef, _, _, _ = np.linalg.lstsq(b, t, rcond=None)
     return float(np.abs(t - b @ coef).max() / scale)
-
-
-def _theta_diagonal(n, lam, mu):
-    """The diagonal (alpha_lam, 1, ..., 1, 1/alpha_mu) of Theta_D, alpha_x = (1 - x)/(1 + x).
-
-    For n >= 3, Theta_D solves H^T X = X H for H(lam, mu) at every
-    lam, mu != +-1.  The caller refuses lam = -1 and mu = 1 first.
-    """
-    return np.r_[(1.0 - lam) / (1.0 + lam), np.ones(n - 2), (1.0 + mu) / (1.0 - mu)]
-
-
-def closed_form(n, lam, variant):
-    """Antidiagonal pseudometric template on a structured coupling line.
-
-    ``exchange`` returns J for H(lam, +lam); ``weighted`` returns Theta_D J
-    (`_theta_diagonal` at mu = -lam: antidiagonal ones with both corners
-    alpha = (1 - lam)/(1 + lam)) for H(lam, -lam).  The weighted template
-    degenerates at lam = -1 where alpha diverges.
-    """
-    n = dimension(n)
-    lam = CouplingPair(lam, lam).lam
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "exchange":
-        return ClosedFormPseudometric(n, variant, 1.0, np.eye(n)[::-1].copy())
-    if lam == -1.0:
-        raise ValidationError("weighted closed form is singular at lambda = -1 (alpha diverges)")
-    diagonal = _theta_diagonal(n, lam, -lam)
-    matrix = np.diag(diagonal)[:, ::-1].copy()
-    return ClosedFormPseudometric(n, variant, float(diagonal[0]), matrix)

@@ -19,7 +19,8 @@ physical inner product of the well:
 * hermitizer Omega with Omega^T Omega = Theta, mapping H to the explicitly
   symmetric Omega H Omega^-1.
 
-Closed forms on both coupling lines start from the diagonal metric
+The closed forms of the model live here, in `closed_form_operators`, and
+nowhere else.  On both coupling lines they start from the diagonal metric
 Theta = diag(alpha_lambda, 1, ..., 1, 1/alpha_mu), alpha_x = (1 - x)/(1 + x),
 and the exchange matrix J: on mu = +lambda, P = J and C = J Theta; on
 mu = -lambda, P = Theta J and C = J.  Everything degenerates at
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dieudonne import PseudometricBasis, closed_form, residual
-from .dieudonne import _candidate, _entry_norm, _gap_gate, _theta_diagonal
+from .dieudonne import PseudometricBasis, _candidate, _entry_norm, _gap_gate, residual
 from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -49,6 +49,8 @@ CONSTRUCTION_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 ASSEMBLY_TOL = 1e-9
 OVERLAP_FLOOR = 1e-12
+
+VARIANTS = ("exchange", "weighted")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,16 +279,25 @@ def metric_from_ansatz(basis, coeffs):
     return AnsatzMetric(theta, positive, smallest, residual_bound)
 
 
+def _theta_diagonal(n, lam, mu):
+    """The diagonal (alpha_lam, 1, ..., 1, 1/alpha_mu) of Theta_D, alpha_x = (1 - x)/(1 + x).
+
+    For n >= 3, Theta_D solves H^T X = X H for H(lam, mu) at every
+    lam, mu != +-1.  The caller refuses lam = -1 and mu = 1 first.
+    """
+    return np.r_[(1.0 - lam) / (1.0 + lam), np.ones(n - 2), (1.0 + mu) / (1.0 - mu)]
+
+
 def closed_form_operators(n, lam, variant="exchange"):
-    """Exact triple (P, C, Theta) on a coupling line, with P from `closed_form`.
+    """Exact triple (P, C, Theta) on a coupling line.
 
     Theta is the diagonal Theta_D = diag(alpha_lam, 1, ..., 1, 1/alpha_mu),
     alpha_x = (1 - x)/(1 + x), on the line's mu, and J is the exchange matrix:
 
     * ``exchange``, H(lam, lam): P = J and C = J Theta.  At n = 2, where the
       two boundary weights merge, Theta takes the square roots of Theta_D.
-    * ``weighted``, H(lam, -lam): P = Theta J (the weighted template) and
-      C = J.
+    * ``weighted``, H(lam, -lam): P = Theta J, antidiagonal ones with both
+      corners alpha_lam, and C = J.
 
     Theta is built as a diagonal, not as a product, so its off-diagonal
     entries are exactly zero.  The construction is singular at |lam| = 1.
@@ -297,10 +308,13 @@ def closed_form_operators(n, lam, variant="exchange"):
         raise ValidationError(
             f"closed forms are singular at the exceptional point lambda={lam}"
         )
-    p = closed_form(n, lam, variant).matrix
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    exchange = np.eye(n)[::-1].copy()
     if variant == "weighted":
+        p = np.diag(_theta_diagonal(n, lam, -lam))[:, ::-1].copy()
         # P = Theta J, so Theta is P with its columns reversed.
-        return OperatorTriple(p, np.eye(n)[::-1].copy(), p[:, ::-1].copy())
+        return OperatorTriple(p, exchange, p[:, ::-1].copy())
     diagonal = _theta_diagonal(n, lam, lam)
     if n == 2:
         if diagonal[0] <= 0.0:
@@ -310,7 +324,7 @@ def closed_form_operators(n, lam, variant="exchange"):
             )
         diagonal = np.sqrt(diagonal)
     theta = np.diag(diagonal)
-    return OperatorTriple(p, theta[::-1].copy(), theta)
+    return OperatorTriple(exchange, theta[::-1].copy(), theta)
 
 
 def omega_factorize(h, theta):

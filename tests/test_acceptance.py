@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from cptwell.continuum import convergence_study
-from cptwell.dieudonne import closed_form, kernel_basis, residual, span_residual, spectral_dyads
+from cptwell.dieudonne import kernel_basis, residual, span_residual, spectral_dyads
 from cptwell.hamiltonian import CouplingPair, build, dense
 from cptwell.quasihermitian import (
     assemble_charge_spectral,
@@ -174,9 +174,9 @@ def test_criterion_3_closed_form_pseudometric_residuals():
     worst = 0.0
     for n in range(2, 65):
         for lam in lams:
-            worst = max(worst, residual(well(n, lam), closed_form(n, lam, "exchange").matrix))
+            worst = max(worst, residual(well(n, lam), closed_form_operators(n, lam, "exchange").p))
             worst = max(
-                worst, residual(well(n, lam, -lam), closed_form(n, lam, "weighted").matrix)
+                worst, residual(well(n, lam, -lam), closed_form_operators(n, lam, "weighted").p)
             )
     report(3, worst <= 1e-13, f"template residuals: worst {worst:.3e} (limit 1e-13)")
 

@@ -135,6 +135,12 @@ class TestSpectrumCommand:
                 assert rc == 1 and out == "", (command, tol)
                 assert err.startswith("cptwell: invalid request:")
 
+    def test_an_odd_size_past_the_blocked_lapack_threshold_prints_no_nan(self):
+        # The real branch's half-size block is then not square.
+        rc, out, err = run("spectrum", "-N", "65", "--lambda", "0.3", "--mu", "-0.2")
+        assert rc == 0 and err == ""
+        assert len(json.loads(out)["values"]) == 65 and "NaN" not in out
+
     def test_output_flag_writes_the_file_and_keeps_stdout_quiet(self, tmp_path):
         target = tmp_path / "spectrum.json"
         rc, out, _ = run("spectrum", "-N", "3", "--lambda", "0", "--output", str(target))
@@ -266,7 +272,6 @@ class TestMetricCommand:
         # The spectral chain P -> nu -> C of the library, Theta = P C, to
         # rounding wherever it answers.
         from cptwell import quasihermitian
-        from cptwell.dieudonne import closed_form
         from cptwell.errors import NumericalError
         from cptwell.hamiltonian import build
 
@@ -275,7 +280,7 @@ class TestMetricCommand:
             for n in self.SIZES:
                 for lam in self.COUPLINGS:
                     theta = self.printed_theta(n, lam, sign * lam)
-                    p = closed_form(n, lam, variant).matrix
+                    p = quasihermitian.closed_form_operators(n, lam, variant).p
                     try:
                         system = quasihermitian.biorthogonalize(build(n, (lam, sign * lam)))
                         nu = quasihermitian.decompose_inverse_pseudometric(p, system)
@@ -723,6 +728,7 @@ class TestArrayEncoder:
         ("spectrum", "-N", LARGE, "--lambda", "1.3", "--mu", "0.2"),
         ("scan", "-N", "3", "--grid", "-1.2:1.2:0.4"),
         ("scan", "-N", "4", "--grid", "0:1.2:0.3", "--line", "mu=-lambda"),
+        ("scan", "-N", "3", "--grid", "1.5e308:1.7e308:1e307"),
         ("pseudometrics", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
         ("pseudometrics", "-N", SMALL, "--lambda", "0"),
         ("pseudometrics", "-N", LARGE, "--lambda", "0.41", "--mu", "-0.27"),

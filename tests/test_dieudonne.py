@@ -25,9 +25,7 @@ from cptwell.dieudonne import (
     INDEPENDENCE_FLOOR,
     RECURRENCE_GROWTH_MAX,
     RESIDUAL_FACTOR,
-    ClosedFormPseudometric,
     PseudometricBasis,
-    closed_form,
     kernel_basis,
     residual,
     span_residual,
@@ -45,7 +43,7 @@ from cptwell.errors import (
     ValidationError,
 )
 from cptwell.hamiltonian import CouplingPair, build, dense
-from cptwell.quasihermitian import biorthogonalize
+from cptwell.quasihermitian import biorthogonalize, closed_form_operators
 
 LAMBDAS = (-0.8, -0.4, 0.1, 0.5, 0.9)
 MUS = (-0.7, -0.2, 0.3, 0.8)
@@ -162,38 +160,36 @@ class TestCertificates:
 
 class TestClosedForms:
     def test_exchange_template_is_the_flip_matrix(self):
-        cf = closed_form(4, 0.7, "exchange")
-        assert cf.variant == "exchange"
-        assert cf.alpha == 1.0
-        assert np.array_equal(cf.matrix, np.fliplr(np.eye(4)))
-        assert residual(well(4, 0.7), cf.matrix) == 0.0
+        p = closed_form_operators(4, 0.7, "exchange").p
+        assert p[0, -1] == 1.0
+        assert np.array_equal(p, np.fliplr(np.eye(4)))
+        assert residual(well(4, 0.7), p) == 0.0
 
     def test_weighted_template_puts_alpha_on_both_corners(self):
-        cf = closed_form(3, 0.5, "weighted")
+        p = closed_form_operators(3, 0.5, "weighted").p
         expect = np.array([[0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0], [1.0 / 3.0, 0.0, 0.0]])
-        assert np.array_equal(cf.matrix, expect)
-        assert cf.alpha == 1.0 / 3.0
-        assert cf.n == 3 and cf.variant == "weighted"
+        assert np.array_equal(p, expect)
+        assert p[0, -1] == 1.0 / 3.0
 
     def test_weighted_template_solves_the_opposite_line(self):
         for n, lam in ((2, 0.5), (3, 0.5), (5, 0.3), (7, -0.6), (4, 0.9)):
-            cf = closed_form(n, lam, "weighted")
-            assert residual(well(n, lam, -lam), cf.matrix) <= 1e-15
+            p = closed_form_operators(n, lam, "weighted").p
+            assert residual(well(n, lam, -lam), p) <= 1e-15
 
     def test_exchange_template_solves_the_matched_line_for_every_tested_size(self):
         for n in range(2, 12):
-            cf = closed_form(n, 0.3, "exchange")
-            assert residual(well(n, 0.3), cf.matrix) == 0.0
+            p = closed_form_operators(n, 0.3, "exchange").p
+            assert residual(well(n, 0.3), p) == 0.0
 
     def test_weighted_template_degenerates_at_minus_one(self):
         with pytest.raises(ValidationError):
-            closed_form(4, -1.0, "weighted")
+            closed_form_operators(4, -1.0, "weighted")
 
     def test_unknown_variant_and_bad_size_are_rejected(self):
         with pytest.raises(ValidationError):
-            closed_form(4, 0.5, "mystery")
+            closed_form_operators(4, 0.5, "mystery")
         with pytest.raises(ValidationError):
-            closed_form(1, 0.5, "exchange")
+            closed_form_operators(1, 0.5, "exchange")
 
 
 class TestKernelBasis:
@@ -231,7 +227,7 @@ class TestKernelBasis:
 
     def test_opposite_line_span_contains_the_weighted_template(self):
         pm = kernel_basis(well(4, 0.5, -0.5))
-        assert span_residual(pm, closed_form(4, 0.5, "weighted").matrix) <= 1e-10
+        assert span_residual(pm, closed_form_operators(4, 0.5, "weighted").p) <= 1e-10
 
     def test_an_asymmetric_probe_is_far_from_the_span(self):
         probe = np.zeros((3, 3))

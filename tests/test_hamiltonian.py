@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cptwell.continuum import convergence_study, scaled_spectrum
-from cptwell.dieudonne import closed_form
 from cptwell.errors import NotSymmetrizable, ValidationError
 from cptwell.hamiltonian import (
     CouplingPair,
@@ -84,12 +83,11 @@ class TestBuild:
     @pytest.mark.parametrize(
         "construct",
         [
-            lambda: closed_form(2.5, 0.3, "exchange"),
             lambda: closed_form_operators(3.9, 0.3),
             lambda: scaled_spectrum(8.7, 0.2, 1),
             lambda: convergence_study((16.5, 32, 64), 0.2),
         ],
-        ids=["closed_form", "closed_form_operators", "scaled_spectrum", "convergence_study"],
+        ids=["closed_form_operators", "scaled_spectrum", "convergence_study"],
     )
     def test_sized_constructors_refuse_a_non_integral_size_like_build(self, construct):
         with pytest.raises(ValidationError, match="integer"):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cptwell import quasihermitian
-from cptwell.dieudonne import closed_form, kernel_basis, residual
+from cptwell.dieudonne import kernel_basis, residual
 from cptwell.errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -47,6 +47,13 @@ def well(n, lam, mu=None):
 
 def flip(n):
     return np.fliplr(np.eye(n))
+
+
+def weighted_template(n, alpha):
+    """The antidiagonal of ones with both corners alpha, Theta_D J on mu = -lambda."""
+    p = flip(n)
+    p[0, -1] = p[-1, 0] = alpha
+    return p
 
 
 def not_real(good):
@@ -284,7 +291,7 @@ class TestAssembleChargeSpectral:
     def test_near_the_opposite_line_s_corner_the_refusal_is_relative(self):
         n, lam = 7, 0.999999999999
         system = biorthogonalize(well(n, lam, -lam))
-        nu = decompose_inverse_pseudometric(closed_form(n, lam, "weighted").matrix, system)
+        nu = decompose_inverse_pseudometric(closed_form_operators(n, lam, "weighted").p, system)
         low, high = np.abs(nu).min(), np.abs(nu).max()
         assert low > 1.0 and low <= 1e-12 * high
         with pytest.raises(InadmissiblePseudometric, match=r"min\|nu\|=.* <= .*max\|nu\|="):
@@ -484,7 +491,7 @@ class TestClosedFormOperators:
             for lam in (-0.9, -0.3, 0.0, 0.4, 0.95):
                 trip = closed_form_operators(n, lam, "weighted")
                 alpha = (1 - lam) / (1 + lam)
-                assert np.array_equal(trip.p, closed_form(n, lam, "weighted").matrix)
+                assert np.array_equal(trip.p, weighted_template(n, alpha))
                 assert np.array_equal(trip.c, flip(n))
                 assert np.array_equal(trip.theta, np.diag([alpha] + [1.0] * (n - 2) + [alpha]))
                 rep = symmetry_report(well(n, lam, -lam), trip)
@@ -500,6 +507,9 @@ class TestClosedFormOperators:
     def test_an_unknown_line_is_refused(self):
         with pytest.raises(ValidationError, match="unknown variant"):
             closed_form_operators(4, 0.3, "diagonal")
+        # The exceptional point is refused first, whatever the line.
+        with pytest.raises(ValidationError, match="exceptional point"):
+            closed_form_operators(4, 1.0, "diagonal")
 
     @pytest.mark.parametrize("n", [*range(2, 10), 33])
     def test_p_and_c_are_theta_with_rows_or_columns_reversed(self, n):
@@ -516,7 +526,8 @@ class TestClosedFormOperators:
                 else:
                     assert trip.c.tobytes() == flip(n).tobytes()
                     assert trip.p.tobytes() == trip.theta[:, ::-1].tobytes(), (n, lam)
-                    assert trip.p.tobytes() == closed_form(n, lam, variant).matrix.tobytes()
+                    alpha = (1 - lam) / (1 + lam)
+                    assert trip.p.tobytes() == weighted_template(n, alpha).tobytes(), (n, lam)
                 arrays = (trip.p, trip.c, trip.theta)
                 assert all(a.flags.c_contiguous for a in arrays)
                 pairs = zip(arrays, arrays[1:] + arrays[:1])
