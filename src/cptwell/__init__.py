@@ -57,7 +57,6 @@ _OPERATOR_NAMES = {
         "kernel_basis",
         "residual",
         "span_residual",
-        "spectral_dyads",
     ),
     "quasihermitian": (
         "AnsatzMetric",
@@ -71,6 +70,7 @@ _OPERATOR_NAMES = {
         "decompose_inverse_pseudometric",
         "metric_from_ansatz",
         "omega_factorize",
+        "spectral_dyads",
         "symmetry_report",
         "theta_adjoint",
     ),

@@ -6,7 +6,8 @@ the bilinear form <x, X y>, without any positivity promise.  A tridiagonal H
 with non-zero bonds is nonderogatory, so (Taussky and Zassenhaus, Pacific J.
 Math. 9 (1959) 893) every solution is symmetric and the solution space has
 real dimension exactly n.  Inside the reality window it is spanned by the
-rank-one dyads u_k u_k^T built from left eigenvectors.
+rank-one dyads u_k u_k^T built from left eigenvectors; they need an
+eigensolve, so the quasihermitian module builds them (`spectral_dyads`).
 
 One construction computes a basis of that space, with no eigenvectors:
 entry (i, j) of H^T X = X H gives row i+1 of X from rows i and i-1, divided
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NumericalError, ValidationError
-from .hamiltonian import DiscreteHamiltonian, dense, symmetrize
-from .spectra import DEGENERACY_THRESHOLD, eigen_real, spectrum_of
+from .hamiltonian import DiscreteHamiltonian, dense
+from .spectra import DEGENERACY_THRESHOLD, spectrum_of
 
 # Unused by the library: only bench/tracing.py reads it, to label kernel_basis
 # calls, like kernels.HAS_NUMBA.
@@ -144,10 +145,12 @@ def _gap_gate(h, min_gap, consequence="the solution space is not guaranteed n-di
     ``consequence`` ends the DegenerateSpectrum message: what the caller
     cannot do with a (near-)multiple eigenvalue.
     """
-    scale = max(1.0, h.gershgorin_radius())
+    radius = h.gershgorin_radius()
+    scale = max(1.0, radius)
     if min_gap <= DEGENERACY_THRESHOLD * scale:
         raise DegenerateSpectrum(
-            f"minimum eigenvalue gap {min_gap:.3e} at n={h.n}, "
+            f"minimum eigenvalue gap {min_gap:.3e} <= {DEGENERACY_THRESHOLD:g} * "
+            f"max(1, Gershgorin radius {radius:.3e}) at n={h.n}, "
             f"lambda={h.couplings.lam}, mu={h.couplings.mu}; {consequence}"
         )
     return scale
@@ -231,23 +234,6 @@ def _recurrence_route(h):
         )
     x /= peak[:, None, None]
     return x, start
-
-
-def spectral_dyads(h):
-    """Rank-one solutions u_k u_k^T from unit left eigenvectors, E_k ascending.
-
-    Left eigenvectors come from the symmetrized form S = D^-1 H D: if
-    S w = E w then H^T (D^-1 w) = E (D^-1 w).  Requires couplings inside the
-    open unit square and a simple spectrum.
-    """
-    if not isinstance(h, DiscreteHamiltonian):
-        raise ValidationError("spectral_dyads expects a DiscreteHamiltonian")
-    sym = symmetrize(h)
-    spec, w = eigen_real(sym)
-    _gap_gate(h, spec.min_gap)
-    u = w / sym.d[:, None]
-    u = u / np.linalg.norm(u, axis=0)
-    return [np.outer(u[:, k], u[:, k]) for k in range(h.n)]
 
 
 def kernel_basis(h):

@@ -5,7 +5,9 @@ eigenbases: right vectors H r_k = E_k r_k and left vectors H^T l_k = E_k l_k
 with l_j^T r_k = mu_k delta_jk.  Both families come from one symmetric
 eigenproblem through the diagonal similarity S = D^-1 H D of the symmetrized
 form: r_k = D w_k and l_k = D^-1 w_k, so left and right vectors agree up to
-the componentwise weight D^-2.
+the componentwise weight D^-2.  The left vectors also give the spectral
+dyads l_k l_k^T, the eigenvector route to the pseudometrics that the
+dieudonne module computes without eigenvectors.
 
 On top of that basis the module assembles the operator pair fixing the
 physical inner product of the well:
@@ -189,6 +191,17 @@ def biorthogonalize(h):
             "too close to an exceptional point"
         )
     return BiorthogonalSystem(values, right, left, overlaps)
+
+
+def spectral_dyads(h):
+    """Rank-one pseudometrics l_k l_k^T from `biorthogonalize`'s left vectors, E_k ascending.
+
+    They span the solution space of H^T X = X H wherever `biorthogonalize`
+    certifies its eigenbasis, and are refused (NumericalError) where it does not.
+    """
+    if not isinstance(h, DiscreteHamiltonian):
+        raise ValidationError("spectral_dyads expects a DiscreteHamiltonian")
+    return [np.outer(l, l) for l in biorthogonalize(h).left.T]
 
 
 def decompose_inverse_pseudometric(p, system):

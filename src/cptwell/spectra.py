@@ -178,7 +178,9 @@ def char_poly(h, e):
     rescaled together by the exact power 2**-512 whenever they grow past
     1e150.  ``e`` must be a finite (real or complex) number.  A determinant
     past the float range raises `NumericalError` carrying its natural
-    log-magnitude.
+    log-magnitude.  So does a recurrence that leaves the float range itself
+    (a factor |diag - e| or a bond past about 1e158, or an infinite bond),
+    whose message knows no log-magnitude.
     """
     try:
         z = complex(e)
@@ -189,12 +191,17 @@ def char_poly(h, e):
     diag, bonds = h.diag, h.bonds
     pm2, p = 1.0 + 0.0j, diag[0] - z
     nscale = 0
-    for k in range(1, h.n):
-        pm2, p = p, (diag[k] - z) * p - bonds[k - 1] * pm2
-        if abs(p.real) + abs(p.imag) > 1e150:
-            pm2 *= 2.0**-512
-            p *= 2.0**-512
-            nscale += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, h.n):
+            pm2, p = p, (diag[k] - z) * p - bonds[k - 1] * pm2
+            if abs(p.real) + abs(p.imag) > 1e150:
+                pm2 *= 2.0**-512
+                p *= 2.0**-512
+                nscale += 1
+    if not cmath.isfinite(p):
+        raise NumericalError(
+            f"the recurrence for det(H - e) left the float range at e={e!r}"
+        )
     try:
         return complex(math.ldexp(p.real, 512 * nscale), math.ldexp(p.imag, 512 * nscale))
     except OverflowError:
@@ -484,9 +491,9 @@ def scan_domain(n, lambda_grid, mu_grid, reality_tol=None):
 
 
 def scan_line(n, grid, sign, reality_tol=None):
-    """Classify along the line mu = sign*lambda for lambda in ``grid``; sign is +1 or -1."""
-    if np.asarray(sign).dtype == bool or not (np.ndim(sign) == 0 and sign in (1, -1)):
-        raise ValidationError(f"scan line sign must be +1 or -1, got {sign!r}")
+    """Classify along the line mu = sign*lambda for lambda in ``grid``; sign is a real +1 or -1."""
+    if np.asarray(sign).dtype.kind in "bc" or not (np.ndim(sign) == 0 and sign in (1, -1)):
+        raise ValidationError(f"scan line sign must be a real +1 or -1, got {sign!r}")
     grid = _grid(grid, "scan grid")
     return _scan(n, grid, sign * grid, reality_tol)
 

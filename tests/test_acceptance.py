@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from cptwell.continuum import convergence_study
-from cptwell.dieudonne import kernel_basis, residual, span_residual, spectral_dyads
+from cptwell.dieudonne import kernel_basis, residual, span_residual
 from cptwell.hamiltonian import CouplingPair, build, dense
 from cptwell.quasihermitian import (
     assemble_charge_spectral,
@@ -48,6 +48,7 @@ from cptwell.quasihermitian import (
     closed_form_operators,
     decompose_inverse_pseudometric,
     omega_factorize,
+    spectral_dyads,
 )
 from cptwell.spectra import reality_tolerance, spectrum_of
 

@@ -29,7 +29,6 @@ from cptwell.dieudonne import (
     kernel_basis,
     residual,
     span_residual,
-    spectral_dyads,
 )
 from cptwell.dieudonne import (
     _certified_basis,
@@ -43,7 +42,7 @@ from cptwell.errors import (
     ValidationError,
 )
 from cptwell.hamiltonian import CouplingPair, build, dense
-from cptwell.quasihermitian import biorthogonalize, closed_form_operators
+from cptwell.quasihermitian import biorthogonalize, closed_form_operators, spectral_dyads
 
 LAMBDAS = (-0.8, -0.4, 0.1, 0.5, 0.9)
 MUS = (-0.7, -0.2, 0.3, 0.8)
@@ -132,7 +131,6 @@ class TestArgumentTypes:
         pm = kernel_basis(h)
         for call, name in (
             (lambda: residual(dense(h), np.eye(4)), "residual"),
-            (lambda: spectral_dyads((4, (0.3, -0.2))), "spectral_dyads"),
             (lambda: kernel_basis(h.couplings), "kernel_basis"),
         ):
             with pytest.raises(ValidationError, match=f"{name} expects a DiscreteHamiltonian"):
@@ -356,6 +354,16 @@ class TestDefaultRoute:
             kernel_basis(h)
         # Without the gate the upward recurrence would answer here.
         assert _certified_basis(h, *_recurrence_route(h)).dimension == 6
+
+    def test_the_degeneracy_refusal_names_its_relative_threshold(self):
+        # The bound is 1e-10 * max(1, Gershgorin radius), so a gap of 1.7e154
+        # is degenerate beside a radius of 1e308; the message shows both.
+        with pytest.raises(DegenerateSpectrum) as info:
+            kernel_basis(well(2, 1e308, 0.3))
+        assert (
+            "minimum eigenvalue gap 1.673e+154 <= 1e-10 * max(1, Gershgorin radius 1.000e+308)"
+            in str(info.value)
+        )
 
     def test_routes_span_the_same_space_at_the_window_edge(self):
         # The recurrence basis against the SVD null space, both ways.

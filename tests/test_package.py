@@ -3,15 +3,22 @@
 The spectrum core is imported with the package; the operator layer
 (continuum, dieudonne, quasihermitian) is imported on first access through
 the package's module-level ``__getattr__``.  Oracles: ``sys.modules`` of a
-fresh interpreter, and each public name's defining module.
+fresh interpreter, and each public name's defining module.  Last, the public
+entry points on extreme input: each call answers finite or raises a
+``CptwellError``, with no warning.
 """
 
 import ast
 import importlib
 import inspect
+import itertools
 import os
 import subprocess
 import sys
+import warnings
+
+import numpy as np
+import pytest
 
 import cptwell
 
@@ -104,3 +111,54 @@ class TestPublicNames:
         monkeypatch.undo()
         assert cptwell.biorthogonalize is original
         assert "biorthogonalize" not in vars(cptwell)
+
+    def test_the_spectral_dyads_live_with_the_biorthogonal_system(self):
+        from cptwell import dieudonne, quasihermitian
+
+        assert cptwell.spectral_dyads is quasihermitian.spectral_dyads
+        assert not hasattr(dieudonne, "spectral_dyads")
+
+
+def finite_parts(result):
+    """The arrays of a result of the entry points below."""
+    if isinstance(result, complex):
+        return [np.array(result)]
+    if isinstance(result, cptwell.Spectrum):
+        return [result.values]
+    if isinstance(result, cptwell.PseudometricBasis):
+        return result.basis
+    if isinstance(result, cptwell.BiorthogonalSystem):
+        return [result.values, result.right, result.left, result.overlaps]
+    return list(result)
+
+
+class TestExtremeInput:
+    COUPLINGS = (0.3, -(1.0 - 1e-12), 1.0, -2.5, 1e200, 1.7e308, 5e-324)
+
+    def test_every_entry_point_answers_finite_or_raises_a_cptwell_error(self):
+        # Exhaustive over the grid.  Without their checks, char_poly returns
+        # NaN with RuntimeWarnings on 351 of its 441 calls, and scan_line takes
+        # a complex sign equal to +-1 and returns a complex mu with
+        # ComplexWarnings.
+        entry_points = (
+            cptwell.spectrum_of,
+            cptwell.eigen_general,
+            cptwell.kernel_basis,
+            cptwell.biorthogonalize,
+            cptwell.spectral_dyads,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, lam, mu in itertools.product((2, 3, 7), self.COUPLINGS, self.COUPLINGS):
+                h = cptwell.build(n, (lam, mu))
+                calls = [lambda f=f: f(h) for f in entry_points]
+                calls += [lambda e=e: cptwell.char_poly(h, e) for e in (2, 1e200, -3.5 + 1e180j)]
+                for call in calls:
+                    try:
+                        result = call()
+                    except cptwell.CptwellError:
+                        continue
+                    assert all(np.isfinite(a).all() for a in finite_parts(result)), (n, lam, mu)
+            for sign in (1 + 0j, np.complex128(-1)):
+                with pytest.raises(cptwell.ValidationError):
+                    cptwell.scan_line(4, [0.5, 1.5], sign)

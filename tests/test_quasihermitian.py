@@ -14,10 +14,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cptwell import quasihermitian
 from cptwell.dieudonne import kernel_basis, residual
 from cptwell.errors import (
+    DegenerateSpectrum,
     FactorizationError,
     InadmissiblePseudometric,
     NotDyadRepresentable,
@@ -35,6 +38,7 @@ from cptwell.quasihermitian import (
     decompose_inverse_pseudometric,
     metric_from_ansatz,
     omega_factorize,
+    spectral_dyads,
     symmetry_report,
     theta_adjoint,
 )
@@ -534,6 +538,55 @@ class TestClosedFormOperators:
                 assert not any(np.shares_memory(a, b) for a, b in pairs)
 
 
+def eigensolve_dyads(h):
+    """The dyads u_k u_k^T of unit left eigenvectors u = D^-1 w, w from eigen_real(S)."""
+    sym = symmetrize(h)
+    _, w = eigen_real(sym)
+    u = w / sym.d[:, None]
+    u = u / np.linalg.norm(u, axis=0)
+    return [np.outer(u[:, k], u[:, k]) for k in range(h.n)]
+
+
+class TestSpectralDyads:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.floats(-0.999999, 0.999999),
+        st.floats(-0.999999, 0.999999),
+    )
+    @example(3, 1.0 - 1e-8, -(1.0 - 1e-8))
+    @example(33, 1.0 - 1e-6, -(1.0 - 1e-6))
+    @example(8, -0.0, 0.9)
+    def test_the_dyads_are_the_eigensolve_dyads_bit_for_bit(self, n, lam, mu):
+        # The dyads come from biorthogonalize's left vectors, which transport
+        # the symmetrized form's eigenvectors with the same float operations.
+        h = well(n, lam, mu)
+        try:
+            biorthogonalize(h)
+        except NumericalError:
+            return
+        got, expect = spectral_dyads(h), eigensolve_dyads(h)
+        assert len(got) == n
+        for x, y in zip(got, expect):
+            assert np.array_equal(x, y), (n, lam, mu)
+
+    def test_biorthogonalize_s_certificates_refuse_cells_next_to_an_exceptional_point(self):
+        # The eigensolve dyads answer both cells, with intertwining residuals
+        # far above kernel_basis's bound.
+        for (n, lam, mu), message in (
+            ((3, 1.0 - 1e-12, 1.0 - 1e-12), "vanishing overlap"),
+            ((16, -0.41, -(1.0 - 1e-12)), "eigenvector residual"),
+        ):
+            h = well(n, lam, mu)
+            assert len(eigensolve_dyads(h)) == n
+            with pytest.raises(NumericalError, match=message):
+                spectral_dyads(h)
+
+    def test_a_degenerate_spectrum_is_refused_as_biorthogonalize_refuses_it(self):
+        with pytest.raises(DegenerateSpectrum, match="biorthogonal pairing is ill-defined"):
+            spectral_dyads(well(2, -(1.0 - 1e-12), 1.0 - 1e-12))
+
+
 class TestArgumentTypes:
     def test_each_entry_point_refuses_an_argument_of_another_type(self):
         h = well(4, 0.3)
@@ -542,6 +595,7 @@ class TestArgumentTypes:
         hamiltonian = "expects a DiscreteHamiltonian"
         for call, message in (
             (lambda: biorthogonalize(dense(h)), f"biorthogonalize {hamiltonian}"),
+            (lambda: spectral_dyads((4, (0.3, -0.2))), f"spectral_dyads {hamiltonian}"),
             (lambda: decompose_inverse_pseudometric(trip.p, h), "expected a BiorthogonalSystem"),
             (lambda: assemble_charge_spectral(h, np.ones(4)), "expected a BiorthogonalSystem"),
             (lambda: omega_factorize(dense(h), trip.theta), f"omega_factorize {hamiltonian}"),

@@ -300,6 +300,20 @@ class TestCharPoly:
                     char_poly(h, bad)
             assert char_poly(h, 1.5 + 0.25j) == char_poly(h, np.complex128(1.5 + 0.25j))
 
+    def test_a_recurrence_past_the_float_range_is_a_numerical_error(self):
+        # A factor |diag - e| or a bond past about 1e158 overflows before the
+        # 1e150 rescale, and a bond product past the float range is infinite
+        # already; without the check these give NaN with RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, e in ((well(3, 0.3), 1e200), (well(2, 1e308, -1e308), 0.0),
+                         (well(3, 1e200), 0.0), (well(3, 0.3), 1e200j)):
+                with pytest.raises(NumericalError, match="left the float range"):
+                    char_poly(h, e)
+            # A finite recurrence whose determinant overflows keeps its log|det|.
+            with pytest.raises(NumericalError, match=r"log\|det\| = "):
+                char_poly(well(8, 0.3), 1e100)
+
     def test_a_determinant_past_the_float_range_is_a_numerical_error(self):
         ref = np.sum(np.log(np.abs(dirichlet_levels(400) - 10.0)))
         with pytest.raises(NumericalError, match=r"log\|det\| = ") as info:
@@ -1007,6 +1021,16 @@ class TestScans:
                 scan_line(4, grid, bad)
         for sign, expect in ((1, [0.1, 0.5]), (np.int64(-1), [-0.1, -0.5]), (-1.0, [-0.1, -0.5])):
             assert scan_line(4, grid, sign).mu.tolist() == expect
+
+    def test_a_complex_sign_is_refused_without_a_warning(self):
+        # 1+0j == 1, so the membership test alone takes it and gives a complex
+        # mu with ComplexWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (1 + 0j, -1 + 0j, np.complex128(-1), np.array(1 + 0j)):
+                with pytest.raises(ValidationError, match="sign"):
+                    scan_line(4, [0.5, 1.5], bad)
+            assert scan_line(4, [0.5, 1.5], np.float64(-1)).mu.tolist() == [-0.5, -1.5]
 
     def test_a_boolean_sign_is_refused(self):
         # True == 1, so a membership test alone would take True for +1.
