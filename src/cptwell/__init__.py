@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import (
-    CouplingPair,
     DiscreteHamiltonian,
     SymmetrizedForm,
     build,

@@ -34,7 +34,7 @@ import numpy as np
 # that use them, so that `spectrum` and `scan` start without loading them.
 from . import spectra
 from .errors import CptwellError, NumericalError, ValidationError
-from .hamiltonian import CouplingPair, build
+from .hamiltonian import build
 
 FORMATS = ("json", "csv")
 LINES = ("mu=lambda", "mu=-lambda")
@@ -173,7 +173,7 @@ def _config_from(ns):
 
 
 def _cmd_spectrum(cfg):
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    h = build(cfg.n, (cfg.lam, cfg.mu))
     spec = spectra.spectrum_of(h, reality_tol=cfg.tol)
     real, imag = spec.values.real.tolist(), spec.values.imag.tolist()
     payload = {
@@ -211,7 +211,7 @@ def _cmd_scan(cfg):
 def _cmd_pseudometrics(cfg):
     from . import dieudonne
 
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    h = build(cfg.n, (cfg.lam, cfg.mu))
     basis = dieudonne.kernel_basis(h)
     residuals = basis.residuals.tolist()
     payload = {
@@ -254,7 +254,7 @@ def _cmd_metric(cfg):
     from . import dieudonne, quasihermitian
 
     variant = _require_line(cfg)
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    h = build(cfg.n, (cfg.lam, cfg.mu))
     _require_window(cfg)
     theta = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant).theta
     smallest = quasihermitian._smallest_eigenvalue(theta)
@@ -280,7 +280,7 @@ def _cmd_charge(cfg):
     from . import dieudonne, quasihermitian
 
     variant = _require_line(cfg)
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    h = build(cfg.n, (cfg.lam, cfg.mu))
     _require_window(cfg)
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant)
     system = quasihermitian.biorthogonalize(h)
@@ -310,7 +310,7 @@ def _cmd_verify(cfg):
     from . import quasihermitian
 
     variant = _require_line(cfg)
-    h = build(cfg.n, CouplingPair(cfg.lam, cfg.mu))
+    h = build(cfg.n, (cfg.lam, cfg.mu))
     triple = quasihermitian.closed_form_operators(cfg.n, cfg.lam, variant)
     report = quasihermitian.symmetry_report(h, triple)
     fields = {name: float(value) for name, value in vars(report).items()}

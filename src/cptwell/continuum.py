@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hamiltonian import CouplingPair, as_int, as_real, build, dimension
+from .hamiltonian import as_int, as_real, build, dimension
 from .spectra import spectrum_of
 
 PI_SQ = float(np.pi) ** 2
@@ -71,7 +71,7 @@ def scaled_spectrum(n, lam, levels):
         )
     if not 1 <= levels <= n:
         raise ValidationError(f"levels must be in 1..{n}, got {levels}")
-    values = spectrum_of(build(n, CouplingPair(lam, lam))).values.real
+    values = spectrum_of(build(n, (lam, lam))).values.real
     return (n + 1) ** 2 * values[:levels] / PI_SQ
 
 

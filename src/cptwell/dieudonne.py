@@ -151,7 +151,7 @@ def _gap_gate(h, min_gap, consequence="the solution space is not guaranteed n-di
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {min_gap:.3e} <= {DEGENERACY_THRESHOLD:g} * "
             f"max(1, Gershgorin radius {radius:.3e}) at n={h.n}, "
-            f"lambda={h.couplings.lam}, mu={h.couplings.mu}; {consequence}"
+            f"lambda={h.lam}, mu={h.mu}; {consequence}"
         )
     return scale
 
@@ -230,7 +230,7 @@ def _recurrence_route(h):
     if not np.isfinite(peak).all():
         raise NumericalError(
             f"first-row recurrence is not finite at n={h.n}, "
-            f"lambda={h.couplings.lam}, mu={h.couplings.mu}"
+            f"lambda={h.lam}, mu={h.mu}"
         )
     x /= peak[:, None, None]
     return x, start

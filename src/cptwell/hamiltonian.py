@@ -19,11 +19,11 @@ H is not symmetric, but whenever every bond product super[i]*sub[i] is positive
 symmetric tridiagonal S = D^-1 H D with positive weights D = diag(d), which is
 what makes the spectrum real there.
 
-`DiscreteHamiltonian` holds this matrix and no other: it is made from n and the
-couplings (a `CouplingPair` or a (lambda, mu) pair), which are checked when it
-is made, and its bands are derived from them on first access.  Every interior
-bond product is (-1)(-1) = 1, so the first and last bond products
-(`end_bonds`, no bands needed) decide which solver branch takes the matrix.
+`DiscreteHamiltonian` holds this matrix and no other: its data is n, lambda
+and mu, and its two off-diagonal bands are derived from them on first access;
+the constant diagonal 2 is written where a matrix or a row sum is formed.
+Every interior bond product is (-1)(-1) = 1, so the first and last bond
+products (`end_bonds`, no bands needed) decide which solver branch takes it.
 """
 
 import math
@@ -35,63 +35,35 @@ import numpy as np
 from .errors import NotSymmetrizable, ValidationError
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingPair:
-    """Boundary couplings (lam, mu); dimensionless, any finite real values."""
-
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        lam, mu = self.lam, self.mu
-        if type(lam) is not float or type(mu) is not float:
-            lam, mu = as_real(lam, "couplings"), as_real(mu, "couplings")
-        if not (math.isfinite(lam) and math.isfinite(mu)):
-            raise ValidationError(f"couplings must be finite, got ({self.lam}, {self.mu})")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DiscreteHamiltonian:
-    """The matrix H(lambda, mu) with three derived, read-only bands (never dense).
+    """H(lambda, mu) of size n, with two derived, read-only bands (never dense).
 
-    The size and couplings are checked when it is made; the bands ``diag``,
-    ``super`` and ``sub`` are derived by `bands` on the first access to any
-    of them and kept, so a second access returns the same arrays.
+    ``DiscreteHamiltonian(n, (lam, mu))`` checks the couplings, then the size,
+    and keeps them as a Python int and two floats.  The bands ``super`` and
+    ``sub`` are derived by `bands` on the first access and kept.
     """
 
     n: int
-    couplings: CouplingPair
+    lam: float
+    mu: float
 
-    def __post_init__(self):
-        couplings = self.couplings
-        if not isinstance(couplings, CouplingPair):
-            try:
-                lam, mu = couplings
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"couplings must be a (lambda, mu) pair, got {couplings!r}"
-                ) from None
-            couplings = CouplingPair(lam, mu)
+    def __init__(self, n, couplings):
+        lam, mu = _couplings(couplings)
         # Frozen fields are written past the dataclass's __setattr__.
-        vars(self).update(n=dimension(self.n), couplings=couplings)
+        vars(self).update(n=dimension(n), lam=lam, mu=mu)
 
     @cached_property
     def _bands(self):
-        return tuple(map(_freeze, bands(self.n, self.couplings.lam, self.couplings.mu)))
-
-    @property
-    def diag(self):
-        return self._bands[0]
+        return tuple(map(_freeze, bands(self.n, self.lam, self.mu)))
 
     @property
     def super(self):
-        return self._bands[1]
+        return self._bands[0]
 
     @property
     def sub(self):
-        return self._bands[2]
+        return self._bands[1]
 
     @property
     @np.errstate(over="ignore")
@@ -104,20 +76,33 @@ class DiscreteHamiltonian:
 
     def gershgorin_radius(self):
         """Upper bound on the spectral radius from row sums."""
-        return float(gershgorin_radii(self.diag, self.super, self.sub))
+        return float(gershgorin_radii(self.super, self.sub))
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetrizedForm:
-    """Symmetric tridiagonal S = D^-1 H D plus the weights d (d[0] = 1)."""
+    """Symmetric tridiagonal S = D^-1 H D (diagonal 2) plus the weights d (d[0] = 1)."""
 
-    s_diag: np.ndarray
     s_off: np.ndarray
     d: np.ndarray
 
     @property
     def n(self):
-        return self.s_diag.shape[0]
+        return self.d.shape[0]
+
+
+def _couplings(pair):
+    """A (lambda, mu) pair of finite real couplings as two floats, else a ValidationError."""
+    try:
+        lam, mu = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"couplings must be a (lambda, mu) pair, got {pair!r}") from None
+    x, y = lam, mu
+    if type(x) is not float or type(y) is not float:
+        x, y = as_real(lam, "couplings"), as_real(mu, "couplings")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"couplings must be finite, got ({lam}, {mu})")
+    return x, y
 
 
 def _freeze(a):
@@ -175,11 +160,11 @@ def end_bonds(n, lam, mu):
 
 
 def bands(n, lam, mu):
-    """Bands (diag, super, sub) of H(lam, mu), one cell per coupling pair.
+    """Off-diagonal bands (super, sub) of H(lam, mu), one cell per coupling pair.
 
     ``n`` is a size from `dimension` and ``lam`` and ``mu`` are finite
     couplings (the caller checks both), scalars or arrays of one shape; the
-    bands get that shape plus a trailing axis of length n, n - 1 and n - 1.
+    bands get that shape plus a trailing axis of length n - 1.
     """
     shape = getattr(lam, "shape", ())
     # The couplings taken from the super- and added to the subdiagonal.
@@ -189,18 +174,18 @@ def bands(n, lam, mu):
     sup = -1.0 - twist
     if n == 2:
         sup[..., 0] = -1.0 - lam  # the single bond: super -1 - lam, sub -1 + mu
-    return np.zeros(shape + (n,)) + 2.0, sup, twist - 1.0
+    return sup, twist - 1.0
 
 
 # Couplings near the float range overflow the row sums to inf; numpy's warning
 # about it would carry the path of the installed source, so it is not raised.
 @np.errstate(over="ignore")
-def gershgorin_radii(diag, sup, sub):
-    """Row-sum bound on the spectral radius of every stacked band triple.
+def gershgorin_radii(sup, sub):
+    """Row-sum bound on the spectral radius of every stacked band pair, diagonal 2.
 
     A row sum past the float range gives an infinite radius.
     """
-    r = np.abs(diag)
+    r = np.full(sup.shape[:-1] + (sup.shape[-1] + 1,), 2.0)
     r[..., :-1] += np.abs(sup)
     r[..., 1:] += np.abs(sub)
     return r.max(axis=-1)
@@ -230,20 +215,20 @@ def symmetrize(h):
     ratios = np.sqrt(h.sub / h.super)
     np.cumprod(ratios, out=d[1:])
     s_off = np.copysign(np.sqrt(products), h.super)
-    return SymmetrizedForm(_freeze(h.diag.copy()), _freeze(s_off), _freeze(d))
+    return SymmetrizedForm(_freeze(s_off), _freeze(d))
 
 
 def dense(h):
     """Materialize H as a dense array (for the intertwining-equation solver)."""
-    return dense_bands(h.diag, h.super, h.sub)
+    return dense_bands(h.super, h.sub)
 
 
-def dense_bands(diag, sup, sub):
-    """Dense tridiagonal matrices from bands stacked along the leading axes."""
-    n = diag.shape[-1]
-    m = np.zeros(diag.shape[:-1] + (n * n,))
+def dense_bands(sup, sub):
+    """Dense tridiagonal matrices, diagonal 2, from bands stacked along the leading axes."""
+    n = sup.shape[-1] + 1
+    m = np.zeros(sup.shape[:-1] + (n * n,))
     # In row-major order the diagonals are every (n + 1)-th entry, from 0, 1 and n.
-    m[..., :: n + 1] = diag
+    m[..., :: n + 1] = 2.0
     m[..., 1 :: n + 1] = sup
     m[..., n :: n + 1] = sub
-    return m.reshape(diag.shape + (n,))
+    return m.reshape(sup.shape[:-1] + (n, n))

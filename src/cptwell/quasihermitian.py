@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dieudonne import PseudometricBasis, _candidate, _entry_norm, _gap_gate, residual
+from .dieudonne import RESIDUAL_FACTOR, PseudometricBasis, _candidate, _entry_norm, _gap_gate
+from .dieudonne import residual
 from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -44,7 +45,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .hamiltonian import CouplingPair, DiscreteHamiltonian, dense, dimension, symmetrize
+from .hamiltonian import DiscreteHamiltonian, _couplings, dense, dimension, symmetrize
 from .spectra import eigen_real
 
 CONSTRUCTION_TOL = 1e-12
@@ -197,11 +198,19 @@ def spectral_dyads(h):
     """Rank-one pseudometrics l_k l_k^T from `biorthogonalize`'s left vectors, E_k ascending.
 
     They span the solution space of H^T X = X H wherever `biorthogonalize`
-    certifies its eigenbasis, and are refused (NumericalError) where it does not.
+    certifies its eigenbasis and each X_k passes `kernel_basis`'s bound,
+    max|H^T X_k - X_k H| <= RESIDUAL_FACTOR * max|H| * max|X_k|; elsewhere
+    they are refused (NumericalError).
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("spectral_dyads expects a DiscreteHamiltonian")
-    return [np.outer(l, l) for l in biorthogonalize(h).left.T]
+    dyads = [np.outer(l, l) for l in biorthogonalize(h).left.T]
+    scale = RESIDUAL_FACTOR * _entry_norm(dense(h))
+    for x in dyads:
+        defect, bound = residual(h, x), scale * _entry_norm(x)
+        if defect > bound:
+            raise NumericalError(f"dyad residual {defect:.3e} exceeds {bound:.3e}")
+    return dyads
 
 
 def decompose_inverse_pseudometric(p, system):
@@ -315,7 +324,7 @@ def closed_form_operators(n, lam, variant="exchange"):
     Theta is built as a diagonal, not as a product, so its off-diagonal
     entries are exactly zero.  The construction is singular at |lam| = 1.
     """
-    lam = CouplingPair(lam, lam).lam
+    lam, _ = _couplings((lam, lam))
     n = dimension(n)
     if lam == 1.0 or lam == -1.0:
         raise ValidationError(

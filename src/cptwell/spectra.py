@@ -20,13 +20,13 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   from ``np.linalg.eigh``.
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which `_solve`
-  builds from the `bands` of these cells only.  It returns the complex values
-  of a real matrix as exact conjugate pairs.  Values that
-  coalesce near the real axis (an exceptional point within a few ulps) are
-  re-solved from the exact Taylor coefficients of det(H - E), taken in integer
-  arithmetic, only on the cells whose smallest pairwise gap shows that this
-  could change something and whose bonds and bond products stay below
-  about 1.3e300 (`_RESOLVE_MAX`).
+  builds from the two off-diagonal `bands` of these cells only and the
+  diagonal 2.  It returns the complex values of a real matrix as exact
+  conjugate pairs.  Values that coalesce near the real axis (an exceptional
+  point within a few ulps) are re-solved from the exact Taylor coefficients
+  of det(H - E), taken in integer arithmetic, only on the cells whose
+  smallest pairwise gap shows that this could change something and whose
+  bonds and bond products stay below about 1.3e300 (`_RESOLVE_MAX`).
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
@@ -155,7 +155,7 @@ def eigen_real(s):
     """
     if not isinstance(s, SymmetrizedForm):
         raise ValidationError("eigen_real expects a SymmetrizedForm")
-    evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_diag, s.s_off, s.s_off))
+    evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_off, s.s_off))
     if not np.isfinite(evals).all():
         raise NumericalError(_NON_FINITE_VALUE)
     mag = np.abs(w)
@@ -174,12 +174,12 @@ def _lapack(solver, a):
 def char_poly(h, e):
     """det(H - e*I) via the three-term recurrence (complex-capable).
 
-    p_k = (diag_k - e) p_{k-1} - bonds_{k-1} p_{k-2}, with both running terms
+    p_k = (2 - e) p_{k-1} - bonds_{k-1} p_{k-2}, with both running terms
     rescaled together by the exact power 2**-512 whenever they grow past
     1e150.  ``e`` must be a finite (real or complex) number.  A determinant
     past the float range raises `NumericalError` carrying its natural
     log-magnitude.  So does a recurrence that leaves the float range itself
-    (a factor |diag - e| or a bond past about 1e158, or an infinite bond),
+    (a factor |2 - e| or a bond past about 1e158, or an infinite bond),
     whose message knows no log-magnitude.
     """
     try:
@@ -188,12 +188,12 @@ def char_poly(h, e):
         z = complex(math.nan)  # refused below, with the message of any other bad point
     if not cmath.isfinite(z):
         raise ValidationError(f"char_poly point must be a finite number, got {e!r}")
-    diag, bonds = h.diag, h.bonds
-    pm2, p = 1.0 + 0.0j, diag[0] - z
+    bonds, a = h.bonds, np.float64(2.0) - z
+    pm2, p = 1.0 + 0.0j, a
     nscale = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, h.n):
-            pm2, p = p, (diag[k] - z) * p - bonds[k - 1] * pm2
+            pm2, p = p, a * p - bonds[k - 1] * pm2
             if abs(p.real) + abs(p.imag) > 1e150:
                 pm2 *= 2.0**-512
                 p *= 2.0**-512
@@ -225,30 +225,30 @@ def _dyadic(xs):
     return [a * (den // d) for a, d in ratios], den
 
 
-def _taylor_charpoly(diag, sup, sub, c, m):
+def _taylor_charpoly(sup, sub, c, m):
     """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m.
 
     The three-term recurrence runs on truncated polynomials in t over the
-    Python integers: with every input an integer over one power of two D, the
-    k-th running term is an integer polynomial over D**k, exact.  The result
-    is divided by the power of two that brings its largest coefficient into
-    [0.5, 1), which leaves the roots unchanged, and each coefficient is
-    rounded once.
+    Python integers: with every input an integer over one power of two D
+    (the diagonal 2 as 2 D), the k-th running term is an integer polynomial
+    over D**k, exact.  The result is divided by the power of two that brings
+    its largest coefficient into [0.5, 1), which leaves the roots unchanged,
+    and each coefficient is rounded once.
     """
-    n = diag.shape[0]
-    ints, den = _dyadic([c, *diag.tolist(), *sup.tolist(), *sub.tolist()])
-    c, d, su, sb = ints[0], ints[1 : n + 1], ints[n + 1 : 2 * n], ints[2 * n :]
+    n = sup.shape[0] + 1
+    ints, den = _dyadic([c, *sup.tolist(), *sub.tolist()])
+    a, su, sb = 2 * den - ints[0], ints[1:n], ints[n:]
     p2 = [1] + [0] * m
-    p1 = [d[0] - c, -den] + [0] * (m - 1)
+    p1 = [a, -den] + [0] * (m - 1)
     for k in range(1, n):
-        a, b = d[k] - c, su[k - 1] * sb[k - 1]
+        b = su[k - 1] * sb[k - 1]
         # minus t * p1: a shift up one degree, truncated at degree m
         p2, p1 = p1, [a * x - den * y - b * z for x, y, z in zip(p1, [0] + p1, p2)]
     scale = 1 << max(abs(x) for x in p1).bit_length()
     return np.array([x / scale for x in p1])
 
 
-def _resolve_real_clusters(values, diag, sup, sub, gap):
+def _resolve_real_clusters(values, sup, sub, gap):
     """Re-solve near-multiple roots close to the real axis from exact coefficients.
 
     LAPACK fixes a k-fold root only to about eps**(1/k) of the matrix norm, so
@@ -276,7 +276,7 @@ def _resolve_real_clusters(values, diag, sup, sub, gap):
         others = np.delete(values, idx)
         if others.size and np.abs(others - c).min() < 100.0 * gap:
             continue
-        co = _taylor_charpoly(diag, sup, sub, c, m)
+        co = _taylor_charpoly(sup, sub, c, m)
         r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
         values[idx] = c + r * np.roots((co * r ** np.arange(m + 1))[::-1]) if r > 0.0 else c
     return values
@@ -400,10 +400,10 @@ def _solve(n, lam, mu, reality_tol=None, general=False):
     rows = (~real).nonzero()[0]
     if rows.size:
         sel = slice(None) if rows.size == m else rows
-        d, su, sb = bands(n, lam[sel], mu[sel])
-        scale = np.maximum(1.0, gershgorin_radii(d, su, sb))
+        su, sb = bands(n, lam[sel], mu[sel])
+        scale = np.maximum(1.0, gershgorin_radii(su, sb))
         gap = EP_CLUSTER_GAP * scale
-        v = _stacked(np.linalg.eigvals, dense_bands(d, su, sb), rows, failed, complex)
+        v = _stacked(np.linalg.eigvals, dense_bands(su, sb), rows, failed, complex)
         if not (np.isfinite(scale).all() and np.isfinite(v).all()):
             _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
             _refuse_non_finite(failed, rows, v)
@@ -412,7 +412,7 @@ def _solve(n, lam, mu, reality_tol=None, general=False):
         gaps = _pairwise_gaps(v)
         for k in _may_cluster(gaps, gap).nonzero()[0]:
             if rows[k] not in failed:
-                v[k] = _resolve_real_clusters(v[k], d[k], su[k], sb[k], gap[k])
+                v[k] = _resolve_real_clusters(v[k], su[k], sb[k], gap[k])
                 gaps[k] = _pairwise_gaps(v[k, None])[0]
         imag = np.abs(v.imag)
         tol = REALITY_TOL_FACTOR * scale[:, None] if override is None else override
@@ -438,7 +438,7 @@ def eigen_general(h, reality_tol=None):
     re-solved from exact coefficients (`_resolve_real_clusters`), whether
     or not H symmetrizes.  One cell through `_solve`; a failure is raised.
     """
-    lam, mu = np.array([h.couplings.lam]), np.array([h.couplings.mu])
+    lam, mu = np.array([h.lam]), np.array([h.mu])
     values, all_real, _, min_gap, failed = _solve(h.n, lam, mu, reality_tol, general=True)
     if failed:
         raise failed[0]
@@ -453,7 +453,7 @@ def spectrum_of(h, reality_tol=None):
     other cell goes to `eigen_general`, the branch `_solve` would give it
     from the same two products.
     """
-    first, last = end_bonds(h.n, h.couplings.lam, h.couplings.mu)
+    first, last = end_bonds(h.n, h.lam, h.mu)
     if not _real_branch(first, last):
         return eigen_general(h, reality_tol)
     if reality_tol is not None:

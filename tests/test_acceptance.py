@@ -41,7 +41,7 @@ import pytest
 
 from cptwell.continuum import convergence_study
 from cptwell.dieudonne import kernel_basis, residual, span_residual
-from cptwell.hamiltonian import CouplingPair, build, dense
+from cptwell.hamiltonian import build, dense
 from cptwell.quasihermitian import (
     assemble_charge_spectral,
     biorthogonalize,
@@ -54,7 +54,7 @@ from cptwell.spectra import reality_tolerance, spectrum_of
 
 
 def well(n, lam, mu=None):
-    return build(n, CouplingPair(lam, lam if mu is None else mu))
+    return build(n, (lam, lam if mu is None else mu))
 
 
 def model_matrix(n, lam, mu):

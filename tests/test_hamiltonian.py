@@ -16,7 +16,6 @@ import pytest
 from cptwell.continuum import convergence_study, scaled_spectrum
 from cptwell.errors import NotSymmetrizable, ValidationError
 from cptwell.hamiltonian import (
-    CouplingPair,
     bands,
     build,
     dense,
@@ -28,11 +27,11 @@ from cptwell.quasihermitian import closed_form_operators
 
 
 def well(n, lam, mu=None):
-    return build(n, CouplingPair(lam, lam if mu is None else mu))
+    return build(n, (lam, lam if mu is None else mu))
 
 
 def sym_dense(s):
-    a = np.diag(s.s_diag)
+    a = np.diag(np.full(s.n, 2.0))
     idx = np.arange(s.n - 1)
     a[idx, idx + 1] = s.s_off
     a[idx + 1, idx] = s.s_off
@@ -42,7 +41,6 @@ def sym_dense(s):
 class TestBuild:
     def test_zero_coupling_gives_the_dirichlet_laplacian_bands(self):
         h = well(3, 0.0)
-        assert np.array_equal(h.diag, [2.0, 2.0, 2.0])
         assert np.array_equal(h.super, [-1.0, -1.0])
         assert np.array_equal(h.sub, [-1.0, -1.0])
 
@@ -50,7 +48,6 @@ class TestBuild:
         h = well(4, 0.5)
         assert np.array_equal(h.super, [-1.5, -1.0, -1.5])
         assert np.array_equal(h.sub, [-0.5, -1.0, -0.5])
-        assert np.array_equal(h.diag, [2.0, 2.0, 2.0, 2.0])
 
     def test_opposite_couplings_skew_the_end_bonds_oppositely(self):
         h = well(5, 0.3, -0.3)
@@ -96,17 +93,20 @@ class TestBuild:
     def test_integer_dimensions_of_any_integer_type_are_accepted(self):
         for n in (4, np.int64(4), np.int32(4), np.uint8(4), 4.0):
             h = build(n, (0.1, 0.1))
-            assert type(h.n) is int and h.n == 4 and h.diag.shape == (4,)
+            assert type(h.n) is int and h.n == 4 and h.super.shape == (3,)
 
     def test_non_finite_couplings_are_rejected(self):
-        with pytest.raises(ValidationError):
-            CouplingPair(float("nan"), 0.0)
-        with pytest.raises(ValidationError):
-            CouplingPair(0.0, float("inf"))
+        with pytest.raises(ValidationError, match=r"^couplings must be finite, got \(nan, 0\.0\)$"):
+            build(4, (float("nan"), 0.0))
+        with pytest.raises(ValidationError, match=r"^couplings must be finite, got \(0\.0, inf\)$"):
+            build(4, (0.0, float("inf")))
+        # The values are formatted as given, not through numpy's repr.
+        with pytest.raises(ValidationError, match=r"^couplings must be finite, got \(0\.3, nan\)$"):
+            build(4, (0.3, np.float64("nan")))
 
-    def test_plain_pair_is_accepted_in_place_of_the_dataclass(self):
+    def test_a_plain_pair_gives_the_cell_its_couplings(self):
         h = build(4, (0.5, 0.5))
-        assert (h.couplings.lam, h.couplings.mu) == (0.5, 0.5)
+        assert (h.lam, h.mu) == (0.5, 0.5)
         assert h.super[0] == -1.5
 
     def test_first_corner_pair_sums_to_minus_two_and_differs_by_twice_lambda(self):
@@ -147,10 +147,9 @@ class TestBuild:
             for bad in (np.complex128(0.3 + 0.1j), np.complex64(0.3 + 0.1j), 0.3 + 0.1j,
                         np.array(0.3 + 0.1j), np.complex128(0.3)):
                 for pair in ((bad, 0.0), (0.0, bad)):
-                    with pytest.raises(ValidationError, match="complex"):
+                    with pytest.raises(ValidationError,
+                                       match="^couplings must be real, got .*: complex values"):
                         build(4, pair)
-                    with pytest.raises(ValidationError, match="complex"):
-                        CouplingPair(*pair)
 
     def test_a_coupling_float_refuses_is_a_validation_error(self):
         for bad in ("a", None, [0.3], object(), 10**400):
@@ -166,14 +165,15 @@ class TestBuild:
     def test_real_couplings_of_other_types_are_still_accepted(self):
         for pair in (("0.3", "-0.2"), (np.float32(0.3), np.int64(0)), (True, 0),
                      (np.array(0.3), np.float64(-0.2)), [0.3, -0.2], np.array([0.3, -0.2])):
-            c = build(4, pair).couplings
-            assert (type(c.lam), type(c.mu)) == (float, float)
-            assert (c.lam, c.mu) == (float(pair[0]), float(pair[1]))
+            h = build(4, pair)
+            assert (type(h.lam), type(h.mu)) == (float, float)
+            assert (h.lam, h.mu) == (float(pair[0]), float(pair[1]))
 
     def test_band_arrays_are_read_only(self):
         h = well(4, 0.2)
-        with pytest.raises(ValueError):
-            h.diag[0] = 99.0
+        for band in (h.super, h.sub):
+            with pytest.raises(ValueError):
+                band[0] = 99.0
 
 
 class TestStackedBands:
@@ -181,22 +181,45 @@ class TestStackedBands:
         lams = np.array([0.0, 0.3, -0.8, 1.3, -1.0])
         mus = np.array([0.5, -0.3, -0.8, 0.2, 1.0])
         for n in (2, 3, 7):
-            diag, sup, sub = bands(n, lams, mus)
-            stack = dense_bands(diag, sup, sub)
-            radii = gershgorin_radii(diag, sup, sub)
+            sup, sub = bands(n, lams, mus)
+            stack = dense_bands(sup, sub)
+            radii = gershgorin_radii(sup, sub)
             for k, (lam, mu) in enumerate(zip(lams, mus)):
                 h = well(n, lam, mu)
-                assert np.array_equal(diag[k], h.diag)
                 assert np.array_equal(sup[k], h.super) and np.array_equal(sub[k], h.sub)
                 assert np.array_equal(stack[k], dense(h))
                 assert radii[k] == h.gershgorin_radius()
+
+    # The parent formulas, with the diagonal as an explicit array of 2s.
+    @pytest.mark.parametrize("n", [*range(2, 10), 64])
+    def test_dense_stacks_and_radii_equal_an_explicit_diagonal_bit_for_bit(self, n):
+        huge = 1e308
+        lams = np.array([0.0, -0.0, 0.3, -0.41, 1.0, -1.0, 2.5, huge, -huge, huge, 1e300])
+        mus = np.array([0.0, 0.7, -0.3, 1.0, -1.0, 0.2, -2.5, huge, huge, -huge, -1e300])
+        sup, sub = bands(n, lams, mus)
+        diag = np.full(n, 2.0)
+        i = np.arange(n)
+        radii = gershgorin_radii(sup, sub)
+        stack = dense_bands(sup, sub)
+        assert stack.shape == (lams.size, n, n) and radii.shape == (lams.size,)
+        for k in range(lams.size):
+            ref = np.zeros((n, n))
+            ref[i, i] = diag
+            ref[i[:-1], i[1:]] = sup[k]
+            ref[i[1:], i[:-1]] = sub[k]
+            assert stack[k].tobytes() == ref.tobytes(), (n, lams[k], mus[k])
+            rows = [abs(float(diag[r]))
+                    + (abs(float(sup[k, r])) if r < n - 1 else 0.0)
+                    + (abs(float(sub[k, r - 1])) if r else 0.0) for r in range(n)]
+            assert radii[k].tobytes() == np.float64(max(rows)).tobytes(), (n, lams[k], mus[k])
+        # At n = 3 the middle row holds both end bonds, so 1e308 at both ends overflows it.
+        assert np.isinf(radii[7]) == (n == 3)
 
 
 class TestSymmetrize:
     def test_zero_coupling_is_already_symmetric_with_unit_weights(self):
         s = symmetrize(well(4, 0.0))
         assert np.array_equal(s.d, np.ones(4))
-        assert np.array_equal(s.s_diag, np.full(4, 2.0))
         assert np.array_equal(s.s_off, -np.ones(3))
 
     def test_three_site_example_has_geometric_weights_and_sqrt_bond_offdiagonal(self):
@@ -257,7 +280,7 @@ class TestSerialization:
     def test_dense_places_bands_and_zeros_elsewhere(self):
         h = well(5, 0.3, -0.8)
         a = dense(h)
-        assert np.array_equal(np.diag(a), h.diag)
+        assert np.array_equal(np.diag(a), np.full(5, 2.0))
         assert np.array_equal(np.diag(a, 1), h.super)
         assert np.array_equal(np.diag(a, -1), h.sub)
         off = a - np.diag(np.diag(a)) - np.diag(np.diag(a, 1), 1) - np.diag(np.diag(a, -1), -1)

@@ -74,7 +74,7 @@ class TestPublicNames:
         }
         lazy = {name for names in cptwell._OPERATOR_NAMES.values() for name in names}
         assert cptwell.__all__ == sorted(eager | lazy) + ["__version__"]
-        assert len(cptwell.__all__) == len(set(cptwell.__all__)) == 46
+        assert len(cptwell.__all__) == len(set(cptwell.__all__)) == 45
 
     def test_every_public_name_is_its_defining_module_s_object(self):
         for name in cptwell.__all__:

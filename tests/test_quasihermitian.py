@@ -28,7 +28,7 @@ from cptwell.errors import (
     NumericalError,
     ValidationError,
 )
-from cptwell.hamiltonian import CouplingPair, build, dense, symmetrize
+from cptwell.hamiltonian import build, dense, symmetrize
 from cptwell.quasihermitian import (
     IDENTITY_TOL,
     OperatorTriple,
@@ -46,7 +46,7 @@ from cptwell.spectra import eigen_real, spectrum_of
 
 
 def well(n, lam, mu=None):
-    return build(n, CouplingPair(lam, lam if mu is None else mu))
+    return build(n, (lam, lam if mu is None else mu))
 
 
 def flip(n):
@@ -582,6 +582,19 @@ class TestSpectralDyads:
             with pytest.raises(NumericalError, match=message):
                 spectral_dyads(h)
 
+    def test_dyads_past_kernel_basis_s_residual_bound_are_refused(self):
+        # biorthogonalize certifies these eigenvectors, but the worst dyad
+        # misses max|H^T X - X H| <= 1e-10 * max|H| * max|X| (8.2e-10 at n = 33).
+        for n, lam, mu in ((33, 0.999999, 1.0 - 1e-12), (4, 0.9, 1.0 - 2.0**-52)):
+            h = well(n, lam, mu)
+            hd = dense(h)
+            dyads = [np.outer(l, l) for l in biorthogonalize(h).left.T]
+            worst = max(np.abs(hd.T @ x - x @ hd).max() / (np.abs(hd).max() * np.abs(x).max())
+                        for x in dyads)
+            assert worst > 1e-10, (n, lam, mu)
+            with pytest.raises(NumericalError, match="dyad residual .* exceeds"):
+                spectral_dyads(h)
+
     def test_a_degenerate_spectrum_is_refused_as_biorthogonalize_refuses_it(self):
         with pytest.raises(DegenerateSpectrum, match="biorthogonal pairing is ill-defined"):
             spectral_dyads(well(2, -(1.0 - 1e-12), 1.0 - 1e-12))
@@ -655,7 +668,7 @@ class TestOmegaFactorize:
             trip = closed_form_operators(n, lam)
             _, hermitized = omega_factorize(h, trip.theta)
             s = symmetrize(h)
-            expect = np.diag(s.s_diag)
+            expect = np.diag(np.full(n, 2.0))
             idx = np.arange(n - 1)
             expect[idx, idx + 1] = s.s_off
             expect[idx + 1, idx] = s.s_off

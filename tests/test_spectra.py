@@ -10,6 +10,7 @@ Independent oracles frozen into this file:
   rooted by numpy's companion-matrix solver.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import FrozenInstanceError
@@ -24,7 +25,6 @@ from cptwell import hamiltonian, spectra
 from cptwell.dieudonne import kernel_basis
 from cptwell.errors import ConvergenceError, NotSymmetrizable, NumericalError, ValidationError
 from cptwell.hamiltonian import (
-    CouplingPair,
     DiscreteHamiltonian,
     bands,
     build,
@@ -51,7 +51,7 @@ from cptwell.spectra import (
 
 
 def well(n, lam, mu=None):
-    return build(n, CouplingPair(lam, lam if mu is None else mu))
+    return build(n, (lam, lam if mu is None else mu))
 
 
 def dirichlet_levels(n):
@@ -67,7 +67,7 @@ def exact_charpoly_coeffs(h):
     p_k = (d_k - e) p_{k-1} - super_{k-1} sub_{k-1} p_{k-2}.
     Returns coefficients in ascending powers of e, each a Fraction.
     """
-    diag = [Fraction(x) for x in h.diag.tolist()]
+    diag = [Fraction(2)] * h.n
     bonds = [Fraction(a) * Fraction(b) for a, b in zip(h.super.tolist(), h.sub.tolist())]
     pm2 = [Fraction(1)]
     pm1 = [diag[0], Fraction(-1)]
@@ -133,7 +133,7 @@ class TestEigenReal:
         s = symmetrize(well(12, 0.7))
         spec, w = eigen_real(s)
         assert np.max(np.abs(w.T @ w - np.eye(12))) <= 1e-12
-        a = np.diag(s.s_diag)
+        a = np.diag(np.full(12, 2.0))
         idx = np.arange(11)
         a[idx, idx + 1] = s.s_off
         a[idx + 1, idx] = s.s_off
@@ -151,7 +151,7 @@ class TestEigenReal:
     def test_matches_numpy_on_a_large_symmetrizable_well(self):
         s = symmetrize(well(40, 0.95))
         spec = spectrum_of(well(40, 0.95))
-        a = np.diag(s.s_diag)
+        a = np.diag(np.full(40, 2.0))
         idx = np.arange(39)
         a[idx, idx + 1] = s.s_off
         a[idx + 1, idx] = s.s_off
@@ -321,6 +321,55 @@ class TestCharPoly:
         logged = float(str(info.value).rsplit("= ", 1)[1])
         assert abs(logged - ref) <= 1e-9 * ref
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 400])
+    def test_values_and_refusals_equal_a_recurrence_on_an_explicit_diagonal(self, n):
+        couplings = (0.0, -0.0, 0.3, -0.41, 0.999999, 1.0, -2.5, 1e160, 1.7e308)
+        rng = np.random.default_rng(n)
+        points = [*np.linspace(-1.0, 5.0, 7).tolist(),
+                  *[complex(a, b) for a, b in rng.uniform(-3.0, 5.0, (7, 2))],
+                  1e150, -1e200, 1e300 + 1e300j, 2.0 + 1e160j, 1.7e308]
+        outcomes = set()
+        for lam in couplings:
+            for mu in couplings:
+                h = well(n, lam, mu)
+                for e in points:
+                    ref = explicit_diagonal_char_poly(h, e)
+                    try:
+                        got = char_poly(h, e)
+                    except NumericalError as exc:
+                        got = str(exc)
+                    if isinstance(ref, str):
+                        assert got == ref, (n, lam, mu, e)
+                    else:
+                        assert type(got) is complex, (n, lam, mu, e)
+                        assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+                    outcomes.add(type(ref))
+        assert outcomes == {complex, str}
+
+
+def explicit_diagonal_char_poly(h, e):
+    """`char_poly`'s recurrence with the diagonal as an explicit array of 2s.
+
+    Returns det(H - e) as a Python complex, or the message of the
+    NumericalError that `char_poly` raises.
+    """
+    z = complex(e)
+    diag, bonds = np.full(h.n, 2.0), h.bonds
+    pm2, p = 1.0 + 0.0j, diag[0] - z
+    nscale = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, h.n):
+            pm2, p = p, (diag[k] - z) * p - bonds[k - 1] * pm2
+            if abs(p.real) + abs(p.imag) > 1e150:
+                pm2, p, nscale = pm2 * 2.0**-512, p * 2.0**-512, nscale + 1
+    if not cmath.isfinite(p):
+        return f"the recurrence for det(H - e) left the float range at e={e!r}"
+    try:
+        return complex(math.ldexp(p.real, 512 * nscale), math.ldexp(p.imag, 512 * nscale))
+    except OverflowError:
+        log_mag = math.log(abs(p)) + 512 * nscale * math.log(2.0)
+        return f"det(H - e) overflows the float range: log|det| = {log_mag:.17g}"
+
 
 class TestExactPolynomialOracle:
     CASES = (
@@ -354,7 +403,7 @@ def exact_taylor_coeffs(h, c, m):
     shifted by c, truncated at degree m.
     """
     c = Fraction(c)
-    diag = [Fraction(x) - c for x in h.diag.tolist()]
+    diag = [Fraction(2) - c] * h.n
     bonds = [Fraction(a) * Fraction(b) for a, b in zip(h.super.tolist(), h.sub.tolist())]
     pm2 = [Fraction(1)] + [Fraction(0)] * m
     pm1 = ([diag[0], Fraction(-1)] + [Fraction(0)] * m)[: m + 1]
@@ -388,7 +437,7 @@ class TestExactTaylorCoefficients:
     def test_coefficients_are_the_rounded_exact_ones_up_to_a_power_of_two(self, cell):
         n, lam, mu, c, m = cell
         h = well(n, lam, mu)
-        got = spectra._taylor_charpoly(h.diag, h.super, h.sub, c, m)
+        got = spectra._taylor_charpoly(h.super, h.sub, c, m)
         exact = exact_taylor_coeffs(h, c, m)
         assert got.shape == (m + 1,)
         top = max(range(m + 1), key=lambda j: abs(exact[j]))
@@ -409,14 +458,14 @@ class TestClusterIsolation:
     def resolve(self, third, monkeypatch):
         centres = []
 
-        def taylor(diag, sup, sub, c, m):
+        def taylor(sup, sub, c, m):
             centres.append(c)
             return np.array([-1.0, 0.0, 1.0])  # roots +-1, scaled by r = 1
 
         monkeypatch.setattr(spectra, "_taylor_charpoly", taylor)
         h = well(3, 0.5)
         values = np.array([1.0, 1.0 + 1e-7, third], dtype=complex)
-        got = spectra._resolve_real_clusters(values, h.diag, h.super, h.sub, self.GAP)
+        got = spectra._resolve_real_clusters(values, h.super, h.sub, self.GAP)
         return values, got, centres
 
     def test_a_group_with_a_value_within_100_gaps_keeps_lapack_s_values(self, monkeypatch):
@@ -597,33 +646,35 @@ class TestOneHamiltonianType:
     def test_bands_are_not_arguments(self):
         h = well(3, 0.0)
         with pytest.raises(TypeError):
-            DiscreteHamiltonian(3, h.couplings, np.array([1.0, 2.0, 3.0]), h.super, h.sub)
+            DiscreteHamiltonian(3, (h.lam, h.mu), np.array([1.0, 2.0, 3.0]), h.super, h.sub)
         with pytest.raises(TypeError):
-            DiscreteHamiltonian(3, h.couplings, diag=np.array([1.0, 2.0, 3.0]))
+            DiscreteHamiltonian(3, (h.lam, h.mu), diag=np.array([1.0, 2.0, 3.0]))
 
     def test_bands_are_read_only(self):
         h = DiscreteHamiltonian(4, (0.3, -0.2))
-        for band in (h.diag, h.super, h.sub):
+        for band in (h.super, h.sub):
             with pytest.raises(ValueError, match="read-only"):
                 band[0] = 5.0
         with pytest.raises(FrozenInstanceError):
-            h.diag = np.ones(4)
+            h.super = np.ones(3)
+        with pytest.raises(FrozenInstanceError):
+            h.lam = 0.5
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9])
     def test_bands_equal_the_band_builder_and_build_bit_for_bit(self, n):
         for lam, mu in ((0.0, 0.0), (0.4, -0.3), (-2.5, 0.27), (1e308, -1e308)):
-            h = DiscreteHamiltonian(n, CouplingPair(lam, mu))
+            h = DiscreteHamiltonian(n, (lam, mu))
             built = build(n, (lam, mu))
             assert h.n == built.n == n and type(h.n) is int
-            assert (h.couplings.lam, h.couplings.mu) == (lam, mu)
-            for got, want, other in zip((h.diag, h.super, h.sub), bands(n, lam, mu),
-                                        (built.diag, built.super, built.sub)):
+            assert (h.lam, h.mu) == (lam, mu)
+            for got, want, other in zip((h.super, h.sub), bands(n, lam, mu),
+                                        (built.super, built.sub)):
                 assert got.dtype == want.dtype and got.shape == want.shape, (n, lam, mu)
                 assert got.tobytes() == want.tobytes() == other.tobytes(), (n, lam, mu)
 
     def test_the_couplings_may_be_a_plain_pair_and_the_size_a_numpy_integer(self):
         h = DiscreteHamiltonian(np.int64(5), (0.3, -0.2))
-        assert type(h.n) is int and isinstance(h.couplings, CouplingPair)
+        assert (type(h.n), type(h.lam), type(h.mu)) == (int, float, float)
         assert spectrum_of(h).values.tobytes() == spectrum_of(well(5, 0.3, -0.2)).values.tobytes()
         with pytest.raises(ValidationError, match="dimension"):
             DiscreteHamiltonian(2.5, (0.3, -0.2))
@@ -715,7 +766,7 @@ class TestOneCellRoute:
         huge = (1e308, -1e308)
         for lam, mu in ((0.0, 0.0), (0.4, -0.3), (-2.5, 0.27), (1.0, -1.0), (1.0 - 2.0**-53, 0.5),
                         huge, huge[::-1], (1e308, 1e308), (-1e308, 0.2), (0.7, 1e308)):
-            _, sup, sub = bands(n, lam, mu)
+            sup, sub = bands(n, lam, mu)
             with np.errstate(over="ignore"):
                 bonds = sup * sub
             first, last = end_bonds(n, lam, mu)
@@ -735,7 +786,7 @@ class TestOneCellRoute:
                 DiscreteHamiltonian(n, pair)
         h = build(4, (0.1, 0.2))
         monkeypatch.undo()
-        assert h.diag.shape == (4,)
+        assert h.super.shape == (3,)
 
     def test_bands_are_derived_once_on_first_access(self, monkeypatch):
         calls = []
@@ -747,11 +798,11 @@ class TestOneCellRoute:
         monkeypatch.setattr(hamiltonian, "bands", counted)
         h = build(5, (0.3, -0.2))
         assert calls == []
-        first = (h.sub, h.diag, h.super)
+        first = (h.sub, h.super)
         assert calls == [(5, 0.3, -0.2)]
-        assert all(a is b for a, b in zip(first, (h.sub, h.diag, h.super)))
+        assert all(a is b for a, b in zip(first, (h.sub, h.super)))
         assert h.bonds.tobytes() == (h.super * h.sub).tobytes() and len(calls) == 1
-        for got, want in zip((h.diag, h.super, h.sub), bands(5, 0.3, -0.2)):
+        for got, want in zip((h.super, h.sub), bands(5, 0.3, -0.2)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
@@ -823,7 +874,7 @@ class TestHugeCouplings:
                 values = np.linalg.eigvals(dense(h))
                 gap = spectra.EP_CLUSTER_GAP * h.gershgorin_radius()
                 assert spectra._may_cluster(spectra._pairwise_gaps(values[None]), gap)[0]
-                again = spectra._resolve_real_clusters(values, h.diag, h.super, h.sub, gap)
+                again = spectra._resolve_real_clusters(values, h.super, h.sub, gap)
                 assert again.tobytes() == values.tobytes(), (n, lam, mu)
                 assert eigen_general(h).all_real == (n == 2)
 
@@ -1270,15 +1321,15 @@ class TestBatchedScanAgainstCellLoop:
             (17, rng.uniform(-1.3, 1.3, 40), rng.uniform(-1.3, 1.3, 40)),
         ):
             mus = lams if mus is None else mus
-            diag, sup, sub = bands(n, lams, mus)
-            values = np.linalg.eigvals(dense_bands(diag, sup, sub)).astype(complex)
+            sup, sub = bands(n, lams, mus)
+            values = np.linalg.eigvals(dense_bands(sup, sub)).astype(complex)
             radii = [build(n, (a, b)).gershgorin_radius() for a, b in zip(lams, mus)]
             scale = np.maximum(1.0, radii)
             gap = spectra.EP_CLUSTER_GAP * scale
             cluster = spectra._may_cluster(spectra._pairwise_gaps(values), gap)
             assert cluster.any() or n > 4
             for k in np.flatnonzero(~cluster):
-                again = resolve(values[k], diag[k], sup[k], sub[k], gap[k])
+                again = resolve(values[k], sup[k], sub[k], gap[k])
                 assert again.tobytes() == values[k].tobytes(), (n, k)
 
 

@@ -13,7 +13,10 @@ set to "always", and prints the number of invocations and one sha256 over
 first argument; ``(none)`` for the bare call) with its number of invocations
 and a sha256 over its records alone.  Run it on two checkouts on one machine:
 equal digests mean that both print the same bytes for every invocation, and
-equal subcommand digests that the subcommand kept its bytes.
+equal subcommand digests that the subcommand kept its bytes.  An exception
+that escapes ``cptwell.cli.main`` is hashed as "Type: message" in place of
+the exit code; after its lines the script then names each such invocation
+on stderr and exits 1.
 
 The set covers every subcommand in JSON and CSV, n from 2 to 160, couplings
 inside and outside the window (0.999999, +-1, 1e308 and more), scan grids
@@ -79,6 +82,8 @@ def invocations():
         ("spectrum", "-N", "5", "--lambda", "1.3", "--tol", "0.5"),
         ("spectrum", "-N", "5", "--lambda", "-1.5e-1", "--tol", "0"),
         ("scan", "-N", "4", "--grid", "-1.2:1.2:0.1", "--tol", "1e-3"),
+        # Every cell fails: the Gershgorin radius overflows the float range.
+        ("scan", "-N", "3", "--grid", "1.5e308:1.7e308:1e307"),
     ]
     for n, lam, levels in product(("8", "16", "20", "24", "64", "160"),
                                   ("0", "0.3", "-0.5", "0.999999", "1", "1.5"),
@@ -157,11 +162,14 @@ def main(args):
     counts = Counter()
     parts = defaultdict(hashlib.sha256)
     argvs = invocations()
+    crashed = []
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("always")
         output = os.path.join(tmp, "out.txt")
         for argv in argvs:
             rc, out, err, written = run(cli.main, argv, output)
+            if isinstance(rc, str):
+                crashed.append((argv, rc))
             record = [list(argv), rc, out, err.replace(src, "SRC"), written]
             line = json.dumps(record).encode() + b"\n"
             digest.update(line)
@@ -171,7 +179,9 @@ def main(args):
     print(f"{len(argvs)} invocations sha256 {digest.hexdigest()}")
     for command in sorted(parts):
         print(f"  {command} {counts[command]} invocations sha256 {parts[command].hexdigest()}")
-    return 0
+    for argv, rc in crashed:
+        print(f"crashed: {' '.join(argv) or '(none)'}: {rc}", file=sys.stderr)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
