@@ -400,10 +400,12 @@ def _float_arrays(arrays, skeleton):
     Each (a, level) in ``arrays`` is rendered between two consecutive
     skeleton texts as json.dumps(a.tolist(), indent=2) renders it at that
     nesting level.  For float arrays with at least one entry, all from one
-    payload, which share one token table: one np.unique runs over the
-    non-zero bit patterns of every array (+0.0 has a fixed token; -0.0 has
-    its sign bit set and keeps its own), and float.__repr__ runs once per
-    distinct value of the payload.  The whole token table is joined once to
+    payload, which share one token table: the non-zero bit patterns of every
+    array are sorted once (+0.0 has a fixed token; -0.0 has its sign bit set
+    and keeps its own), each pattern that differs from its predecessor is a
+    token, in ascending order, and each entry's code is its pattern's place
+    among them, by binary search.  float.__repr__ runs once per distinct
+    value of the payload.  The whole token table is joined once to
     each separator that follows most entries of some array (one per ndim and
     level).  Each array is then laid out by one gather from its slice of the
     shared codes and a fix-up of the entries that close an axis.  The pieces
@@ -413,14 +415,19 @@ def _float_arrays(arrays, skeleton):
     flat = [np.asarray(a, dtype=np.float64).reshape(-1) for a, _ in arrays]
     bits = np.concatenate(flat).view(np.int64)
     nonzero = bits != 0
-    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    present = bits[nonzero]
+    ordered = np.sort(present)
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
     values = distinct.view(np.float64)
     texts = ["0.0", *map(float.__repr__, values.tolist())]
     if not np.isfinite(values).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
     tokens = np.array(texts, dtype=object)
     codes = np.zeros(bits.shape, dtype=np.intp)
-    codes[nonzero] = inverse + 1
+    codes[nonzero] = np.searchsorted(distinct, present) + 1
 
     layouts = [_layout(a.shape, level) for a, level in arrays]
     bounds = np.cumsum([0, *(a.size for a, _ in arrays)]).tolist()

@@ -13,11 +13,12 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   the levels are 2 -/+ the singular values of B, plus 2 itself for odd n
   (`_chiral_levels`), from one stacked ``np.linalg.svd`` with no dense
   matrix.  B is the uncoupled chain's block with its two boundary entries
-  set.  `spectrum_of` takes a real-branch cell's levels from `_chiral_levels`
-  directly, with the same rule and the same bits as `_solve`, but without
-  the stacked bookkeeping.  `_chiral_levels` is the only route to real
-  levels; `eigen_real` is for eigenvectors, which it takes with their values
-  from ``np.linalg.eigh``.
+  set.  `spectrum_of` solves a real-branch cell alone (`_one_cell_levels`):
+  it copies that block from a per-size cache, sets the two entries and takes
+  the same LAPACK call on a stack of one, so with the same rule and the same
+  bits as `_solve`, but without the stacked bookkeeping.  These are the only
+  routes to real levels; `eigen_real` is for eigenvectors, which it takes
+  with their values from ``np.linalg.eigh``.
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which `_solve`
   builds from the two off-diagonal `bands` of these cells only and the
@@ -42,7 +43,7 @@ or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,8 +69,12 @@ EP_CLUSTER_GAP = 1e-5
 BLOCK_ENTRIES = 1 << 16
 _RADIUS_OVERFLOW = "the Gershgorin radius overflows the float range"
 _NON_FINITE_VALUE = "the eigenvalue solve gave a non-finite value"
-# The rows of a one-cell solve, as `_chiral_levels` records its failures.
-_ONE_ROW = np.zeros(1, dtype=np.int64)
+# Largest size whose uncoupled block `_one_cell_levels` copies from a cache;
+# the cache then holds at most 63 blocks of at most 32 x 32 entries.  Past it
+# the SVD outweighs building the block afresh.
+_CACHED_BLOCK_MAX_N = 64
+# The middle level 2 of an odd chain, which `_one_cell_levels` slices.
+_MIDDLE = np.full(1, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +169,9 @@ def eigen_real(s):
     return spec, w * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def _lapack(solver, a):
+def _lapack(solver, a, **kwargs):
     try:
-        return solver(a)
+        return solver(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigenvalue solver failed: {exc}") from exc
 
@@ -321,6 +326,24 @@ def _real_branch(first, last):
     return (first > 0.0) & (first < np.inf) & (last > 0.0) & (last < np.inf)
 
 
+def _uncoupled_blocks(m, n):
+    """m new copies of the uncoupled chain's floor(n/2) x ceil(n/2) block B."""
+    p, r = n // 2, (n + 1) // 2
+    # In row-major order B's two diagonals are every (r + 1)-th entry, from 0 and 1.
+    b = np.zeros((m, p * r))
+    b[:, :: r + 1] = 1.0
+    b[:, 1 :: r + 1] = 1.0
+    return b.reshape(m, p, r)
+
+
+@lru_cache(maxsize=None)
+def _cached_block(n):
+    """The uncoupled block of size n <= _CACHED_BLOCK_MAX_N, read-only: every caller shares it."""
+    b = _uncoupled_blocks(1, n)[0]
+    b.flags.writeable = False
+    return b
+
+
 def _chiral_levels(n, first, last, rows, failed):
     """Ascending eigenvalues of m symmetric n x n tridiagonals with the model's diagonal 2.
 
@@ -338,12 +361,7 @@ def _chiral_levels(n, first, last, rows, failed):
     """
     m = rows.size
     p, r = n // 2, (n + 1) // 2
-    # The uncoupled chain's B: in row-major order its diagonals are every
-    # (r + 1)-th entry, from 0 and 1.
-    b = np.zeros((m, p * r))
-    b[:, :: r + 1] = 1.0
-    b[:, 1 :: r + 1] = 1.0
-    b = b.reshape(m, p, r)
+    b = _uncoupled_blocks(m, n)
     # Bond k sits at B[k // 2, (k + 1) // 2]; for n = 2 both ends are bond 0.
     b[:, 0, 0] = first
     b[:, (n - 2) // 2, (n - 1) // 2] = last
@@ -357,6 +375,26 @@ def _chiral_levels(n, first, last, rows, failed):
     if not np.isfinite(levels).all():
         _refuse_non_finite(failed, rows, levels)
     return levels
+
+
+def _one_cell_levels(n, first, last):
+    """`_chiral_levels` of one cell, as a 1-D array, with the same bits.
+
+    The same block, from a copy of `_cached_block` where n allows, the same
+    SVD on a stack of one (``np.linalg.svd`` looked up at each call) and the
+    same arithmetic, with the levels joined by one ``np.concatenate``.  A
+    LAPACK failure raises `ConvergenceError`, a non-finite level the
+    `NumericalError` that `_chiral_levels` records.
+    """
+    b = _cached_block(n).copy() if n <= _CACHED_BLOCK_MAX_N else _uncoupled_blocks(1, n)[0]
+    b[0, 0] = first
+    b[(n - 2) // 2, (n - 1) // 2] = last
+    sigma = _lapack(np.linalg.svd, b[None], compute_uv=False)[0]
+    # Singular values are >= 0, and with B's entries below 1.4e154 finite ones
+    # stay below about 2e154, so their sum is finite exactly when each level is.
+    if not math.isfinite(sigma.sum()):
+        raise NumericalError(_NON_FINITE_VALUE)
+    return np.concatenate((2.0 - sigma, _MIDDLE[: n % 2], 2.0 + sigma[::-1]))
 
 
 def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
@@ -449,7 +487,7 @@ def spectrum_of(h, reality_tol=None):
     """Route to the right branch: real where symmetrizable, general otherwise.
 
     A real-branch cell is solved here from its two boundary bond products,
-    with `_solve`'s rule and `_chiral_levels`, so with `_solve`'s bits; any
+    with `_solve`'s rule and `_one_cell_levels`, so with `_solve`'s bits; any
     other cell goes to `eigen_general`, the branch `_solve` would give it
     from the same two products.
     """
@@ -458,11 +496,8 @@ def spectrum_of(h, reality_tol=None):
         return eigen_general(h, reality_tol)
     if reality_tol is not None:
         _checked_override(reality_tol)
-    failed = {}
-    levels = _chiral_levels(h.n, math.sqrt(first), math.sqrt(last), _ONE_ROW, failed)
-    if failed:
-        raise failed[0]
-    return Spectrum(levels[0].astype(complex), True, float(_adjacent_gaps(levels)[0]))
+    levels = _one_cell_levels(h.n, math.sqrt(first), math.sqrt(last))
+    return Spectrum(levels.astype(complex), True, float(_adjacent_gaps(levels)))
 
 
 def _grid(values, what):

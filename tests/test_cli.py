@@ -723,6 +723,12 @@ class TestArrayEncoder:
     """Rendered JSON equals json.dumps(indent=2) of the list-form payload."""
 
     SMALL, LARGE = "8", "33"
+    # The largest plain-run payload of the benchmark's size range: 64 arrays
+    # of one layout, 67,088 non-zero entries and 2,674 tokens.
+    PLAIN_64 = ("pseudometrics", "-N", "64", "--lambda", "0.41", "--mu", "-0.27")
+    # Re-orthonormalized: 1,843 tokens for 13,824 entries, so the binary
+    # search for each entry's code runs on a large table.
+    GROWN_24 = ("pseudometrics", "-N", "24", "--lambda", "2.5", "--mu", "0.3")
     REQUESTS = (
         ("spectrum", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
         ("spectrum", "-N", LARGE, "--lambda", "1.3", "--mu", "0.2"),
@@ -732,6 +738,8 @@ class TestArrayEncoder:
         ("pseudometrics", "-N", SMALL, "--lambda", "0.41", "--mu", "-0.27"),
         ("pseudometrics", "-N", SMALL, "--lambda", "0"),
         ("pseudometrics", "-N", LARGE, "--lambda", "0.41", "--mu", "-0.27"),
+        PLAIN_64,
+        GROWN_24,
         ("metric", "-N", SMALL, "--lambda", "0.5"),
         ("metric", "-N", LARGE, "--lambda", "-0.35", "--mu", "0.35"),
         ("charge", "-N", SMALL, "--lambda", "0.6"),
@@ -750,6 +758,18 @@ class TestArrayEncoder:
             rows = reference_rows(cfg.command, list_form(payload))
             csv_text = cli.dispatch(config(*argv, "--format", "csv"))
             assert csv_text == reference_csv(header, rows), argv
+
+    def test_the_two_large_pseudometric_payloads_have_the_stated_shapes(self):
+        # What the comments on these requests state, as far as it holds on
+        # any BLAS kernel: which recurrence route ran, and the token count.
+        from cptwell import dieudonne
+        from cptwell.hamiltonian import build
+
+        for argv, grown, tokens in ((self.PLAIN_64, False, 2000), (self.GROWN_24, True, 1500)):
+            cfg = config(*argv)
+            basis = dieudonne.kernel_basis(build(cfg.n, (cfg.lam, cfg.mu)))
+            assert basis.reorthonormalized is grown, argv
+            assert np.unique(np.array(basis.basis).view(np.int64)).size > tokens, argv
 
     def test_special_leaves_match_json(self):
         nan, inf = float("nan"), float("inf")
@@ -861,14 +881,14 @@ class TestArrayEncoder:
     @staticmethod
     @st.composite
     def shared_value_payloads(draw):
-        """Nested dicts and lists holding 1-4 float arrays (0-3 axes, possibly
+        """Nested dicts and lists holding 1-16 float arrays (0-3 axes, possibly
         as transposed or strided views) and float scalars, all drawn from one
         small pool of values, so that values recur across the arrays."""
         special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e16, 1e-7, 0.1]
         pool = draw(st.lists(st.one_of(st.sampled_from(special), st.floats()),
                              min_size=1, max_size=6))
         payload = {"scalar": draw(st.sampled_from(pool))}
-        for k in range(draw(st.integers(1, 4))):
+        for k in range(draw(st.integers(1, 16))):
             shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
             entries = draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
                                     max_size=int(np.prod(shape))))

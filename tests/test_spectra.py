@@ -805,6 +805,38 @@ class TestOneCellRoute:
         for got, want in zip((h.super, h.sub), bands(5, 0.3, -0.2)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
+    @staticmethod
+    def uncoupled_block(n):
+        """The uncoupled chain's floor(n/2) x ceil(n/2) upper-bidiagonal block of ones."""
+        return np.eye(n // 2, (n + 1) // 2) + np.eye(n // 2, (n + 1) // 2, 1)
+
+    def test_the_cached_uncoupled_block_is_read_only(self):
+        for n in (2, 3, 8, 33, spectra._CACHED_BLOCK_MAX_N):
+            block = spectra._cached_block(n)
+            assert block is spectra._cached_block(n)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.5
+            assert block.tobytes() == self.uncoupled_block(n).tobytes()
+
+    def test_only_sizes_up_to_the_cap_are_cached(self):
+        spectra._cached_block.cache_clear()
+        cap = spectra._CACHED_BLOCK_MAX_N
+        for n in (cap + 1, 2 * cap, cap, 2):
+            assert_one_cell_matches_the_core(n, 0.3, -0.6)
+        assert spectra._cached_block.cache_info().currsize == 2
+
+    def test_interleaved_cells_leave_the_shared_block_as_it_was(self):
+        # Cells of one size write their boundary entries into copies of one
+        # cached block; a write reaching the block itself would move the
+        # answers of the cells after it away from the core's, which builds
+        # its blocks afresh.
+        rng = np.random.default_rng(30)
+        sizes = rng.integers(2, spectra._CACHED_BLOCK_MAX_N + 4, 300)
+        for n, (lam, mu) in zip(sizes.tolist(), rng.uniform(-0.99, 0.99, (300, 2)).tolist()):
+            assert not assert_one_cell_matches_the_core(n, lam, mu)
+        for n in (2, 3, 9, 64):
+            assert spectra._cached_block(n).tobytes() == self.uncoupled_block(n).tobytes()
+
 
 class TestHugeCouplings:
     def test_overflowing_intermediates_raise_no_warnings(self):
