@@ -29,19 +29,12 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .hamiltonian import (
-    DiscreteHamiltonian,
-    SymmetrizedForm,
-    build,
-    dense,
-    symmetrize,
-)
+from .hamiltonian import DiscreteHamiltonian, build, dense
 from .spectra import (
     DomainScan,
     Spectrum,
     char_poly,
     eigen_general,
-    eigen_real,
     reality_tolerance,
     scan_domain,
     scan_line,

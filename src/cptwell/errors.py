@@ -21,8 +21,10 @@ class NumericalError(CptwellError):
 class NotSymmetrizable(NumericalError):
     """A bond product super[i]*sub[i] <= 0 prevents the diagonal symmetrization.
 
-    Signals a potential complex spectrum or an exceptional point; callers that
-    can handle complex spectra should fall back to the general solver.
+    `biorthogonalize` raises it for the first or last bond, the only ones whose
+    product can fail.  Signals a potential complex spectrum or an exceptional
+    point; callers that can handle complex spectra should fall back to the
+    general solver.
     """
 
     def __init__(self, bond_index, product):

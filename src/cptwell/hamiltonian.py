@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotSymmetrizable, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -77,18 +77,6 @@ class DiscreteHamiltonian:
     def gershgorin_radius(self):
         """Upper bound on the spectral radius from row sums."""
         return float(gershgorin_radii(self.super, self.sub))
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetrizedForm:
-    """Symmetric tridiagonal S = D^-1 H D (diagonal 2) plus the weights d (d[0] = 1)."""
-
-    s_off: np.ndarray
-    d: np.ndarray
-
-    @property
-    def n(self):
-        return self.d.shape[0]
 
 
 def _couplings(pair):
@@ -194,28 +182,6 @@ def gershgorin_radii(sup, sub):
 def build(n, couplings):
     """Construct H(lambda, mu) of dimension n >= 2: ``DiscreteHamiltonian(n, couplings)``."""
     return DiscreteHamiltonian(n, couplings)
-
-
-def symmetrize(h):
-    """Diagonal similarity S = D^-1 H D making H symmetric.
-
-    Requires every bond product super[i]*sub[i] > 0.  The weights follow
-    d[i+1] = d[i]*sqrt(sub[i]/super[i]) with d[0] = 1, which gives the
-    symmetric off-diagonal s_off[i] = super[i]*d[i+1]/d[i], that is
-    sqrt(super[i]*sub[i]) with the sign of super[i].  Right
-    eigenvectors of H are D w and left eigenvectors (of H^T) are D^-1 w for w
-    an eigenvector of S.
-    """
-    products = h.bonds
-    bad = np.nonzero(products <= 0.0)[0]
-    if bad.size:
-        raise NotSymmetrizable(bad[0], products[bad[0]])
-    d = np.empty(h.n)
-    d[0] = 1.0
-    ratios = np.sqrt(h.sub / h.super)
-    np.cumprod(ratios, out=d[1:])
-    s_off = np.copysign(np.sqrt(products), h.super)
-    return SymmetrizedForm(_freeze(s_off), _freeze(d))
 
 
 def dense(h):

@@ -3,9 +3,10 @@
 A non-symmetric H with real simple spectrum carries a biorthogonal pair of
 eigenbases: right vectors H r_k = E_k r_k and left vectors H^T l_k = E_k l_k
 with l_j^T r_k = mu_k delta_jk.  Both families come from one symmetric
-eigenproblem through the diagonal similarity S = D^-1 H D of the symmetrized
-form: r_k = D w_k and l_k = D^-1 w_k, so left and right vectors agree up to
-the componentwise weight D^-2.  The left vectors also give the spectral
+eigenproblem through the diagonal similarity S = D^-1 H D: r_k = D w_k and
+l_k = D^-1 w_k, so left and right vectors agree up to the componentwise weight
+D^-2, Theta_D up to scale.  The w_k come from the SVD of S's half-size chiral
+block, as the real-branch levels do (`spectra`).  The left vectors give the spectral
 dyads l_k l_k^T, the eigenvector route to the pseudometrics that the
 dieudonne module computes without eigenvectors.
 
@@ -42,11 +43,12 @@ from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
     NotDyadRepresentable,
+    NotSymmetrizable,
     NumericalError,
     ValidationError,
 )
-from .hamiltonian import DiscreteHamiltonian, _couplings, dense, dimension, symmetrize
-from .spectra import eigen_real
+from .hamiltonian import DiscreteHamiltonian, _couplings, dense, dimension, end_bonds
+from .spectra import _adjacent_gaps, _chiral_eigenpairs
 
 CONSTRUCTION_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -158,19 +160,30 @@ def _smallest_eigenvalue(theta):
 def biorthogonalize(h):
     """Right and left eigenbases of h with their biorthogonal overlaps.
 
-    Both families are transported from the symmetrized form S = D^-1 H D:
-    if S w = E w then H (D w) = E (D w) and H^T (D^-1 w) = E (D^-1 w).
-    Requires couplings inside the open unit square (real spectrum branch)
-    and a simple spectrum.
+    Both families are transported from the symmetric S = D^-1 H D, with
+    d[0] = 1 and d[i+1] = d[i] sqrt(sub[i] / super[i]): if S w = E w then
+    H (D w) = E (D w) and H^T (D^-1 w) = E (D^-1 w).  `_chiral_eigenpairs`
+    gives S's levels and unit vectors w (off-diagonal sqrt(super[i] sub[i])
+    with the sign of super[i]), each made positive in its first significant
+    component.  Requires positive end bond products (NotSymmetrizable) and
+    a simple spectrum.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("biorthogonalize expects a DiscreteHamiltonian")
-    sym = symmetrize(h)
-    spec, w = eigen_real(sym)
-    scale = _gap_gate(h, spec.min_gap, "biorthogonal pairing is ill-defined")
-    values = spec.values.real.copy()
-    right = w * sym.d[:, None]
-    left = w / sym.d[:, None]
+    n = h.n
+    first, last = end_bonds(n, h.lam, h.mu)
+    for bond, product in ((0, first), (n - 2, last)):
+        if product <= 0.0:
+            raise NotSymmetrizable(bond, product)
+    ends = np.copysign(np.sqrt([first, last]), h.super[[0, -1]])
+    values, w = _chiral_eigenpairs(n, *ends)
+    mag = np.abs(w)
+    lead = w[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(n)]
+    w *= np.where(lead < 0.0, -1.0, 1.0)
+    scale = _gap_gate(h, float(_adjacent_gaps(values)), "biorthogonal pairing is ill-defined")
+    d = np.cumprod(np.r_[1.0, np.sqrt(h.sub / h.super)])
+    right = w * d[:, None]
+    left = w / d[:, None]
     right = right / np.linalg.norm(right, axis=0)
     left = left / np.linalg.norm(left, axis=0)
     overlaps = np.einsum("ik,ik->k", left, right)
@@ -354,7 +367,8 @@ def omega_factorize(h, theta):
 
     Uses the upper Cholesky factor, which reduces to the entrywise square
     root for diagonal metrics; for the closed-form Theta the hermitized
-    matrix coincides with the symmetrized form of h.
+    matrix is the symmetric tridiagonal with diagonal 2 and off-diagonal
+    -sqrt(super[i] sub[i]), inside the window.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("omega_factorize expects a DiscreteHamiltonian")

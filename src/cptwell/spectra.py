@@ -16,9 +16,9 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   set.  `spectrum_of` solves a real-branch cell alone (`_one_cell_levels`):
   it copies that block from a per-size cache, sets the two entries and takes
   the same LAPACK call on a stack of one, so with the same rule and the same
-  bits as `_solve`, but without the stacked bookkeeping.  These are the only
-  routes to real levels; `eigen_real` is for eigenvectors, which it takes
-  with their values from ``np.linalg.eigh``.
+  bits as `_solve`, but without the stacked bookkeeping.  The eigenvectors
+  of that symmetric form come from the same block, as its singular vectors
+  (`_chiral_eigenpairs`, one SVD with vectors, for `biorthogonalize`).
 * general branch: elsewhere, the eigenvalues come from one stacked
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which `_solve`
   builds from the two off-diagonal `bands` of these cells only and the
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .hamiltonian import (  # noqa: F401 (build stays importable from this module)
-    SymmetrizedForm,
+    DiscreteHamiltonian,
     as_real,
     bands,
     build,
@@ -118,6 +118,8 @@ def reality_tolerance(h, override=None):
     An override must be a finite number >= 0.  Without one, an overflowing
     Gershgorin radius raises `NumericalError`, as `_solve` fails such a cell.
     """
+    if not isinstance(h, DiscreteHamiltonian):
+        raise ValidationError("reality_tolerance expects a DiscreteHamiltonian")
     if override is not None:
         return _checked_override(override)
     radius = h.gershgorin_radius()
@@ -149,26 +151,6 @@ def _pairwise_gaps(values):
     return dist.min(axis=1)
 
 
-def eigen_real(s):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of the symmetric form.
-
-    ``np.linalg.eigh`` on the dense form gives both (its values can differ
-    from `spectrum_of`'s at the rounding level).  Returns (Spectrum, W) with
-    W[:, k] the unit eigenvector of the k-th ascending eigenvalue, its first
-    significant component made positive.  A non-finite eigenvalue (a bond
-    product that overflows to +inf, say) raises `NumericalError`.
-    """
-    if not isinstance(s, SymmetrizedForm):
-        raise ValidationError("eigen_real expects a SymmetrizedForm")
-    evals, w = _lapack(np.linalg.eigh, dense_bands(s.s_off, s.s_off))
-    if not np.isfinite(evals).all():
-        raise NumericalError(_NON_FINITE_VALUE)
-    mag = np.abs(w)
-    lead = w[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(w.shape[1])]
-    spec = Spectrum(evals.astype(complex), True, float(_adjacent_gaps(evals)))
-    return spec, w * np.where(lead < 0.0, -1.0, 1.0)
-
-
 def _lapack(solver, a, **kwargs):
     try:
         return solver(a, **kwargs)
@@ -187,6 +169,8 @@ def char_poly(h, e):
     (a factor |2 - e| or a bond past about 1e158, or an infinite bond),
     whose message knows no log-magnitude.
     """
+    if not isinstance(h, DiscreteHamiltonian):
+        raise ValidationError("char_poly expects a DiscreteHamiltonian")
     try:
         z = complex(e)
     except (TypeError, ValueError, OverflowError):
@@ -397,6 +381,37 @@ def _one_cell_levels(n, first, last):
     return np.concatenate((2.0 - sigma, _MIDDLE[: n % 2], 2.0 + sigma[::-1]))
 
 
+def _chiral_eigenpairs(n, first, last):
+    """Ascending levels and orthonormal eigenvectors of one symmetric tridiagonal.
+
+    The matrix has diagonal 2 and the off-diagonal ``first``, -1, ..., -1,
+    ``last``.  With its block B (`_chiral_levels`' block, signed) and the SVD
+    B = U S V^T, the level 2 -/+ s_k has the vector (u_k on the odd sites,
+    -/+ v_k on the even sites) / sqrt(2), and for odd n the level 2 has the
+    last row of V^T on the even sites.  For odd n a zero row makes B square,
+    so that LAPACK keeps it bidiagonal and the vectors keep high relative
+    accuracy near |lambda| = 1.  Returns (levels, W), W[:, k] the vector of
+    levels[k]; a LAPACK failure raises `ConvergenceError`, a non-finite level
+    `NumericalError`.
+    """
+    p, r = n // 2, (n + 1) // 2
+    b = -_uncoupled_blocks(1, 2 * r)[0]
+    b[p:] = 0.0
+    b[0, 0] = first
+    b[(n - 2) // 2, (n - 1) // 2] = last
+    u, sigma, vt = _lapack(np.linalg.svd, b)
+    sigma = sigma[:p]
+    levels = np.concatenate((2.0 - sigma, _MIDDLE[: n % 2], 2.0 + sigma[::-1]))
+    if not np.isfinite(levels).all():
+        raise NumericalError(_NON_FINITE_VALUE)
+    u, v = u[:p, :p] * math.sqrt(0.5), vt[:p].T * math.sqrt(0.5)
+    w = np.zeros((n, n))
+    w[1::2, :p], w[0::2, :p] = u, -v
+    w[0::2, p:r] = vt[p:].T
+    w[1::2, r:], w[0::2, r:] = u[:, ::-1], v[:, ::-1]
+    return levels, w
+
+
 def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
     """Fail each row whose entry or row of ``x`` is not finite; a failed row keeps its error."""
     for row in rows[~np.isfinite(x).reshape(rows.size, -1).all(axis=1)]:
@@ -476,6 +491,8 @@ def eigen_general(h, reality_tol=None):
     re-solved from exact coefficients (`_resolve_real_clusters`), whether
     or not H symmetrizes.  One cell through `_solve`; a failure is raised.
     """
+    if not isinstance(h, DiscreteHamiltonian):
+        raise ValidationError("eigen_general expects a DiscreteHamiltonian")
     lam, mu = np.array([h.lam]), np.array([h.mu])
     values, all_real, _, min_gap, failed = _solve(h.n, lam, mu, reality_tol, general=True)
     if failed:
@@ -491,6 +508,8 @@ def spectrum_of(h, reality_tol=None):
     other cell goes to `eigen_general`, the branch `_solve` would give it
     from the same two products.
     """
+    if not isinstance(h, DiscreteHamiltonian):
+        raise ValidationError("spectrum_of expects a DiscreteHamiltonian")
     first, last = end_bonds(h.n, h.lam, h.mu)
     if not _real_branch(first, last):
         return eigen_general(h, reality_tol)

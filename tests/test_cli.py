@@ -325,7 +325,7 @@ class TestMetricCommand:
             raise AssertionError("metric ran the spectral chain")
 
         for name in ("biorthogonalize", "decompose_inverse_pseudometric",
-                     "assemble_charge_spectral", "eigen_real"):
+                     "assemble_charge_spectral", "_chiral_eigenpairs"):
             monkeypatch.setattr(quasihermitian, name, refuse)
         for mu in ("0.4", "-0.4"):
             rc, _, err = run("metric", "-N", "16", "--lambda", "0.4", "--mu", mu)
@@ -381,6 +381,20 @@ class TestChargeCommand:
             assert rc == 2 and out == ""
             assert err.startswith("cptwell: computation failed: charge involution defect")
 
+
+    def test_the_vector_route_answers_next_to_the_exceptional_point(self):
+        # With eigh's vectors this exited 2: "inverse pseudometric is not a
+        # right-dyad combination (relative defect 8.688e-09)".
+        rc, out, err = run("charge", "-N", "64", "--lambda", "0.999999")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["max_difference"] <= 1e-9
+
+    def test_closer_to_the_exceptional_point_only_the_involution_refuses(self):
+        # The bound on C^2 - I is absolute, and C grows next to the
+        # exceptional point (ROADMAP item 21).
+        rc, out, err = run("charge", "-N", "48", "--lambda", "0.99999999")
+        assert rc == 2 and out == ""
+        assert err.startswith("cptwell: computation failed: charge involution defect")
 
     @pytest.mark.parametrize("command", ["metric", "charge"])
     def test_a_vanishing_overlap_fails_as_a_computation_error(self, command):

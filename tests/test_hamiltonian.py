@@ -1,10 +1,9 @@
-"""Construction and symmetrization of the boundary-coupled tridiagonal well.
+"""Construction of the boundary-coupled tridiagonal well.
 
 Oracles used here:
 
 * hand-expanded band entries for small sizes (exact in floating point,
   asserted with ``==``),
-* dense reconstruction through plain numpy similarity transforms,
 * Gershgorin interval arithmetic recomputed inline.
 """
 
@@ -14,28 +13,19 @@ import numpy as np
 import pytest
 
 from cptwell.continuum import convergence_study, scaled_spectrum
-from cptwell.errors import NotSymmetrizable, ValidationError
+from cptwell.errors import ValidationError
 from cptwell.hamiltonian import (
     bands,
     build,
     dense,
     dense_bands,
     gershgorin_radii,
-    symmetrize,
 )
 from cptwell.quasihermitian import closed_form_operators
 
 
 def well(n, lam, mu=None):
     return build(n, (lam, lam if mu is None else mu))
-
-
-def sym_dense(s):
-    a = np.diag(np.full(s.n, 2.0))
-    idx = np.arange(s.n - 1)
-    a[idx, idx + 1] = s.s_off
-    a[idx + 1, idx] = s.s_off
-    return a
 
 
 class TestBuild:
@@ -214,66 +204,6 @@ class TestStackedBands:
             assert radii[k].tobytes() == np.float64(max(rows)).tobytes(), (n, lams[k], mus[k])
         # At n = 3 the middle row holds both end bonds, so 1e308 at both ends overflows it.
         assert np.isinf(radii[7]) == (n == 3)
-
-
-class TestSymmetrize:
-    def test_zero_coupling_is_already_symmetric_with_unit_weights(self):
-        s = symmetrize(well(4, 0.0))
-        assert np.array_equal(s.d, np.ones(4))
-        assert np.array_equal(s.s_off, -np.ones(3))
-
-    def test_three_site_example_has_geometric_weights_and_sqrt_bond_offdiagonal(self):
-        s = symmetrize(well(3, 0.5))
-        root3 = np.sqrt(3.0)
-        assert abs(s.s_off[0] + root3 / 2.0) <= 1e-15
-        assert abs(s.s_off[1] + root3 / 2.0) <= 1e-15
-        assert abs(s.d[0] - 1.0) <= 0.0
-        assert abs(s.d[1] - 1.0 / root3) <= 1e-15
-        assert abs(s.d[2] - 1.0 / 3.0) <= 1e-15
-
-    def test_sign_indefinite_bond_is_rejected_with_location_and_product(self):
-        with pytest.raises(NotSymmetrizable) as info:
-            symmetrize(well(2, 2.0))
-        assert info.value.bond_index == 0
-        assert info.value.product <= 0.0
-
-    def test_unit_coupling_kills_a_bond_and_is_rejected(self):
-        with pytest.raises(NotSymmetrizable):
-            symmetrize(well(5, 1.0))
-
-    def test_similarity_reconstruction_matches_the_symmetric_bands(self):
-        for n, lam, mu in ((2, 0.5, 0.5), (5, -0.7, 0.2), (9, 0.9, -0.9), (6, 0.3, 0.8)):
-            h = well(n, lam, mu)
-            s = symmetrize(h)
-            rebuilt = np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d)
-            assert np.max(np.abs(rebuilt - sym_dense(s))) <= 1e-14
-
-    def test_positive_bond_entries_keep_a_positive_off_diagonal(self):
-        # n = 2 with lambda < -1 < 1 < mu: super and sub are both positive, so
-        # D^-1 H D has +sqrt(super*sub) where -sqrt gave a different matrix.
-        h = well(2, -2.5, 2.5)
-        s = symmetrize(h)
-        assert s.s_off.tolist() == [1.5]
-        assert np.array_equal(np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d), sym_dense(s))
-        for n, lam, mu in ((2, -3.0, 1.5), (2, -1.25, 4.0)):
-            h = well(n, lam, mu)
-            s = symmetrize(h)
-            assert s.s_off[0] > 0.0
-            rebuilt = np.diag(1.0 / s.d) @ dense(h) @ np.diag(s.d)
-            assert np.max(np.abs(rebuilt - sym_dense(s))) <= 4e-16 * np.max(np.abs(dense(h)))
-
-    def test_negative_bond_entries_keep_their_bits(self):
-        for n, lam, mu in ((2, 0.5, 0.5), (5, -0.7, 0.2), (9, 0.9, -0.9), (64, 0.3, 0.8)):
-            h = well(n, lam, mu)
-            assert np.array_equal(symmetrize(h).s_off, -np.sqrt(h.super * h.sub))
-
-    def test_symmetrized_spectrum_matches_the_general_eigenvalues(self):
-        for n, lam, mu in ((6, 0.6, -0.6), (11, -0.85, 0.1)):
-            h = well(n, lam, mu)
-            s = symmetrize(h)
-            a = np.sort(np.linalg.eigvalsh(sym_dense(s)))
-            b = np.sort(np.linalg.eigvals(dense(h)).real)
-            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestSerialization:

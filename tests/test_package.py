@@ -74,7 +74,9 @@ class TestPublicNames:
         }
         lazy = {name for names in cptwell._OPERATOR_NAMES.values() for name in names}
         assert cptwell.__all__ == sorted(eager | lazy) + ["__version__"]
-        assert len(cptwell.__all__) == len(set(cptwell.__all__)) == 45
+        assert len(cptwell.__all__) == len(set(cptwell.__all__)) == 42
+        # The second real-branch solver is gone: eigenvectors come from biorthogonalize.
+        assert {"SymmetrizedForm", "eigen_real", "symmetrize"}.isdisjoint(dir(cptwell))
 
     def test_every_public_name_is_its_defining_module_s_object(self):
         for name in cptwell.__all__:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cptwell import quasihermitian
+from cptwell import quasihermitian, spectra
 from cptwell.dieudonne import kernel_basis, residual
 from cptwell.errors import (
     DegenerateSpectrum,
@@ -28,12 +28,13 @@ from cptwell.errors import (
     NumericalError,
     ValidationError,
 )
-from cptwell.hamiltonian import build, dense, symmetrize
+from cptwell.hamiltonian import build, dense
 from cptwell.quasihermitian import (
     IDENTITY_TOL,
     OperatorTriple,
     assemble_charge_spectral,
     biorthogonalize,
+    _theta_diagonal,
     closed_form_operators,
     decompose_inverse_pseudometric,
     metric_from_ansatz,
@@ -42,7 +43,7 @@ from cptwell.quasihermitian import (
     symmetry_report,
     theta_adjoint,
 )
-from cptwell.spectra import eigen_real, spectrum_of
+from cptwell.spectra import spectrum_of
 
 
 def well(n, lam, mu=None):
@@ -51,6 +52,17 @@ def well(n, lam, mu=None):
 
 def flip(n):
     return np.fliplr(np.eye(n))
+
+
+def weights(h):
+    """The weights d of S = D^-1 H D: d[0] = 1 and d[i+1] = d[i] sqrt(sub[i] / super[i])."""
+    return np.cumprod(np.r_[1.0, np.sqrt(h.sub / h.super)])
+
+
+def signed_form(h):
+    """S = D^-1 H D: diagonal 2 and sqrt(super[i] sub[i]) with the sign of super[i] beside it."""
+    off = np.copysign(np.sqrt(h.bonds), h.super)
+    return np.diag(np.full(h.n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def weighted_template(n, alpha):
@@ -105,7 +117,7 @@ class TestBiorthogonalize:
 
     def test_left_family_is_the_squared_weight_transport_of_the_right(self):
         h = well(5, -0.4)
-        d = symmetrize(h).d
+        d = weights(h)
         system = biorthogonalize(h)
         for k in range(5):
             v = system.right[:, k] / (d * d)
@@ -148,21 +160,60 @@ class TestBiorthogonalize:
             total += pk
         assert np.max(np.abs(total - np.eye(6))) <= 1e-10
 
-    def test_dead_bond_is_rejected(self):
-        with pytest.raises(NotSymmetrizable):
-            biorthogonalize(well(5, 1.0))
+    def test_the_weights_carry_the_eigenvectors_of_the_signed_form(self):
+        # Right vectors are D w for orthonormal eigenvectors w of S.  At n = 2
+        # with lambda < -1 < 1 < mu both bond entries are positive, and so is
+        # S's off-diagonal: the form with -sqrt is another matrix.
+        for n, lam, mu in ((2, 0.5, 0.5), (5, -0.7, 0.2), (9, 0.9, -0.9), (6, 0.3, 0.8),
+                           (2, -3.0, 1.5), (2, -1.25, 4.0)):
+            h = well(n, lam, mu)
+            d, s = weights(h), signed_form(h)
+            scale = np.max(np.abs(dense(h)))
+            assert np.max(np.abs(dense(h) * d / d[:, None] - s)) <= 4e-16 * scale, (n, lam, mu)
+            system = biorthogonalize(h)
+            w = system.right / d[:, None]
+            w /= np.linalg.norm(w, axis=0)
+            assert np.max(np.abs(w.T @ w - np.eye(n))) <= 1e-14, (n, lam, mu)
+            assert np.max(np.abs(s @ w - w * system.values)) <= 1e-14 * scale, (n, lam, mu)
+
+    def test_values_match_the_general_eigenvalues(self):
+        for n, lam, mu in ((6, 0.6, -0.6), (11, -0.85, 0.1)):
+            h = well(n, lam, mu)
+            ref = np.sort(np.linalg.eigvals(dense(h)).real)
+            assert np.max(np.abs(biorthogonalize(h).values - ref)) <= 1e-12, (n, lam, mu)
+
+    @pytest.mark.parametrize("n, lam, mu, bond, product", [
+        (5, 1.0, 1.0, 0, -0.0),
+        (2, 2.0, 2.0, 0, -3.0),
+        (3, 1e200, 0.3, 0, -np.inf),
+        (4, 0.3, -1.0, 2, -0.0),
+        (40, 1.2, 1.2, 0, 1.0 - 1.2 * 1.2),
+        (33, 0.3, -1.0, 31, -0.0),
+    ])
+    def test_a_bond_product_at_or_below_zero_is_refused_with_its_bond(self, n, lam, mu, bond, product):
+        with pytest.raises(NotSymmetrizable) as info:
+            biorthogonalize(well(n, lam, mu))
+        assert info.value.bond_index == bond
+        assert info.value.product == pytest.approx(product, rel=1e-15)
+
+    def test_a_bond_product_that_overflows_to_inf_is_a_numerical_error(self):
+        # (1 - 1e200)(-1 - 1e200) is +inf: positive, so no NotSymmetrizable
+        # claiming "inf <= 0", but the levels are not finite.
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            biorthogonalize(well(2, -1e200, 1e200))
+        assert not isinstance(info.value, NotSymmetrizable)
 
     @staticmethod
     def tilted(monkeypatch, angle):
-        """Make eigen_real return its lowest eigenvector tilted towards the next by ``angle``."""
+        """Make the eigenpairs come with the lowest vector tilted towards the next by ``angle``."""
 
-        def tilt(s):
-            spec, w = eigen_real(s)
+        def tilt(n, first, last):
+            levels, w = spectra._chiral_eigenpairs(n, first, last)
             w = w.copy()
             w[:, 0] = np.cos(angle) * w[:, 0] + np.sin(angle) * w[:, 1]
-            return spec, w
+            return levels, w
 
-        monkeypatch.setattr(quasihermitian, "eigen_real", tilt)
+        monkeypatch.setattr(quasihermitian, "_chiral_eigenpairs", tilt)
 
     def test_a_vector_off_its_eigenspace_fails_the_residual_check(self, monkeypatch):
         self.tilted(monkeypatch, 1e-3)
@@ -538,16 +589,9 @@ class TestClosedFormOperators:
                 assert not any(np.shares_memory(a, b) for a, b in pairs)
 
 
-def eigensolve_dyads(h):
-    """The dyads u_k u_k^T of unit left eigenvectors u = D^-1 w, w from eigen_real(S)."""
-    sym = symmetrize(h)
-    _, w = eigen_real(sym)
-    u = w / sym.d[:, None]
-    u = u / np.linalg.norm(u, axis=0)
-    return [np.outer(u[:, k], u[:, k]) for k in range(h.n)]
+class TestOwnersAgree:
+    """biorthogonalize, spectrum_of, Theta_D and spectral_dyads on one cell."""
 
-
-class TestSpectralDyads:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 64),
@@ -556,44 +600,54 @@ class TestSpectralDyads:
     )
     @example(3, 1.0 - 1e-8, -(1.0 - 1e-8))
     @example(33, 1.0 - 1e-6, -(1.0 - 1e-6))
+    @example(33, 0.999999, 1.0 - 1e-12)
     @example(8, -0.0, 0.9)
-    def test_the_dyads_are_the_eigensolve_dyads_bit_for_bit(self, n, lam, mu):
-        # The dyads come from biorthogonalize's left vectors, which transport
-        # the symmetrized form's eigenvectors with the same float operations.
+    def test_the_vector_route_agrees_with_the_other_owners(self, n, lam, mu):
         h = well(n, lam, mu)
         try:
-            biorthogonalize(h)
+            system = biorthogonalize(h)
         except NumericalError:
             return
-        got, expect = spectral_dyads(h), eigensolve_dyads(h)
-        assert len(got) == n
-        for x, y in zip(got, expect):
-            assert np.array_equal(x, y), (n, lam, mu)
+        # The levels are spectrum_of's to a few ulps: the same block, its SVD
+        # taken with vectors (and for odd n padded square).
+        levels = spectrum_of(h).values.real
+        ulps = np.abs(system.values - levels) / (np.finfo(float).eps * np.maximum(1.0, np.abs(levels)))
+        assert ulps.max() <= 32, (n, lam, mu, ulps.max())
+        # l = Theta_D r, renormalized: Theta_D is D^-2 up to the scale alpha_lambda.
+        if n >= 3:
+            theta_r = _theta_diagonal(n, lam, mu)[:, None] * system.right
+            theta_r /= np.linalg.norm(theta_r, axis=0)
+            assert np.max(np.abs(theta_r - system.left)) <= 1e-13, (n, lam, mu)
+        # The dyads are the outer products of the left vectors, bit for bit.
+        try:
+            dyads = spectral_dyads(h)
+        except NumericalError:
+            return
+        assert len(dyads) == n
+        for x, l in zip(dyads, system.left.T):
+            assert np.array_equal(x, np.outer(l, l)), (n, lam, mu)
 
-    def test_biorthogonalize_s_certificates_refuse_cells_next_to_an_exceptional_point(self):
-        # The eigensolve dyads answer both cells, with intertwining residuals
-        # far above kernel_basis's bound.
-        for (n, lam, mu), message in (
-            ((3, 1.0 - 1e-12, 1.0 - 1e-12), "vanishing overlap"),
-            ((16, -0.41, -(1.0 - 1e-12)), "eigenvector residual"),
-        ):
-            h = well(n, lam, mu)
-            assert len(eigensolve_dyads(h)) == n
-            with pytest.raises(NumericalError, match=message):
-                spectral_dyads(h)
 
-    def test_dyads_past_kernel_basis_s_residual_bound_are_refused(self):
-        # biorthogonalize certifies these eigenvectors, but the worst dyad
-        # misses max|H^T X - X H| <= 1e-10 * max|H| * max|X| (8.2e-10 at n = 33).
-        for n, lam, mu in ((33, 0.999999, 1.0 - 1e-12), (4, 0.9, 1.0 - 2.0**-52)):
-            h = well(n, lam, mu)
-            hd = dense(h)
-            dyads = [np.outer(l, l) for l in biorthogonalize(h).left.T]
-            worst = max(np.abs(hd.T @ x - x @ hd).max() / (np.abs(hd).max() * np.abs(x).max())
-                        for x in dyads)
-            assert worst > 1e-10, (n, lam, mu)
-            with pytest.raises(NumericalError, match="dyad residual .* exceeds"):
-                spectral_dyads(h)
+class TestSpectralDyads:
+    # Cells within 1e-6 to 2**-52 of an exceptional point.  The eigenvectors
+    # of eigh's dense solve missed the dyad bound (8.2e-10 at n = 33) or
+    # biorthogonalize's residual bound (n = 16) here.
+    NEAR_EP = ((33, 0.999999, 1.0 - 1e-12), (5, 0.999999, 1.0 - 1e-12),
+               (4, 0.9, 1.0 - 2.0**-52), (16, -0.41, -(1.0 - 1e-12)))
+
+    @pytest.mark.parametrize("n, lam, mu", NEAR_EP)
+    def test_cells_next_to_an_exceptional_point_answer_within_the_dyad_bound(self, n, lam, mu):
+        h = well(n, lam, mu)
+        hd = dense(h)
+        dyads = spectral_dyads(h)
+        assert len(dyads) == n
+        worst = max(residual(h, x) / (np.abs(hd).max() * np.abs(x).max()) for x in dyads)
+        assert worst <= 1e-10, (n, lam, mu)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_vanishing_overlap_is_still_refused(self, n):
+        with pytest.raises(NumericalError, match="vanishing overlap"):
+            spectral_dyads(well(n, 1.0 - 1e-12, 1.0 - 1e-12))
 
     def test_a_degenerate_spectrum_is_refused_as_biorthogonalize_refuses_it(self):
         with pytest.raises(DegenerateSpectrum, match="biorthogonal pairing is ill-defined"):
@@ -667,11 +721,8 @@ class TestOmegaFactorize:
             h = well(n, lam)
             trip = closed_form_operators(n, lam)
             _, hermitized = omega_factorize(h, trip.theta)
-            s = symmetrize(h)
-            expect = np.diag(np.full(n, 2.0))
-            idx = np.arange(n - 1)
-            expect[idx, idx + 1] = s.s_off
-            expect[idx + 1, idx] = s.s_off
+            off = -np.sqrt(h.bonds)
+            expect = np.diag(np.full(n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
             assert np.max(np.abs(hermitized - expect)) <= 1e-12, (n, lam)
 
     def test_factor_reproduces_the_metric_and_preserves_the_spectrum(self):

@@ -32,7 +32,6 @@ from cptwell.hamiltonian import (
     dense_bands,
     end_bonds,
     gershgorin_radii,
-    symmetrize,
 )
 from cptwell.quasihermitian import biorthogonalize
 from cptwell.spectra import (
@@ -42,7 +41,6 @@ from cptwell.spectra import (
     Spectrum,
     char_poly,
     eigen_general,
-    eigen_real,
     reality_tolerance,
     scan_domain,
     scan_line,
@@ -128,52 +126,81 @@ class TestClosedFormOracles:
         assert np.max(np.abs(s.values - 2.0)) <= 1e-6
 
 
-class TestEigenReal:
+def signed_form(n, first, last):
+    """The symmetric tridiagonal with diagonal 2, ``first`` and ``last`` at its end bonds and -1 between."""
+    off = np.full(n - 1, -1.0)
+    off[0], off[-1] = first, last
+    return np.diag(np.full(n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestChiralEigenpairs:
+    # (n, first, last): both parities, both signs of an end entry, n = 2.
+    CELLS = ((12, -0.7, -0.7), (13, -0.3, -0.9), (2, 1.5, 1.5), (9, 0.8, -1e-3), (64, -0.05, -0.99))
+
     def test_vectors_are_orthonormal_and_satisfy_the_eigenproblem(self):
-        s = symmetrize(well(12, 0.7))
-        spec, w = eigen_real(s)
-        assert np.max(np.abs(w.T @ w - np.eye(12))) <= 1e-12
-        a = np.diag(np.full(12, 2.0))
-        idx = np.arange(11)
-        a[idx, idx + 1] = s.s_off
-        a[idx + 1, idx] = s.s_off
-        snorm = np.max(np.abs(a))
-        resid = a @ w - w * spec.values.real
-        assert np.max(np.abs(resid)) <= 1e-10 * snorm
+        for n, first, last in self.CELLS:
+            levels, w = spectra._chiral_eigenpairs(n, first, last)
+            a = signed_form(n, first, last)
+            assert np.all(np.diff(levels) > 0.0), (n, first, last)
+            assert np.max(np.abs(w.T @ w - np.eye(n))) <= 1e-14, (n, first, last)
+            assert np.max(np.abs(a @ w - w * levels)) <= 1e-14 * np.max(np.abs(a)), (n, first, last)
+
+    def test_levels_match_eigvalsh_of_the_form(self):
+        for n, first, last in self.CELLS:
+            levels, _ = spectra._chiral_eigenpairs(n, first, last)
+            ref = np.linalg.eigvalsh(signed_form(n, first, last))
+            assert np.max(np.abs(levels - ref)) <= 1e-14 * max(1.0, np.abs(ref).max()), (n, first, last)
 
     def test_three_site_vectors_match_the_closed_form_with_positive_leading_entry(self):
-        _, w = eigen_real(symmetrize(well(3, 0.0)))
+        right = biorthogonalize(well(3, 0.0)).right
         half = 0.5
         r = np.sqrt(2.0) / 2.0
         expect = np.array([[half, r, half], [r, 0.0, -r], [half, -r, half]]).T
-        assert np.max(np.abs(w - expect.T)) <= 1e-12
+        assert np.max(np.abs(right - expect.T)) <= 1e-12
 
-    def test_matches_numpy_on_a_large_symmetrizable_well(self):
-        s = symmetrize(well(40, 0.95))
-        spec = spectrum_of(well(40, 0.95))
-        a = np.diag(np.full(40, 2.0))
-        idx = np.arange(39)
-        a[idx, idx + 1] = s.s_off
-        a[idx + 1, idx] = s.s_off
-        assert np.max(np.abs(spec.values.real - np.linalg.eigvalsh(a))) <= 1e-12
-
-    def test_anything_but_a_symmetrized_form_is_an_invalid_argument(self):
-        h = well(4, 0.3)
-        for bad in (h, dense(h), None):
-            with pytest.raises(ValidationError, match="expects a SymmetrizedForm"):
-                eigen_real(bad)
+    def test_odd_sizes_keep_the_small_pairs_accurate_near_the_exceptional_point(self):
+        # At lambda = 1 - 1e-12 the end entries are 1.4e-6, so three levels lie
+        # within 1.4e-6 of 2.  The level-2 vector is B's null vector, with
+        # the even-site entries (1, first, -first, ..., +-first / last) up to
+        # scale, and it comes out to a few ulps in every entry.  Without the
+        # zero row that makes B square, the vectors near 2 were off by 8e-10.
+        n, lam = 33, 1.0 - 1e-12
+        first = last = -np.sqrt((1.0 + lam) * (1.0 - lam))
+        levels, w = spectra._chiral_eigenpairs(n, first, last)
+        middle = w[:, n // 2] / w[0, n // 2]
+        expect = np.zeros(n)
+        expect[0::2] = np.r_[1.0, first * (-1.0) ** np.arange(n // 2 - 1), 0.0]
+        expect[-1] = expect[-3] / last
+        assert levels[n // 2] == 2.0
+        assert np.all(np.abs(middle - expect) <= 8 * np.finfo(float).eps * np.abs(expect))
 
     def test_an_overflowing_bond_product_is_a_numerical_error(self):
         # At n = 2 the single bond carries -1 - lam and -1 + mu, so on
         # mu = -lam its product overflows to +inf and the form is not finite.
         h = well(2, 1e308, -1e308)
-        with pytest.raises(NumericalError, match="non-finite"):
-            eigen_real(symmetrize(h))
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            biorthogonalize(h)
+        assert not isinstance(info.value, NotSymmetrizable)
         # spectrum_of sends the cell to the general branch instead, where H is
         # symmetric with the levels 2 -/+ (1 + 1e308).
         spec = spectrum_of(h)
         assert spec.all_real and not spec.values.imag.any()
         assert np.allclose(spec.values.real, [-1e308, 1e308], rtol=3e-16, atol=0.0)
+
+
+class TestArgumentTypes:
+    def test_each_entry_point_refuses_an_argument_of_another_type(self):
+        h = well(4, 0.3)
+        for call, name in (
+            (lambda: spectrum_of("x"), "spectrum_of"),
+            (lambda: spectrum_of(dense(h), 1e-3), "spectrum_of"),
+            (lambda: eigen_general((4, (0.3, 0.3))), "eigen_general"),
+            (lambda: reality_tolerance(dense(h)), "reality_tolerance"),
+            (lambda: reality_tolerance(None, 1e-3), "reality_tolerance"),
+            (lambda: char_poly(dense(h), 1.0), "char_poly"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{name} expects a DiscreteHamiltonian$"):
+                call()
 
 
 class TestEigenGeneral:
@@ -1381,20 +1408,20 @@ def half_block(h):
 class TestSolverFailures:
     # The LAPACK calls behind each branch: the real branch's values are the
     # singular values of a half-size block, the general branch's come from
-    # eigvals, and eigen_real's vectors from eigh.
+    # eigvals, and biorthogonalize's vectors from the same SVD with vectors.
     @staticmethod
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def test_lapack_failures_are_typed_convergence_errors(self, monkeypatch):
-        for name in ("eigvals", "svd", "eigh"):
+        for name in ("eigvals", "svd"):
             monkeypatch.setattr(np.linalg, name, self.fail)
         with pytest.raises(ConvergenceError):
             eigen_general(well(5, 1.3))
         with pytest.raises(ConvergenceError):
             spectrum_of(well(5, 0.3))
         with pytest.raises(ConvergenceError):
-            eigen_real(symmetrize(well(5, 0.3)))
+            biorthogonalize(well(5, 0.3))
 
     def test_scan_records_a_failed_cell_and_continues(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", self.fail)

@@ -19,7 +19,10 @@ their bits.
 A last line, kept out of the total, is a sha256 over the public one-cell
 route ``spectrum_of(build(n, (lam, mu)), reality_tol=tol)`` on every cell of
 the routed survey: per cell its values, ``all_real`` and ``min_gap``, or its
-error type and message.
+error type and message.  One more line, also kept out of the total, is a
+sha256 over the eigenvector route ``biorthogonalize(build(n, (lam, mu)))`` on
+every criterion-2 cell: per cell its values, right and left vectors and
+overlaps, or its error type and message.
 
 The survey holds, per size n, the cells of the acceptance sweeps
 (criterion 1: mu = lambda on a 0.01 grid in [-0.98, 0.98] and at +-1.01,
@@ -101,18 +104,31 @@ def cell_records(spectra, errors, n, lam, mu, tol):
         ))
 
 
+def vector_records(spectra, quasihermitian, errors, n, lam, mu):
+    """One bytes record per cell: the answer or failure of `biorthogonalize`."""
+    for la, m in zip(lam.tolist(), mu.tolist()):
+        try:
+            s = quasihermitian.biorthogonalize(spectra.build(n, (la, m)))
+        except errors.NumericalError as exc:
+            yield f"{type(exc).__name__}:{exc};".encode()
+            continue
+        yield b"".join(np.ascontiguousarray(a, dtype=float).tobytes()
+                       for a in (s.values, s.right, s.left, s.overlaps))
+
+
 def main(args):
     if len(args) != 1:
         print("usage: python tools/solve_digest.py SRC_DIR", file=sys.stderr)
         return 1
     sys.path.insert(0, os.path.abspath(args[0]))
-    from cptwell import errors, spectra
+    from cptwell import errors, quasihermitian, spectra
 
     total = hashlib.sha256()
     groups = defaultdict(hashlib.sha256)
     cells = defaultdict(int)
     calls = 0
-    one_cell = hashlib.sha256()
+    one_cell, vectors = hashlib.sha256(), hashlib.sha256()
+    vector_cells = 0
     for general in (False, True):
         branch = "general" if general else "routed"
         for n in SIZES:
@@ -126,12 +142,17 @@ def main(args):
                     if not general:
                         for record in cell_records(spectra, errors, n, lam, mu, tol):
                             one_cell.update(record)
+                    if not general and part == "criterion 2":
+                        vector_cells += lam.size
+                        for record in vector_records(spectra, quasihermitian, errors, n, lam, mu):
+                            vectors.update(record)
     print(f"{sum(cells.values())} cells in {calls} calls sha256 {total.hexdigest()}")
     for branch, n in sorted(groups):
         digest = groups[branch, n].hexdigest()
         print(f"  {branch} n={n} {cells[branch, n]} cells sha256 {digest}")
     routed = sum(count for (branch, _), count in cells.items() if branch == "routed")
     print(f"spectrum_of on {routed} routed cells sha256 {one_cell.hexdigest()}")
+    print(f"biorthogonalize on {vector_cells} criterion-2 cells sha256 {vectors.hexdigest()}")
     return 0
 
 
