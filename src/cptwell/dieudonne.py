@@ -31,12 +31,13 @@ than 10.  An invertible recombination of solutions is still a basis of the
 solution space, so the recurrence goes on from it.  Only a non-finite result
 (overflow, a zero bond) is refused.
 
-The recurrence sits behind a degeneracy gate: a minimum eigenvalue gap at the
-DegenerateSpectrum threshold (at lambda = mu = 1, say) is refused.  Every
-basis then goes through the residual and independence certificates.  A plain
-run's independence is read in O(n) from its start rows, e_k / peak_k, which
-bound the smallest singular value of the stacked basis from below; a
-re-orthonormalized basis takes the SVD of the n^2 x n stack.
+The recurrence sits behind a degeneracy gate: a minimum eigenvalue gap at or
+below DEGENERACY_THRESHOLD times `level_bound` (at lambda = mu = 1, say) is
+refused.  Every basis then goes through the residual and independence
+certificates.  A plain run's independence is read in O(n) from its start
+rows, e_k / peak_k, which bound the smallest singular value of the stacked
+basis from below; a re-orthonormalized basis takes the SVD of the n^2 x n
+stack.
 
 The closed forms on the two coupling lines mu = +-lambda are not here: the
 quasihermitian module owns them, with the charge and metric they belong to.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NumericalError, ValidationError
-from .hamiltonian import DiscreteHamiltonian, dense
+from .hamiltonian import DiscreteHamiltonian, dense, level_bound
 from .spectra import DEGENERACY_THRESHOLD, spectrum_of
 
 # Unused by the library: only bench/tracing.py reads it, to label kernel_basis
@@ -130,7 +131,14 @@ def residual(h, x):
         raise ValidationError("residual expects a DiscreteHamiltonian")
     x = _candidate(x, (h.n, h.n), f"operator size {h.n}")
     hd = dense(h)
-    return _entry_norm(hd.T @ x - x @ hd)
+    return _intertwining_defect(hd.T, x, hd)
+
+
+def _intertwining_defect(a, x, b):
+    """max|a x - x b| of finite matrices: inf, never NaN or a warning, past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _entry_norm(a @ x - x @ b)
+    return np.inf if np.isnan(defect) else defect
 
 
 def _peaks(xs):
@@ -142,15 +150,14 @@ def _peaks(xs):
 def _gap_gate(h, min_gap, consequence="the solution space is not guaranteed n-dimensional"):
     """Refuse a minimum gap at the degeneracy threshold; return the threshold's scale.
 
-    ``consequence`` ends the DegenerateSpectrum message: what the caller
-    cannot do with a (near-)multiple eigenvalue.
+    The scale is `level_bound`.  ``consequence`` ends the DegenerateSpectrum
+    message: what the caller cannot do with a (near-)multiple eigenvalue.
     """
-    radius = h.gershgorin_radius()
-    scale = max(1.0, radius)
+    scale = float(level_bound(h.n, h.lam, h.mu))
     if min_gap <= DEGENERACY_THRESHOLD * scale:
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {min_gap:.3e} <= {DEGENERACY_THRESHOLD:g} * "
-            f"max(1, Gershgorin radius {radius:.3e}) at n={h.n}, "
+            f"level bound {scale:.3e} at n={h.n}, "
             f"lambda={h.lam}, mu={h.mu}; {consequence}"
         )
     return scale

@@ -23,7 +23,8 @@ what makes the spectrum real there.
 and mu, and its two off-diagonal bands are derived from them on first access;
 the constant diagonal 2 is written where a matrix or a row sum is formed.
 Every interior bond product is (-1)(-1) = 1, so the first and last bond
-products (`end_bonds`, no bands needed) decide which solver branch takes it.
+products (`end_bonds`, no bands needed) decide which solver branch takes it
+and bound its levels (`level_bound`, the scale of every tolerance).
 """
 
 import math
@@ -55,7 +56,10 @@ class DiscreteHamiltonian:
 
     @cached_property
     def _bands(self):
-        return tuple(map(_freeze, bands(self.n, self.lam, self.mu)))
+        pair = bands(self.n, self.lam, self.mu)
+        for band in pair:
+            band.flags.writeable = False
+        return pair
 
     @property
     def super(self):
@@ -74,10 +78,6 @@ class DiscreteHamiltonian:
         """
         return self.super * self.sub
 
-    def gershgorin_radius(self):
-        """Upper bound on the spectral radius from row sums."""
-        return float(gershgorin_radii(self.super, self.sub))
-
 
 def _couplings(pair):
     """A (lambda, mu) pair of finite real couplings as two floats, else a ValidationError."""
@@ -91,11 +91,6 @@ def _couplings(pair):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"couplings must be finite, got ({lam}, {mu})")
     return x, y
-
-
-def _freeze(a):
-    a.flags.writeable = False
-    return a
 
 
 def as_real(x, what, array=False):
@@ -165,18 +160,25 @@ def bands(n, lam, mu):
     return sup, twist - 1.0
 
 
-# Couplings near the float range overflow the row sums to inf; numpy's warning
-# about it would carry the path of the installed source, so it is not raised.
+# Only n = 3 overflows (both couplings near the float range); numpy's warning
+# would carry the path of the installed source, so it is not raised.
 @np.errstate(over="ignore")
-def gershgorin_radii(sup, sub):
-    """Row-sum bound on the spectral radius of every stacked band pair, diagonal 2.
+def level_bound(n, lam, mu):
+    """R >= |E| for every level E of H(lam, mu), the same bits on every orbit image.
 
-    A row sum past the float range gives an infinite radius.
+    R = 2 + max_i (sqrt|b_{i-1}| + sqrt|b_i|), b_{-1} = b_{n-1} = 0, is the
+    Gershgorin radius of the complex-symmetric form with off-diagonal
+    sqrt(b_i) for the bond products b_i, which has H's spectrum.  The
+    interior products are 1, so R is closed in the end bonds' roots
+    s_x = sqrt|1 - x| sqrt|1 + x|.  Scalars or arrays of one shape.
     """
-    r = np.full(sup.shape[:-1] + (sup.shape[-1] + 1,), 2.0)
-    r[..., :-1] += np.abs(sup)
-    r[..., 1:] += np.abs(sub)
-    return r.max(axis=-1)
+    if n == 2:
+        return 2.0 + np.sqrt(np.abs(1.0 + lam)) * np.sqrt(np.abs(1.0 - mu))
+    s_lam, s_mu = (np.sqrt(np.abs(1.0 - x)) * np.sqrt(np.abs(1.0 + x)) for x in (lam, mu))
+    if n == 3:
+        return 2.0 + (s_lam + s_mu)  # a sum of two, so the same bits when swapped
+    # The interior rows give 3 + 1 from n = 5; the maximum with 0 is a no-op.
+    return 3.0 + np.maximum(np.maximum(s_lam, s_mu), float(n > 4))
 
 
 def build(n, couplings):

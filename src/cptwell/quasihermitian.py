@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dieudonne import RESIDUAL_FACTOR, PseudometricBasis, _candidate, _entry_norm, _gap_gate
-from .dieudonne import residual
+from .dieudonne import _intertwining_defect, residual
 from .errors import (
     FactorizationError,
     InadmissiblePseudometric,
@@ -399,7 +399,7 @@ def symmetry_report(h, triple):
     return SymmetryReport(
         residual_p=residual(h, p),
         residual_theta=residual(h, theta),
-        residual_commutator=_entry_norm(c @ hd - hd @ c),
+        residual_commutator=_intertwining_defect(c, hd, c),
         residual_involution=_involution_defect(c),
         theta_min_eig=_smallest_eigenvalue(theta),
     )

@@ -32,12 +32,12 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
 failing cells are lost.  A cell whose solve gives a non-finite value, or (on
-the general branch) whose Gershgorin radius overflows, fails with a
-`NumericalError` of its own.
+the general branch) whose level bound overflows, fails with a `NumericalError`
+of its own.
 
 Classification is shared: a spectrum counts as all-real when every |Im| lies at
-or below ``reality_tol`` = 1e-9 * max(1, Gershgorin radius) (overridable), and
-``min_gap`` is the smallest pairwise distance between the values.
+or below ``reality_tol`` = 1e-9 * `level_bound` (overridable; the same on every
+orbit image), and ``min_gap`` is the smallest pairwise distance between values.
 """
 
 import cmath
@@ -56,18 +56,18 @@ from .hamiltonian import (  # noqa: F401 (build stays importable from this modul
     dense_bands,
     dimension,
     end_bonds,
-    gershgorin_radii,
+    level_bound,
 )
 
 REALITY_TOL_FACTOR = 1e-9
 DEGENERACY_THRESHOLD = 1e-10
-# Width, relative to max(1, Gershgorin radius), of the groups of near-real
-# eigenvalues that eigen_general re-solves in extended precision.
+# Width, relative to the level bound R, of the groups of near-real eigenvalues
+# that eigen_general re-solves in extended precision.
 EP_CLUSTER_GAP = 1e-5
 # Matrix entries (cells x n x n) that one stacked solve may hold; scans run
 # their cells in blocks of this size, so memory does not grow with the grid.
 BLOCK_ENTRIES = 1 << 16
-_RADIUS_OVERFLOW = "the Gershgorin radius overflows the float range"
+_BOUND_OVERFLOW = "the bound on the levels overflows the float range"
 _NON_FINITE_VALUE = "the eigenvalue solve gave a non-finite value"
 # Largest size whose uncoupled block `_one_cell_levels` copies from a cache;
 # the cache then holds at most 63 blocks of at most 32 x 32 entries.  Past it
@@ -115,17 +115,17 @@ class DomainScan:
 def reality_tolerance(h, override=None):
     """Scale-aware threshold on |Im| below which a value counts as real.
 
-    An override must be a finite number >= 0.  Without one, an overflowing
-    Gershgorin radius raises `NumericalError`, as `_solve` fails such a cell.
+    An override must be a finite number >= 0; else it is 1e-9 * `level_bound`,
+    and a bound that overflows raises `NumericalError`, as `_solve` fails it.
     """
     if not isinstance(h, DiscreteHamiltonian):
         raise ValidationError("reality_tolerance expects a DiscreteHamiltonian")
     if override is not None:
         return _checked_override(override)
-    radius = h.gershgorin_radius()
-    if not np.isfinite(radius):
-        raise NumericalError(_RADIUS_OVERFLOW)
-    return REALITY_TOL_FACTOR * max(1.0, radius)
+    bound = level_bound(h.n, h.lam, h.mu)
+    if not math.isfinite(bound):
+        raise NumericalError(_BOUND_OVERFLOW)
+    return float(REALITY_TOL_FACTOR * bound)
 
 
 def _checked_override(override):
@@ -207,13 +207,6 @@ def char_poly(h, e):
 _RESOLVE_MAX = np.finfo(float).max / 134217729.0
 
 
-def _dyadic(xs):
-    """(numerators, D): the floats as exact integers over D, their least common power of two."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(d for _, d in ratios)
-    return [a * (den // d) for a, d in ratios], den
-
-
 def _taylor_charpoly(sup, sub, c, m):
     """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m.
 
@@ -225,7 +218,9 @@ def _taylor_charpoly(sup, sub, c, m):
     and each coefficient is rounded once.
     """
     n = sup.shape[0] + 1
-    ints, den = _dyadic([c, *sup.tolist(), *sub.tolist()])
+    ratios = [x.as_integer_ratio() for x in (c, *sup.tolist(), *sub.tolist())]
+    den = max(d for _, d in ratios)  # the least common power of two
+    ints = [a * (den // d) for a, d in ratios]
     a, su, sb = 2 * den - ints[0], ints[1:n], ints[n:]
     p2 = [1] + [0] * m
     p1 = [a, -den] + [0] * (m - 1)
@@ -248,9 +243,9 @@ def _resolve_real_clusters(values, sup, sub, gap):
     m >= 2 that lies at least 100 gaps from every other value is replaced by
     the m roots of the Taylor polynomial of det(H - E) about its centre
     (`_taylor_charpoly`), rescaled by the root bound
-    max_j |c_j / c_m|**(1 / (m - j)) before rooting.  A row with |sup|, |sub|
-    or |sup * sub| past _RESOLVE_MAX, inf included, is returned unchanged,
-    without expanding.
+    max_j |c_j / c_m|**(1 / (m - j)) before rooting (a group whose rescaling
+    overflows keeps its values).  A row with |sup|, |sub| or |sup * sub| past
+    _RESOLVE_MAX, inf included, is returned unchanged, without expanding.
     """
     if max(np.abs(sup).max(), np.abs(sub).max(), np.abs(sup * sub).max()) > _RESOLVE_MAX:
         return values
@@ -267,17 +262,10 @@ def _resolve_real_clusters(values, sup, sub, gap):
             continue
         co = _taylor_charpoly(sup, sub, c, m)
         r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
-        values[idx] = c + r * np.roots((co * r ** np.arange(m + 1))[::-1]) if r > 0.0 else c
+        scaled = co * r ** np.arange(m + 1)
+        if np.isfinite(scaled).all():
+            values[idx] = c + r * np.roots(scaled[::-1]) if r > 0.0 else c
     return values
-
-
-def _may_cluster(gaps, gap):
-    """Rows on which `_resolve_real_clusters` could act, and a few more.
-
-    It acts on values within ``gap`` of the real axis and of each other in real
-    part, so within sqrt(5) * gap: never on a row whose ``gaps`` exceed 3 * gap.
-    """
-    return gaps <= 3.0 * gap
 
 
 def _stacked(solver, a, rows, failed, dtype):
@@ -419,7 +407,7 @@ def _refuse_non_finite(failed, rows, x, message=_NON_FINITE_VALUE):
 
 
 # Couplings near the float range overflow in intermediate products (the bond
-# products, the Gershgorin radii); a cell with a non-finite value or radius
+# products, the pairwise distances); a cell with a non-finite value or bound
 # fails, and numpy's RuntimeWarnings about them, which carry the path of the
 # installed source, are not raised.
 @np.errstate(over="ignore", invalid="ignore")
@@ -454,16 +442,18 @@ def _solve(n, lam, mu, reality_tol=None, general=False):
     if rows.size:
         sel = slice(None) if rows.size == m else rows
         su, sb = bands(n, lam[sel], mu[sel])
-        scale = np.maximum(1.0, gershgorin_radii(su, sb))
+        scale = level_bound(n, lam[sel], mu[sel])
         gap = EP_CLUSTER_GAP * scale
         v = _stacked(np.linalg.eigvals, dense_bands(su, sb), rows, failed, complex)
         if not (np.isfinite(scale).all() and np.isfinite(v).all()):
-            _refuse_non_finite(failed, rows, scale, _RADIUS_OVERFLOW)
+            _refuse_non_finite(failed, rows, scale, _BOUND_OVERFLOW)
             _refuse_non_finite(failed, rows, v)
         # The gaps, the cluster test and the classification ignore the order
-        # of a row's values, so they come before the sort.
+        # of a row's values, so they come before the sort.  The re-solve acts
+        # on values within gap of the real axis and of each other in real
+        # part, so within sqrt(5) gap: never on a row whose gaps exceed 3 gap.
         gaps = _pairwise_gaps(v)
-        for k in _may_cluster(gaps, gap).nonzero()[0]:
+        for k in (gaps <= 3.0 * gap).nonzero()[0]:
             if rows[k] not in failed:
                 v[k] = _resolve_real_clusters(v[k], su[k], sb[k], gap[k])
                 gaps[k] = _pairwise_gaps(v[k, None])[0]

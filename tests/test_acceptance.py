@@ -71,8 +71,11 @@ def model_matrix(n, lam, mu):
 def oracle_pairs(n, lam):
     """Complex-pair count of H(lam, lam) from a dense eigvals oracle.
 
-    Same reality rule as the library: |Im| above 1e-9 * max(1, r), r the
-    largest absolute row sum.
+    Its own reality rule, independent of the library's: |Im| above
+    1e-9 * max(1, r), r the largest absolute row sum of the dense matrix.
+    The library scales with its level bound instead; the two rules part only
+    where an |Im| lies between them, a few ulps from an exceptional point
+    (a coupling of 1.0000000000000002 at n = 64, say).
     """
     a = model_matrix(n, lam, lam)
     tol = 1e-9 * max(1.0, float(np.abs(a).sum(axis=1).max()))

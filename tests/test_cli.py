@@ -148,6 +148,16 @@ class TestSpectrumCommand:
         direct = run("spectrum", "-N", "3", "--lambda", "0")[1]
         assert target.read_text() == direct
 
+    def test_a_huge_two_site_complex_pair_is_not_real(self):
+        # The levels 2 -/+ 7.07e76 i lie far above 1e-9 times the level bound
+        # R = 2 + 7.07e76; the Gershgorin radius of the bands (1e154) let
+        # them pass as real.
+        rc, out, err = run("spectrum", "-N", "2", "--lambda", "-1e154", "--mu", "0.5")
+        assert rc == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["all_real"] is False
+        assert [abs(v["im"]) for v in payload["values"]] == [pytest.approx(7.0710678118654755e76)] * 2
+
     def test_an_unwritable_output_path_is_one_line_and_exit_1(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
         rc, out, err = run("spectrum", "-N", "3", "--lambda", "0", "--output", str(target))
@@ -217,6 +227,13 @@ class TestPseudometricsCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "element,row,col,value,residual"
         assert len(lines) == 1 + 2 * 4
+
+    def test_a_huge_coupling_with_a_wide_gap_answers(self):
+        # The degeneracy gate scales with the level bound 2 + 8.4e153, so the
+        # gap 1.7e154 passes it; the radius of the bands (1e308) refused it.
+        rc, out, err = run("pseudometrics", "-N", "2", "--lambda", "1e308", "--mu", "0.3")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["dimension"] == 2
 
     def test_a_cell_whose_first_rows_grow_answers(self):
         # Far outside the window, above n = 32: refused until the recurrence

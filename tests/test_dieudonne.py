@@ -356,14 +356,22 @@ class TestDefaultRoute:
         assert _certified_basis(h, *_recurrence_route(h)).dimension == 6
 
     def test_the_degeneracy_refusal_names_its_relative_threshold(self):
-        # The bound is 1e-10 * max(1, Gershgorin radius), so a gap of 1.7e154
-        # is degenerate beside a radius of 1e308; the message shows both.
+        # The bound is 1e-10 * R, for the level bound R = 3 + max(1, s_1, s_1)
+        # = 4 at n = 6 and lambda = mu = 1; the message shows both.
         with pytest.raises(DegenerateSpectrum) as info:
-            kernel_basis(well(2, 1e308, 0.3))
+            kernel_basis(well(6, 1.0))
         assert (
-            "minimum eigenvalue gap 1.673e+154 <= 1e-10 * max(1, Gershgorin radius 1.000e+308)"
+            "minimum eigenvalue gap 0.000e+00 <= 1e-10 * level bound 4.000e+00 at n=6"
             in str(info.value)
         )
+
+    def test_a_huge_coupling_with_a_wide_gap_answers(self):
+        # The levels are 2 -/+ 8.4e153, 1.7e154 apart, and R = 2 + 8.4e153
+        # bounds them: the gap is far above 1e-10 * R.  The Gershgorin radius
+        # of the bands, 1e308, refused this cell as degenerate.
+        pm = kernel_basis(well(2, 1e308, 0.3))
+        assert pm.dimension == 2 and pm.independence == 1.0
+        assert pm.residuals.max() <= 2.3e-16
 
     def test_routes_span_the_same_space_at_the_window_edge(self):
         # The recurrence basis against the SVD null space, both ways.

@@ -4,13 +4,18 @@ Oracles used here:
 
 * hand-expanded band entries for small sizes (exact in floating point,
   asserted with ``==``),
-* Gershgorin interval arithmetic recomputed inline.
+* the level bound recomputed inline as the Gershgorin radius of the
+  complex-symmetric form, from the bond products, and a dense ``eigvals``
+  oracle built from the model's definition.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptwell.continuum import convergence_study, scaled_spectrum
 from cptwell.errors import ValidationError
@@ -19,7 +24,7 @@ from cptwell.hamiltonian import (
     build,
     dense,
     dense_bands,
-    gershgorin_radii,
+    level_bound,
 )
 from cptwell.quasihermitian import closed_form_operators
 
@@ -122,13 +127,6 @@ class TestBuild:
             j = np.fliplr(np.eye(n))
             assert np.array_equal(j @ a @ j, a.T)
 
-    def test_gershgorin_radius_encloses_every_numpy_eigenvalue(self):
-        for n, lam, mu in ((4, 0.9, -0.6), (8, 1.4, 1.4), (5, -1.2, 0.3)):
-            h = well(n, lam, mu)
-            r = h.gershgorin_radius()
-            ev = np.linalg.eigvals(dense(h))
-            assert np.all(np.abs(ev - 2.0) <= r + 1e-12)
-
     def test_a_complex_coupling_is_refused_without_a_warning(self):
         # float() would keep 0.3 and drop the imaginary part with numpy's
         # ComplexWarning; a complex type is refused even with a zero one.
@@ -173,37 +171,94 @@ class TestStackedBands:
         for n in (2, 3, 7):
             sup, sub = bands(n, lams, mus)
             stack = dense_bands(sup, sub)
-            radii = gershgorin_radii(sup, sub)
+            bounds = level_bound(n, lams, mus)
             for k, (lam, mu) in enumerate(zip(lams, mus)):
                 h = well(n, lam, mu)
                 assert np.array_equal(sup[k], h.super) and np.array_equal(sub[k], h.sub)
                 assert np.array_equal(stack[k], dense(h))
-                assert radii[k] == h.gershgorin_radius()
+                assert bounds[k] == level_bound(n, h.lam, h.mu)
 
     # The parent formulas, with the diagonal as an explicit array of 2s.
     @pytest.mark.parametrize("n", [*range(2, 10), 64])
-    def test_dense_stacks_and_radii_equal_an_explicit_diagonal_bit_for_bit(self, n):
+    def test_dense_stacks_equal_an_explicit_diagonal_and_bounds_their_cells_bit_for_bit(self, n):
         huge = 1e308
         lams = np.array([0.0, -0.0, 0.3, -0.41, 1.0, -1.0, 2.5, huge, -huge, huge, 1e300])
         mus = np.array([0.0, 0.7, -0.3, 1.0, -1.0, 0.2, -2.5, huge, huge, -huge, -1e300])
         sup, sub = bands(n, lams, mus)
         diag = np.full(n, 2.0)
         i = np.arange(n)
-        radii = gershgorin_radii(sup, sub)
+        bounds = level_bound(n, lams, mus)
         stack = dense_bands(sup, sub)
-        assert stack.shape == (lams.size, n, n) and radii.shape == (lams.size,)
+        assert stack.shape == (lams.size, n, n) and bounds.shape == (lams.size,)
         for k in range(lams.size):
             ref = np.zeros((n, n))
             ref[i, i] = diag
             ref[i[:-1], i[1:]] = sup[k]
             ref[i[1:], i[:-1]] = sub[k]
             assert stack[k].tobytes() == ref.tobytes(), (n, lams[k], mus[k])
-            rows = [abs(float(diag[r]))
-                    + (abs(float(sup[k, r])) if r < n - 1 else 0.0)
-                    + (abs(float(sub[k, r - 1])) if r else 0.0) for r in range(n)]
-            assert radii[k].tobytes() == np.float64(max(rows)).tobytes(), (n, lams[k], mus[k])
-        # At n = 3 the middle row holds both end bonds, so 1e308 at both ends overflows it.
-        assert np.isinf(radii[7]) == (n == 3)
+            one = np.float64(level_bound(n, float(lams[k]), float(mus[k])))
+            assert bounds[k].tobytes() == one.tobytes(), (n, lams[k], mus[k])
+        # At n = 3 the middle row holds both end bonds, so 1e308 at both ends
+        # overflows the bound; no other size and no single coupling does.
+        both_huge = (np.abs(lams) == huge) & (np.abs(mus) == huge)
+        assert np.array_equal(np.isinf(bounds), both_huge & (n == 3))
+
+
+def model_matrix(n, lam, mu):
+    """Dense H(lam, mu) written out from the model's definition."""
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    a[0, 1] = -1.0 - lam
+    a[n - 1, n - 2] = -1.0 + mu
+    if n > 2:
+        a[1, 0] = -1.0 + lam
+        a[n - 2, n - 1] = -1.0 - mu
+    return a
+
+
+class TestLevelBound:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 64])
+    def test_it_is_the_gershgorin_radius_of_the_complex_symmetric_form(self, n):
+        # That form has diagonal 2 and off-diagonal sqrt(b_i), so row i sums to
+        # 2 + sqrt|b_{i-1}| + sqrt|b_i|; the bound is its largest row sum,
+        # from the bond products of the model's own matrix.
+        couplings = (0.0, 0.3, -0.41, 1.0, -1.0, 1.0000000000000002, 2.5, -7.0, 1e154)
+        for lam in couplings:
+            for mu in couplings:
+                a = model_matrix(n, lam, mu)
+                bonds = [0.0, *(a[i, i + 1] * a[i + 1, i] for i in range(n - 1)), 0.0]
+                rows = [2.0 + math.sqrt(abs(bonds[i])) + math.sqrt(abs(bonds[i + 1]))
+                        for i in range(n)]
+                assert level_bound(n, lam, mu) == pytest.approx(max(rows), rel=4e-16), (lam, mu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    def test_it_encloses_every_level_of_a_dense_oracle(self, n, lam, mu):
+        # The oracle's own error is the slack: LAPACK fixes a k-fold level only
+        # to about eps**(1/k) of the matrix norm, and the model's levels
+        # cluster at most threefold (at E = 2 near |coupling| = 1, where the
+        # bound is close to 2 at n = 3).
+        a = model_matrix(n, lam, mu)
+        slack = 4.0 * np.finfo(float).eps ** (1.0 / 3.0) * np.abs(a).sum(axis=1).max()
+        assert np.abs(np.linalg.eigvals(a)).max() <= level_bound(n, lam, mu) + slack
+
+    def test_the_closed_forms_per_size_on_exact_cells(self):
+        # s_x is 1 at x = 0 and 0 at |x| = 1, so these sums are exact; the
+        # interior bonds of n >= 5 keep R at 4 when both end bonds vanish.
+        assert level_bound(2, 0.0, 0.0) == 3.0 and level_bound(2, -1.0, 0.3) == 2.0
+        assert level_bound(3, 0.0, 0.0) == 4.0 and level_bound(3, 1.0, -1.0) == 2.0
+        assert level_bound(4, 0.0, 0.0) == 4.0 and level_bound(4, 1.0, 1.0) == 3.0
+        for n in (5, 6, 64):
+            assert level_bound(n, 0.0, 0.0) == level_bound(n, 1.0, -1.0) == 4.0
+
+    def test_only_n3_with_both_couplings_near_the_float_range_overflows(self):
+        top = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert level_bound(3, 1e308, -1e308) == np.inf
+            for n in (2, 4, 5, 64):
+                for lam, mu in ((top, top), (top, -top), (-top, top), (-top, -top)):
+                    assert math.isfinite(level_bound(n, lam, mu)), (n, lam, mu)
+            assert math.isfinite(level_bound(3, top, 0.5))
 
 
 class TestSerialization:

@@ -31,6 +31,7 @@ from cptwell.errors import (
 from cptwell.hamiltonian import build, dense
 from cptwell.quasihermitian import (
     IDENTITY_TOL,
+    VARIANTS,
     OperatorTriple,
     assemble_charge_spectral,
     biorthogonalize,
@@ -781,6 +782,30 @@ class TestSymmetryReport:
         rep = symmetry_report(well(3, 0.5, -0.5), closed_form_operators(3, 0.5))
         assert rep.residual_p == 1.0
         assert all(type(value) is float for value in vars(rep).values())
+
+    def test_overflowing_products_read_inf_without_a_warning(self):
+        # The matrix products of `residual` and of the commutator overflow at
+        # huge couplings (H^T - H holds -2 mu at n = 3); the defect then reads
+        # inf, never NaN, and no numpy warning leaks.  One table: every size
+        # and coupling pair, `residual` on I and the report on both lines.
+        couplings = (0.0, 0.5, 1.0, 2.0, 1e154, -1e154, 1e200, -1e200, 1e308, -1e308)
+        fields = ("residual_p", "residual_theta", "residual_commutator", "residual_involution")
+        overflowed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 3, 5, 40):
+                triples = [closed_form_operators(n, 0.3, variant) for variant in VARIANTS]
+                for lam in couplings:
+                    for mu in couplings:
+                        h = well(n, lam, mu)
+                        defects = [residual(h, np.eye(n))]
+                        for triple in triples:
+                            rep = symmetry_report(h, triple)
+                            defects += [getattr(rep, name) for name in fields]
+                        assert not np.isnan(defects).any(), (n, lam, mu)
+                        overflowed += np.isinf(defects[0])
+        assert residual(well(3, 0.0, 1e308), np.eye(3)) == np.inf
+        assert overflowed > 0
 
     @staticmethod
     def with_field(triple, name, value):

@@ -15,8 +15,10 @@ and a sha256 over its records alone.  Run it on two checkouts on one machine:
 equal digests mean that both print the same bytes for every invocation, and
 equal subcommand digests that the subcommand kept its bytes.  An exception
 that escapes ``cptwell.cli.main`` is hashed as "Type: message" in place of
-the exit code; after its lines the script then names each such invocation
-on stderr and exits 1.
+the exit code, and a Python warning that an invocation shows is hashed with
+its stderr; after its lines the script then names each such invocation on
+stderr, with the exception or the warning's category and message, and
+exits 1.
 
 The set covers every subcommand in JSON and CSV, n from 2 to 160, couplings
 inside and outside the window (0.999999, +-1, 1e308 and more), scan grids
@@ -82,7 +84,7 @@ def invocations():
         ("spectrum", "-N", "5", "--lambda", "1.3", "--tol", "0.5"),
         ("spectrum", "-N", "5", "--lambda", "-1.5e-1", "--tol", "0"),
         ("scan", "-N", "4", "--grid", "-1.2:1.2:0.1", "--tol", "1e-3"),
-        # Every cell fails: the Gershgorin radius overflows the float range.
+        # Every cell fails: the bound on the levels overflows the float range.
         ("scan", "-N", "3", "--grid", "1.5e308:1.7e308:1e307"),
     ]
     for n, lam, levels in product(("8", "16", "20", "24", "64", "160"),
@@ -135,7 +137,10 @@ def invocations():
 
 
 def run(main, argv, output):
-    """(exit code or exception, stdout, stderr, written file) of one invocation."""
+    """(exit code or exception, stdout, stderr, written file) of one invocation.
+
+    Warnings are shown as Python shows them, onto the captured stderr.
+    """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -162,14 +167,24 @@ def main(args):
     counts = Counter()
     parts = defaultdict(hashlib.sha256)
     argvs = invocations()
-    crashed = []
+    failures = []  # (kind, argv, detail) of each crash or shown warning
+    shown = []
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("always")
+        show = warnings.showwarning
+
+        def remember(message, category, *args, **kwargs):
+            shown.append(f"{category.__name__}: {message}")
+            show(message, category, *args, **kwargs)
+
+        warnings.showwarning = remember
         output = os.path.join(tmp, "out.txt")
         for argv in argvs:
             rc, out, err, written = run(cli.main, argv, output)
             if isinstance(rc, str):
-                crashed.append((argv, rc))
+                failures.append(("crashed", argv, rc))
+            failures += [("warned", argv, warning) for warning in shown]
+            shown.clear()
             record = [list(argv), rc, out, err.replace(src, "SRC"), written]
             line = json.dumps(record).encode() + b"\n"
             digest.update(line)
@@ -179,9 +194,9 @@ def main(args):
     print(f"{len(argvs)} invocations sha256 {digest.hexdigest()}")
     for command in sorted(parts):
         print(f"  {command} {counts[command]} invocations sha256 {parts[command].hexdigest()}")
-    for argv, rc in crashed:
-        print(f"crashed: {' '.join(argv) or '(none)'}: {rc}", file=sys.stderr)
-    return 1 if crashed else 0
+    for kind, argv, detail in failures:
+        print(f"{kind}: {' '.join(argv) or '(none)'}: {detail}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

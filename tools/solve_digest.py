@@ -22,7 +22,11 @@ the routed survey: per cell its values, ``all_real`` and ``min_gap``, or its
 error type and message.  One more line, also kept out of the total, is a
 sha256 over the eigenvector route ``biorthogonalize(build(n, (lam, mu)))`` on
 every criterion-2 cell: per cell its values, right and left vectors and
-overlaps, or its error type and message.
+overlaps, or its error type and message.  The last line, also kept out of
+the total, is a sha256 over the classification alone: ``all_real``,
+``complex_pairs`` and the failure type of every surveyed ``_solve`` cell,
+routed and general, in survey order.  Values can move at rounding level
+while every classification holds; this line tells the two apart.
 
 The survey holds, per size n, the cells of the acceptance sweeps
 (criterion 1: mu = lambda on a 0.01 grid in [-0.98, 0.98] and at +-1.01,
@@ -71,7 +75,7 @@ def survey(n):
 
 
 def records(spectra, n, lam, mu, tol, general):
-    """One bytes record per block of cells: its answers and failures."""
+    """Per block of cells, two bytes records: its answers and failures, and its classification."""
     for start in range(0, lam.size, BLOCK):
         block = slice(start, start + BLOCK)
         values, all_real, pairs, gaps, failed = spectra._solve(
@@ -80,13 +84,16 @@ def records(spectra, n, lam, mu, tol, general):
         failures = "".join(
             f"{row}:{type(exc).__name__}:{exc};" for row, exc in sorted(failed.items())
         )
+        types = "".join(f"{row}:{type(exc).__name__};" for row, exc in sorted(failed.items()))
+        all_real = np.asarray(all_real, dtype=bool).tobytes()
+        pairs = np.asarray(pairs, dtype=np.int64).tobytes()
         yield b"".join((
             np.ascontiguousarray(values, dtype=complex).tobytes(),
-            np.asarray(all_real, dtype=bool).tobytes(),
-            np.asarray(pairs, dtype=np.int64).tobytes(),
+            all_real,
+            pairs,
             np.asarray(gaps, dtype=float).tobytes(),
             failures.encode(),
-        ))
+        )), all_real + pairs + types.encode()
 
 
 def cell_records(spectra, errors, n, lam, mu, tol):
@@ -127,7 +134,7 @@ def main(args):
     groups = defaultdict(hashlib.sha256)
     cells = defaultdict(int)
     calls = 0
-    one_cell, vectors = hashlib.sha256(), hashlib.sha256()
+    one_cell, vectors, classes = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     vector_cells = 0
     for general in (False, True):
         branch = "general" if general else "routed"
@@ -135,9 +142,10 @@ def main(args):
             for part, (lam, mu) in survey(n).items():
                 for tol in (None, 1e-3) if part == "grid" else (None,):
                     cells[branch, n] += lam.size
-                    for record in records(spectra, n, lam, mu, tol, general):
+                    for record, classification in records(spectra, n, lam, mu, tol, general):
                         total.update(record)
                         groups[branch, n].update(record)
+                        classes.update(classification)
                         calls += 1
                     if not general:
                         for record in cell_records(spectra, errors, n, lam, mu, tol):
@@ -153,6 +161,7 @@ def main(args):
     routed = sum(count for (branch, _), count in cells.items() if branch == "routed")
     print(f"spectrum_of on {routed} routed cells sha256 {one_cell.hexdigest()}")
     print(f"biorthogonalize on {vector_cells} criterion-2 cells sha256 {vectors.hexdigest()}")
+    print(f"classification of {sum(cells.values())} cells sha256 {classes.hexdigest()}")
     return 0
 
 
