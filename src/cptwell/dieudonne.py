@@ -131,14 +131,19 @@ def residual(h, x):
         raise ValidationError("residual expects a DiscreteHamiltonian")
     x = _candidate(x, (h.n, h.n), f"operator size {h.n}")
     hd = dense(h)
-    return _intertwining_defect(hd.T, x, hd)
+    return float(_intertwining_defect(hd.T, x, hd))
 
 
 def _intertwining_defect(a, x, b):
-    """max|a x - x b| of finite matrices: inf, never NaN or a warning, past the float range."""
+    """max|a x - x b| of float matrices, one per element of a stack of ``x``.
+
+    A product past the float range reads inf, never NaN or a numpy warning.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _entry_norm(a @ x - x @ b)
-    return np.inf if np.isnan(defect) else defect
+        defect = a @ x
+        defect -= x @ b
+        norms = np.abs(defect, out=defect).max(axis=(-2, -1), initial=0.0)
+    return np.where(np.isnan(norms), np.inf, norms)
 
 
 def _peaks(xs):
@@ -280,9 +285,7 @@ def _certified_basis(h, basis, start):
     rows, so its independence is the exact smallest singular value of S.
     """
     hd = dense(h)
-    defect = hd.T @ basis
-    defect -= basis @ hd
-    residuals = np.abs(defect, out=defect).max(axis=(1, 2), initial=0.0)
+    residuals = _intertwining_defect(hd.T, basis, hd)
     bound = RESIDUAL_FACTOR * _entry_norm(hd)
     if residuals.max(initial=0.0) > bound:
         raise NumericalError(

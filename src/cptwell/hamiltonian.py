@@ -56,10 +56,7 @@ class DiscreteHamiltonian:
 
     @cached_property
     def _bands(self):
-        pair = bands(self.n, self.lam, self.mu)
-        for band in pair:
-            band.flags.writeable = False
-        return pair
+        return tuple(map(_freeze, bands(self.n, self.lam, self.mu)))
 
     @property
     def super(self):
@@ -91,6 +88,11 @@ def _couplings(pair):
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"couplings must be finite, got ({lam}, {mu})")
     return x, y
+
+
+def _freeze(a):
+    a.flags.writeable = False
+    return a
 
 
 def as_real(x, what, array=False):

@@ -399,7 +399,7 @@ def symmetry_report(h, triple):
     return SymmetryReport(
         residual_p=residual(h, p),
         residual_theta=residual(h, theta),
-        residual_commutator=_intertwining_defect(c, hd, c),
+        residual_commutator=float(_intertwining_defect(c, hd, c)),
         residual_involution=_involution_defect(c),
         theta_min_eig=_smallest_eigenvalue(theta),
     )

@@ -207,6 +207,13 @@ def char_poly(h, e):
 _RESOLVE_MAX = np.finfo(float).max / 134217729.0
 
 
+def _dyadic(xs):
+    """(numerators, D): the floats as exact integers over D, their least common power of two."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return [a * (den // d) for a, d in ratios], den
+
+
 def _taylor_charpoly(sup, sub, c, m):
     """Coefficients of det(H - (c + t)) in powers of t, degrees 0..m.
 
@@ -218,9 +225,7 @@ def _taylor_charpoly(sup, sub, c, m):
     and each coefficient is rounded once.
     """
     n = sup.shape[0] + 1
-    ratios = [x.as_integer_ratio() for x in (c, *sup.tolist(), *sub.tolist())]
-    den = max(d for _, d in ratios)  # the least common power of two
-    ints = [a * (den // d) for a, d in ratios]
+    ints, den = _dyadic([c, *sup.tolist(), *sub.tolist()])
     a, su, sb = 2 * den - ints[0], ints[1:n], ints[n:]
     p2 = [1] + [0] * m
     p1 = [a, -den] + [0] * (m - 1)
@@ -266,6 +271,15 @@ def _resolve_real_clusters(values, sup, sub, gap):
         if np.isfinite(scaled).all():
             values[idx] = c + r * np.roots(scaled[::-1]) if r > 0.0 else c
     return values
+
+
+def _may_cluster(gaps, gap):
+    """Rows on which `_resolve_real_clusters` could act, and a few more.
+
+    It acts on values within ``gap`` of the real axis and of each other in real
+    part, so within sqrt(5) * gap: never on a row whose ``gaps`` exceed 3 * gap.
+    """
+    return gaps <= 3.0 * gap
 
 
 def _stacked(solver, a, rows, failed, dtype):
@@ -449,11 +463,9 @@ def _solve(n, lam, mu, reality_tol=None, general=False):
             _refuse_non_finite(failed, rows, scale, _BOUND_OVERFLOW)
             _refuse_non_finite(failed, rows, v)
         # The gaps, the cluster test and the classification ignore the order
-        # of a row's values, so they come before the sort.  The re-solve acts
-        # on values within gap of the real axis and of each other in real
-        # part, so within sqrt(5) gap: never on a row whose gaps exceed 3 gap.
+        # of a row's values, so they come before the sort.
         gaps = _pairwise_gaps(v)
-        for k in (gaps <= 3.0 * gap).nonzero()[0]:
+        for k in _may_cluster(gaps, gap).nonzero()[0]:
             if rows[k] not in failed:
                 v[k] = _resolve_real_clusters(v[k], su[k], sb[k], gap[k])
                 gaps[k] = _pairwise_gaps(v[k, None])[0]

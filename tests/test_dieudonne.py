@@ -148,6 +148,16 @@ class TestCertificates:
         with pytest.raises(NumericalError, match="pseudometric residual"):
             _certified_basis(h, basis, start)
 
+    def test_an_overflowing_residual_fails_the_certificate_without_a_warning(self):
+        # H^T X - X H overflows to inf - inf here; a NaN residual would compare
+        # false against the bound and pass, so the defect must read inf.
+        h = well(2, 1e308, 0.3)
+        basis = np.full((2, 2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="pseudometric residual inf exceeds"):
+                _certified_basis(h, basis, None)
+
     def test_a_repeated_element_fails_the_independence_certificate(self):
         h = well(6, 0.3, -0.2)
         basis, _ = _recurrence_route(h)
