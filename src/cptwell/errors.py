@@ -45,11 +45,7 @@ class ConvergenceError(NumericalError):
 
 
 class NotDyadRepresentable(NumericalError):
-    """The inverse pseudometric is not a sum of right-eigenvector dyads.
-
-    Raised when the reconstruction residual exceeds tolerance, which signals a
-    pseudometric incompatible with the eigenbasis of the given Hamiltonian.
-    """
+    """R^T P R is not diagonal for H's right eigenvectors R: P^-1 is no sum of their dyads."""
 
 
 class InadmissiblePseudometric(NumericalError):

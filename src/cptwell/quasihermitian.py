@@ -15,8 +15,8 @@ physical inner product of the well:
 
 * charge C = sum_n omega_n r_n l_n^T with omega_n = eps_n / mu_n, the unique
   involution (C^2 = I) commuting with H whose sign pattern eps makes every
-  kappa_n^2 = omega_n / (mu_n nu_n) positive, where nu expands the inverse
-  pseudometric P^-1 = sum_m nu_m r_m r_m^T;
+  kappa_n^2 = omega_n / (mu_n nu_n) positive, where nu_m = 1 / (r_m^T P r_m)
+  expands the inverse pseudometric P^-1 = sum_m nu_m r_m r_m^T;
 * metric Theta = P C, symmetric positive definite inside the open coupling
   square, in which H is self-adjoint;
 * hermitizer Omega with Omega^T Omega = Theta, mapping H to the explicitly
@@ -52,7 +52,6 @@ from .spectra import _adjacent_gaps, _chiral_eigenpairs
 
 CONSTRUCTION_TOL = 1e-12
 IDENTITY_TOL = 1e-10
-ASSEMBLY_TOL = 1e-9
 OVERLAP_FLOOR = 1e-12
 
 VARIANTS = ("exchange", "weighted")
@@ -229,27 +228,26 @@ def spectral_dyads(h):
 def decompose_inverse_pseudometric(p, system):
     """Coefficients nu of P^-1 = sum_m nu_m r_m r_m^T, eigenvalue-ordered.
 
-    Only pseudometrics compatible with the eigenbasis of H admit such a
-    rank-one expansion; an irreducible reconstruction defect raises
-    NotDyadRepresentable.
+    Where H^T P = P H, P r_k is a multiple of l_k, so G = R^T P R is diagonal
+    and nu_k = 1 / (r_k^T P r_k) (Mostafazadeh 2002).  An off-diagonal part of
+    G past IDENTITY_TOL * max|G| raises NotDyadRepresentable; an r_k^T P r_k
+    without a finite inverse (a singular P), ValidationError.
     """
     if not isinstance(system, BiorthogonalSystem):
         raise ValidationError("expected a BiorthogonalSystem")
     p = _candidate(p, (system.n, system.n), f"operator size {system.n}")
-    try:
-        p_inv = np.linalg.inv(p)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"pseudometric is singular: {exc}") from None
-    nu = np.einsum("ik,ij,jk->k", system.left, p_inv, system.left)
-    nu = nu / system.overlaps**2
-    recon = (system.right * nu[None, :]) @ system.right.T
-    defect = _entry_norm(p_inv - recon)
-    scale = max(_entry_norm(p_inv), 1e-300)
-    if defect > ASSEMBLY_TOL * scale:
+    e = np.frexp(_entry_norm(p))[1]  # max|2**-e P| lies in [0.5, 1), so G stays finite
+    gram = system.right.T @ np.ldexp(p, -e) @ system.right
+    diagonal = np.diag(gram)
+    off, scale = _entry_norm(gram - np.diag(diagonal)), _entry_norm(gram)
+    if off > IDENTITY_TOL * scale:
         raise NotDyadRepresentable(
-            f"inverse pseudometric is not a right-dyad combination "
-            f"(relative defect {defect / scale:.3e})"
+            f"pseudometric is not diagonal in the eigenbasis (relative defect {off / scale:.3e})"
         )
+    with np.errstate(divide="ignore", over="ignore"):
+        nu = np.ldexp(1.0 / diagonal, -e)
+    if not np.isfinite(nu).all():
+        raise ValidationError("pseudometric is singular: some r_k^T P r_k has no finite inverse")
     return nu
 
 

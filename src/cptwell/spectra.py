@@ -23,11 +23,11 @@ cell off the real branch.  Two solver branches cover the whole coupling plane:
   ``np.linalg.eigvals`` (Hessenberg QR) on the dense matrices, which `_solve`
   builds from the two off-diagonal `bands` of these cells only and the
   diagonal 2.  It returns the complex values of a real matrix as exact
-  conjugate pairs.  Values that coalesce near the real axis (an exceptional
-  point within a few ulps) are re-solved from the exact Taylor coefficients
-  of det(H - E), taken in integer arithmetic, only on the cells whose
-  smallest pairwise gap shows that this could change something and whose
-  bonds and bond products stay below about 1.3e300 (`_RESOLVE_MAX`).
+  conjugate pairs.  Groups of two to five values that coalesce near the real
+  axis (an exceptional point within a few ulps) are re-solved from the exact
+  Taylor coefficients of det(H - E), taken in integer arithmetic, only on the
+  cells whose smallest pairwise gap shows that this could change something
+  and whose bonds and bond products stay below about 1.3e300 (`_RESOLVE_MAX`).
 
 A LAPACK failure surfaces as `ConvergenceError`, so every solver failure stays
 a `NumericalError`.  A failed stacked call is retried cell by cell, so only the
@@ -243,43 +243,48 @@ def _resolve_real_clusters(values, sup, sub, gap):
     LAPACK fixes a k-fold root only to about eps**(1/k) of the matrix norm, so
     within a few ulps of an exceptional point a coalescing group can come out
     on the wrong side of the reality tolerance, e.g. with one member of the
-    mirror pair E, 4 - E complex and the other real.  Values within
-    ``gap`` of the real axis are grouped by real part; a group of
-    m >= 2 that lies at least 100 gaps from every other value is replaced by
-    the m roots of the Taylor polynomial of det(H - E) about its centre
-    (`_taylor_charpoly`), rescaled by the root bound
-    max_j |c_j / c_m|**(1 / (m - j)) before rooting (a group whose rescaling
-    overflows keeps its values).  A row with |sup|, |sub| or |sup * sub| past
-    _RESOLVE_MAX, inf included, is returned unchanged, without expanding.
+    mirror pair E, 4 - E complex and the other real.  Values within ``gap`` of
+    the real axis are grouped by real part; a group of 2 to 5 that lies at
+    least 100 gaps from every other value is replaced by the m roots of the
+    Taylor polynomial of det(H - E) about its centre (`_taylor_charpoly`),
+    rescaled by the root bound max_j |c_j / c_m|**(1 / (m - j)) before rooting
+    (a group whose rescaling overflows keeps its values).  A second pass, 100
+    times as wide, takes the groups of 4 and 5, which LAPACK spreads past
+    ``gap``.  Levels coalesce at most five at a time (Theta_D has at most two
+    negative squares); a larger group, a run of distinct levels under a wide
+    ``gap``, keeps LAPACK's values, as does a row with |sup|, |sub| or
+    |sup * sub| past _RESOLVE_MAX, inf included.
     """
     if max(np.abs(sup).max(), np.abs(sub).max(), np.abs(sup * sub).max()) > _RESOLVE_MAX:
         return values
     values = values.copy()
-    near = np.nonzero(np.abs(values.imag) <= gap)[0]
-    near = near[np.argsort(values[near].real)]
-    for idx in np.split(near, np.nonzero(np.diff(values[near].real) > gap)[0] + 1):
-        m = idx.size
-        if m < 2:
-            continue
-        c = float(values[idx].real.mean())
-        others = np.delete(values, idx)
-        if others.size and np.abs(others - c).min() < 100.0 * gap:
-            continue
-        co = _taylor_charpoly(sup, sub, c, m)
-        r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
-        scaled = co * r ** np.arange(m + 1)
-        if np.isfinite(scaled).all():
-            values[idx] = c + r * np.roots(scaled[::-1]) if r > 0.0 else c
+    for width, low in ((gap, 2), (100.0 * gap, 4)):
+        near = np.nonzero(np.abs(values.imag) <= width)[0]
+        near = near[np.argsort(values[near].real)]
+        for idx in np.split(near, np.nonzero(np.diff(values[near].real) > width)[0] + 1):
+            m = idx.size
+            if not low <= m <= 5:
+                continue
+            c = float(values[idx].real.mean())
+            others = np.delete(values, idx)
+            if others.size and np.abs(others - c).min() < 100.0 * width:
+                continue
+            co = _taylor_charpoly(sup, sub, c, m)
+            r = max((abs(co[j]) / abs(co[m])) ** (1.0 / (m - j)) for j in range(m))
+            scaled = co * r ** np.arange(m + 1)
+            if np.isfinite(scaled).all():
+                values[idx] = c + r * np.roots(scaled[::-1]) if r > 0.0 else c
     return values
 
 
 def _may_cluster(gaps, gap):
     """Rows on which `_resolve_real_clusters` could act, and a few more.
 
-    It acts on values within ``gap`` of the real axis and of each other in real
-    part, so within sqrt(5) * gap: never on a row whose ``gaps`` exceed 3 * gap.
+    It acts on values within 100 * ``gap`` of the real axis and of each other in
+    real part, so within sqrt(5) * 100 * gap: never on a row whose ``gaps``
+    exceed 300 * gap.
     """
-    return gaps <= 3.0 * gap
+    return gaps <= 300.0 * gap
 
 
 def _stacked(solver, a, rows, failed, dtype):

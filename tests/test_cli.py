@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -157,6 +158,22 @@ class TestSpectrumCommand:
         payload = json.loads(out)
         assert payload["all_real"] is False
         assert [abs(v["im"]) for v in payload["values"]] == [pytest.approx(7.0710678118654755e76)] * 2
+
+    @pytest.mark.parametrize("n, lam, mu", [("49", "6", "800368"), ("49", "-6", "800368"),
+                                            ("10", "1.3629738212756814e60",
+                                             "1.735687642758669e125")])
+    def test_a_wide_run_of_real_levels_stays_real_without_a_warning(self, n, lam, mu):
+        # The cluster width 1e-5 * R spans runs of distinct real levels here.
+        # Re-solving the 47 interior levels at n = 49 from one degree-47 model
+        # printed 20 and 22 pairs, where a 60-digit mpmath eigensolve gives two
+        # (|Im| = 5.8333 and 8.0037e5); at n = 10 it divided by a Taylor
+        # coefficient that rounds to zero, and numpy's "divide by zero
+        # encountered in scalar divide" reached stderr with the install path.
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            rc, out, err = run("spectrum", "-N", n, "--lambda", lam, "--mu", mu)
+        assert rc == 0 and err == "" and shown == []
+        assert sum(v["im"] > 0.0 for v in json.loads(out)["values"]) == 2
 
     def test_an_unwritable_output_path_is_one_line_and_exit_1(self, tmp_path):
         target = tmp_path / "missing" / "x.json"

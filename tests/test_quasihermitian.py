@@ -265,16 +265,76 @@ class TestDecomposeInversePseudometric:
         assert abs(nu[1] + expect) <= 1e-12
 
     def test_matrix_outside_the_dyad_span_is_rejected(self):
+        # R^T P R reads 0.63 off its diagonal, relative to its largest entry.
         system = biorthogonalize(well(3, 0.5))
         p = np.eye(3)
         p[0, 1] = p[1, 0] = 0.5
-        with pytest.raises(NotDyadRepresentable):
+        with pytest.raises(NotDyadRepresentable, match=r"relative defect 6\.325e-01"):
             decompose_inverse_pseudometric(p, system)
 
     def test_singular_pseudometric_is_rejected(self):
         system = biorthogonalize(well(3, 0.5))
         with pytest.raises(ValidationError):
             decompose_inverse_pseudometric(np.zeros((3, 3)), system)
+
+    def test_a_pseudometric_at_either_end_of_the_float_range_scales_exactly(self):
+        # nu(2**k P) = 2**-k nu(P) bit for bit, with no warning, where the
+        # Gram matrix of 2**k P itself would overflow or P^-1 underflow.
+        system = biorthogonalize(well(6, 0.3))
+        p = sum(np.outer(l, l) for l in system.left.T)
+        p /= np.abs(p).max()
+        nu = decompose_inverse_pseudometric(p, system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1023, -1000):
+                got = decompose_inverse_pseudometric(np.ldexp(p, k), system)
+                assert got.tobytes() == np.ldexp(nu, -k).tobytes(), k
+            # r_k^T P r_k of about 1e-320 has no finite inverse.
+            with pytest.raises(ValidationError, match="singular"):
+                decompose_inverse_pseudometric(1e-320 * flip(6), system)
+
+    # Line cells from n = 2 to 160, in and near the window's edge.
+    LINE_SIZES = (2, 3, 4, 5, 7, 8, 16, 33, 48, 64, 160)
+    LINE_COUPLINGS = (0.0, 0.3, -0.41, 0.5, -0.7, 0.93, 0.999999, -0.999999, 0.99999999,
+                      0.9999999999, 0.999999999999)
+
+    @staticmethod
+    def inverse_chain(p, system):
+        """nu from P^-1 projected onto the left vectors, the reference oracle.
+
+        nu_k = l_k^T P^-1 l_k / mu_k^2, certified by rebuilding P^-1 from the
+        right dyads to 1e-9 relative; None where that reconstruction misses.
+        """
+        p_inv = np.linalg.inv(p)
+        nu = np.einsum("ik,ij,jk->k", system.left, p_inv, system.left) / system.overlaps**2
+        defect = np.abs(p_inv - (system.right * nu) @ system.right.T).max()
+        return nu if defect <= 1e-9 * np.abs(p_inv).max() else None
+
+    def test_nu_is_the_inverse_chain_s_wherever_that_chain_answers(self):
+        checked, refused = 0, []
+        for variant, sign in (("exchange", 1.0), ("weighted", -1.0)):
+            for n in self.LINE_SIZES:
+                for lam in self.LINE_COUPLINGS:
+                    try:
+                        system = biorthogonalize(well(n, lam, sign * lam))
+                    except NumericalError:
+                        continue
+                    p = closed_form_operators(n, lam, variant).p
+                    nu = decompose_inverse_pseudometric(p, system)
+                    reference = self.inverse_chain(p, system)
+                    if reference is None:
+                        refused.append((variant, n, lam))
+                        assert np.sign(nu).tolist() == [(-1.0) ** k for k in range(n)]
+                        continue
+                    checked += 1
+                    assert (np.abs(nu - reference) <= 1e-13 * np.abs(reference)).all(), (
+                        variant, n, lam)
+        assert checked == 208
+        # There the rebuilt P^-1 is ill-conditioned, not P incompatible: the
+        # Gram form answers, with the alternating types of P = J.
+        assert refused == [("exchange", n, lam) for n in self.LINE_SIZES[1:]
+                           for lam in (0.99999999, 0.9999999999)
+                           if (n, lam) not in ((3, 0.9999999999), (48, 0.99999999))]
 
 
     def test_non_finite_pseudometric_is_rejected(self):

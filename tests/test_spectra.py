@@ -440,6 +440,12 @@ def exact_taylor_coeffs(h, c, m):
     return pm1
 
 
+def signed_log_uniform(lo, hi):
+    """Couplings +-10**e with e drawn from [lo, hi]."""
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                     st.floats(lo, hi))
+
+
 near_unit = st.builds(lambda sign, k: sign * (1.0 + k * np.spacing(1.0)),
                       st.sampled_from([1.0, -1.0]), st.integers(-6, 6))
 
@@ -920,9 +926,11 @@ class TestHugeCouplings:
 
     def test_an_expansion_past_the_float_range_keeps_lapacks_values(self):
         # Under a far coupling of 2.6e11 the cluster width 1e-5 * R spans the
-        # 49 levels of the rest of the chain, and their degree-49 expansion
-        # about its centre leaves the float range when rescaled.  The group
-        # keeps LAPACK's values; rooting it raised numpy's LinAlgError.
+        # 49 levels of the rest of the chain.  A group of more than five is a
+        # run of distinct levels, not a coalescence, so it is skipped by its
+        # size and keeps LAPACK's values.  (Its degree-49 expansion about its
+        # centre would leave the float range when rescaled; rooting it once
+        # raised numpy's LinAlgError.)
         n, lam, mu = 51, 2642246.0, 264224599997.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1519,10 +1527,16 @@ class TestRealityTolerance:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(2, 64),
-        *[st.one_of(st.floats(-3.0, 3.0), st.floats(-1.7e308, 1.7e308), st.sampled_from(
-            [s * x for x in (1.0, 1.0000000000000002, 0.9999999999999999, 5.0**0.5 / 2.0)
-             for s in (1.0, -1.0)])) for _ in range(2)],
+        *[st.one_of(st.floats(-3.0, 3.0), signed_log_uniform(3, 8), st.floats(-1.7e308, 1.7e308),
+                    st.sampled_from([s * x for x in (1.0, 1.0000000000000002, 0.9999999999999999,
+                                                     5.0**0.5 / 2.0) for s in (1.0, -1.0)]))
+          for _ in range(2)],
     )
+    # Re-solving the 47 interior levels as one group gave 20 pairs here and
+    # 22 at (-6, 800368); at n = 10 four values meet at 2 and LAPACK's spread
+    # of them, past the cluster width, gave 1 or 2 pairs by image.
+    @example(49, 6.0, 800368.0)
+    @example(10, 1.0000000000000002, 5.0**0.5 / 2.0)
     def test_bound_tolerance_and_classification_agree_on_every_orbit_image(self, n, lam, mu):
         # The spectrum is the same on the orbit of a cell: sign flips and the
         # swap of (lam, mu) for n >= 3, (lam, mu) -> (-mu, -lam) for n = 2.
@@ -1536,16 +1550,42 @@ class TestRealityTolerance:
         assert len(bounds) == 1, cells
         if math.isfinite(level_bound(n, lam, mu)):
             assert len({reality_tolerance(well(n, a, b)) for a, b in cells}) == 1, cells
-        # Past |coupling| ~ 1e3 LAPACK's values on two images of a very
-        # non-normal cell can part by more than any threshold: at n = 49,
-        # (6, 800368) gives 20 pairs and (-6, 800368) 22, one |Im| reading
-        # 0.078 on one image and 0 on the other.  Solving one canonical matrix
-        # per orbit (ROADMAP item 16) would remove that; until then the class
-        # is compared where the values are accurate.
-        if max(abs(lam), abs(mu)) <= 1e3:
-            scans = [scan_domain(n, [a], [b]) for a, b in cells]
-            classes = {(bool(s.all_real[0]), int(s.complex_pairs[0])) for s in scans}
-            assert len(classes) == 1, cells
+        scans = [scan_domain(n, [a], [b]) for a, b in cells]
+        classes = {(bool(s.all_real[0]), int(s.complex_pairs[0])) for s in scans}
+        assert len(classes) == 1, cells
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 64),
+           *[st.one_of(st.floats(-3.0, 3.0), signed_log_uniform(-1, 300)).filter(
+               lambda x: abs(x) != 1.0) for _ in range(2)])
+    # Re-solving every near-real group, however large, gave 20 pairs here
+    # and 22 at (-6, 800368), where the exact spectrum has 2; the last cell
+    # leaked numpy's "divide by zero" from the root bound of a wide group.
+    @example(49, 6.0, 800368.0)
+    @example(10, 1.3629738212756814e60, 1.735687642758669e125)
+    def test_complex_pairs_never_exceed_the_krein_index(self, n, lam, mu):
+        # H is self-adjoint in the Pontryagin space of Theta_D, whose negative
+        # entries count the couplings with |x| > 1 (for n = 2 a negative bond
+        # product), so at most that many eigenvalues lie in the upper
+        # half-plane (Pontryagin 1944; ROADMAP item 20).
+        kappa = 1 if n == 2 else int(abs(lam) > 1.0) + int(abs(mu) > 1.0)
+        pairs = int(scan_domain(n, [lam], [mu]).complex_pairs[0])
+        assert pairs <= kappa, (n, lam, mu, pairs)
+
+    @pytest.mark.parametrize("x, pairs", [(1.0, 1), (0.9999999999999999, 1),
+                                          (1.0000000000000002, 2)])
+    def test_a_four_fold_point_at_two_is_re_solved_on_every_image(self, x, pairs):
+        # At n = 10 four values meet at 2 near |mu| = 1, |lambda| = sqrt(5)/2.
+        # A 100-digit mpmath eigensolve gives one pair with |Im| = 8.05e-9 at
+        # |mu| = 1, one with 5.22e-5 an ulp below and two with 4.39e-5 an ulp
+        # above.  The four need a re-solve, and on some images LAPACK spreads
+        # them by 1e-4, past the cluster width 1e-5 * R = 4e-5: only the
+        # second, wider pass finds them there.
+        r = 5.0**0.5 / 2.0
+        cells = [(a * u, b * v) for u, v in ((x, r), (r, x)) for a in (1.0, -1.0)
+                 for b in (1.0, -1.0)]
+        counts = [int(scan_domain(10, [a], [b]).complex_pairs[0]) for a, b in cells]
+        assert counts == [pairs] * 8
 
     def test_a_second_pair_between_the_old_and_the_new_tolerance_counts(self):
         # The last bond product is -4.4e-16, and a 200-bit mpmath eigensolve

@@ -21,7 +21,7 @@ stderr, with the exception or the warning's category and message, and
 exits 1.
 
 The set covers every subcommand in JSON and CSV, n from 2 to 160, couplings
-inside and outside the window (0.999999, +-1, 1e308 and more), scan grids
+inside and outside the window (0.999999, +-1, 800368, 1e308 and more), scan grids
 with failing cells, and refusals.  ``--help`` is left out: its text depends
 on the Python version.  SRC_DIR's absolute path is replaced by ``SRC`` in
 stderr, so that a warning's file name does not tell two checkouts apart.
@@ -83,6 +83,11 @@ def invocations():
         ("pseudometrics", "-N", "64", "--lambda", "2.0"),
         ("spectrum", "-N", "5", "--lambda", "1.3", "--tol", "0.5"),
         ("spectrum", "-N", "5", "--lambda", "-1.5e-1", "--tol", "0"),
+        # Runs of real levels that the cluster re-solve once took for clusters.
+        ("spectrum", "-N", "49", "--lambda", "6", "--mu", "800368"),
+        ("spectrum", "-N", "49", "--lambda", "-6", "--mu", "800368"),
+        ("spectrum", "-N", "10", "--lambda", "1.3629738212756814e60",
+         "--mu", "1.735687642758669e125"),
         ("scan", "-N", "4", "--grid", "-1.2:1.2:0.1", "--tol", "1e-3"),
         # Every cell fails: the bound on the levels overflows the float range.
         ("scan", "-N", "3", "--grid", "1.5e308:1.7e308:1e307"),

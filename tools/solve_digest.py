@@ -31,10 +31,12 @@ while every classification holds; this line tells the two apart.
 The survey holds, per size n, the cells of the acceptance sweeps
 (criterion 1: mu = lambda on a 0.01 grid in [-0.98, 0.98] and at +-1.01,
 +-1.2, +-1.11, +-1.13; criterion 2: mu = +-lambda at 50 points), the cells a
-few ulps from the exceptional points of n = 3 and n = 4, couplings up to
-+-1.7e308 (at eight sizes), and a 7 x 7 grid over [-3, 3]^2 for every n in
-2..64.  Cells are solved in blocks of at most ``BLOCK`` cells, in survey
-order; the grid is also solved with the reality tolerance set to 1e-3.
+few ulps from the exceptional points of n = 3 and n = 4, large couplings from
+1e5 to 2.6e11 (at six sizes, with the cells where the cluster re-solve once
+took a run of real levels for a cluster), couplings up to +-1.7e308 (at eight
+sizes), and a 7 x 7 grid over [-3, 3]^2 for every n in 2..64.  Cells are
+solved in blocks of at most ``BLOCK`` cells, in survey order; the grid is also
+solved with the reality tolerance set to 1e-3.
 """
 
 import hashlib
@@ -50,6 +52,17 @@ BLOCK = 64
 # re-solves are slow) against each other and against ordinary couplings.
 HUGE = np.array([s * x for x in (1e154, 1e300, 1.7e308) for s in (1.0, -1.0)])
 HUGE_SIZES = (2, 3, 4, 5, 9, 16, 33, 64)
+# Large but finite couplings, past |coupling| ~ 1e5 where the cluster width
+# 1e-5 * R spans runs of distinct real levels, against each other and against
+# ordinary couplings; plus the cells where re-solving such a run as one group
+# gave spurious complex pairs or a numpy warning.
+LARGE = np.array([s * x for x in (1e5, 800368.0, 1e8, 264224599997.0) for s in (1.0, -1.0)])
+LARGE_CELLS = {
+    10: [(1.3629738212756814e60, 1.735687642758669e125)],
+    49: [(6.0, 800368.0), (-6.0, 800368.0)],
+    51: [(2642246.0, 264224599997.0)],
+}
+LARGE_SIZES = (3, 5, 10, 33, 49, 51)
 GRID = np.linspace(-3.0, 3.0, 7)
 
 
@@ -70,6 +83,10 @@ def survey(n):
         other = np.concatenate((HUGE, -HUGE, np.repeat([0.5, 1.0, -2.0], 2)))
         lam = np.tile(HUGE, 3)
         parts["huge"] = (np.concatenate((lam, other)), np.concatenate((other, lam)))
+    if n in LARGE_SIZES:
+        cells = [*zip(LARGE, LARGE[::-1]), *zip(LARGE, np.repeat([0.5, -6.0, 2642246.0, 1.5], 2)),
+                 *LARGE_CELLS.get(n, [])]
+        parts["large"] = tuple(np.array(axis) for axis in zip(*cells))
     parts["grid"] = (np.repeat(GRID, GRID.size), np.tile(GRID, GRID.size))
     return parts
 
